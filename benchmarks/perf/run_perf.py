@@ -182,34 +182,6 @@ def bench_faults(n_accesses: int, vdd: float = 0.42):
     t_scalar = best_of(scalar, repeats=3)
     t_batch = best_of(batch, repeats=3)
 
-    # Conditional-mask kernel: reusable scratch vs per-call allocation.
-    # Faulty accesses are rare at campaign voltages (the sampler's whole
-    # point), so the kernel is timed directly at a fixed block size
-    # rather than through sample_masks; the scratch path must consume
-    # the identical RNG stream and emit identical masks.
-    cond_block = 4096
-    m_scratch = VoltageFaultModel(
-        ACCESS_CELL_BASED_40NM, width=32, vdd=vdd,
-        rng=np.random.default_rng(11), reuse_buffers=True,
-    )
-    m_alloc = VoltageFaultModel(
-        ACCESS_CELL_BASED_40NM, width=32, vdd=vdd,
-        rng=np.random.default_rng(11),
-    )
-    masks_scratch = m_scratch._draw_conditional_masks(cond_block)
-    masks_alloc = m_alloc._draw_conditional_masks(cond_block)
-    scratch_exact = bool(
-        np.array_equal(masks_scratch, masks_alloc)
-        and m_scratch.rng.bit_generator.state
-        == m_alloc.rng.bit_generator.state
-    )
-    t_cond_scratch = best_of(
-        lambda: m_scratch._draw_conditional_masks(cond_block)
-    )
-    t_cond_alloc = best_of(
-        lambda: m_alloc._draw_conditional_masks(cond_block)
-    )
-
     return {
         "n_accesses": n_accesses,
         "vdd": vdd,
@@ -218,11 +190,6 @@ def bench_faults(n_accesses: int, vdd: float = 0.42):
         "batch_s": t_batch,
         "speedup": t_scalar / t_batch,
         "batch_maccesses_per_s": n_accesses / t_batch / 1e6,
-        "cond_block": cond_block,
-        "cond_scratch_bit_exact": scratch_exact,
-        "cond_scratch_s": t_cond_scratch,
-        "cond_noscratch_s": t_cond_alloc,
-        "cond_scratch_speedup": t_cond_alloc / t_cond_scratch,
     }
 
 
@@ -391,17 +358,35 @@ def _platform_rng_states(runner):
     ]
 
 
+def _scalar(runner_cls):
+    """``runner_cls`` with its platforms pinned to the ``Cpu.run`` oracle.
+
+    Runners leave the engine to the platform, which picks the fast lane
+    for their stock ports; baselines bind the scalar interpreter
+    instead, through the same ``bind_engine`` seam the lane block uses.
+    """
+
+    class ScalarRunner(runner_cls):
+        def build_platform(self, vdd):
+            platform = super().build_platform(vdd)
+            platform.bind_engine(platform.cpu.run)
+            return platform
+
+    return ScalarRunner
+
+
 def bench_platform(fft_points: int, seed: int = 7):
     """End-to-end platform runs: reference interpreter vs fast lane.
 
     One FFT run per scheme at its Table 2 operating voltage, executed
-    twice from identical seeds — once through ``Cpu.run`` and once
-    through the clean-burst fast lane.  Bit-exactness here is the
-    strictest available: identical :class:`SimulationResult` (cycles,
-    instructions, access counters, corrected/detected words, injected
-    bits), identical program output, and byte-identical RNG
-    bit-generator states on every fault stream — i.e. the fast lane
-    consumed exactly the same random draws as per-access sampling.
+    twice from identical seeds — once pinned to ``Cpu.run`` and once
+    on the platform's own engine, the clean-burst fast lane.
+    Bit-exactness here is the strictest available: identical
+    :class:`SimulationResult` (cycles, instructions, access counters,
+    corrected/detected words, injected bits), identical program
+    output, and byte-identical RNG bit-generator states on every fault
+    stream — i.e. the fast lane consumed exactly the same random draws
+    as per-access sampling.
     """
     program = build_fft_program(fft_points)
     golden = program.expected_output(list(program.data_words[:fft_points]))
@@ -411,12 +396,10 @@ def bench_platform(fft_points: int, seed: int = 7):
         (SecdedRunner, 0.44),
         (OceanRunner, 0.33),
     ):
-        reference = runner_cls(
+        reference = _scalar(runner_cls)(
             ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed
         )
-        fast = runner_cls(
-            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=True
-        )
+        fast = runner_cls(ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed)
         start = time.perf_counter()
         ref_outcome = reference.run(program.workload, vdd, 25e6)
         t_reference = time.perf_counter() - start
@@ -453,44 +436,49 @@ def bench_platform(fft_points: int, seed: int = 7):
 def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
     """Engine-profiler cost and neutrality on the platform workload.
 
-    Runs the SECDED fast-lane FFT with profiling disabled and enabled
-    (fresh runners, identical seeds) and checks the two outcomes stay
-    bit-exact — identical :class:`SimulationResult`, program output and
-    RNG stream positions — while reporting the enabled-profiler wall
-    overhead.  The disabled path is by construction the unmodified
-    engine loop (the profiled twin is only entered when a live profiler
-    is installed), so its cost is already covered by the platform
-    section's own timings.
+    Runs the SECDED FFT with profiling disabled and enabled (fresh
+    runners, identical seeds) on both single-loop engines — the fast
+    lane the platform picks and the scalar ``Cpu.run`` pinned through
+    ``bind_engine`` — and checks each pair stays bit-exact: identical
+    :class:`SimulationResult`, program output and RNG stream positions.
+    Reports the enabled-profiler wall overhead of each engine (the
+    fast lane's as ``overhead_pct``); a disabled profiler is a ``None``
+    tally in the same loop, so its cost is inside every other section's
+    timings.
     """
     program = build_fft_program(fft_points)
     golden = program.expected_output(list(program.data_words[:fft_points]))
     vdd = 0.44
 
-    def run_once():
-        runner = SecdedRunner(
-            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=True
+    def measure(runner_cls):
+        def run_once():
+            runner = runner_cls(ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed)
+            outcome = runner.run(program.workload, vdd, 25e6)
+            return outcome, _platform_rng_states(runner)
+
+        registry = obs.MetricsRegistry()
+
+        def run_profiled():
+            with obs.scoped_metrics(registry), obs.scoped_profiling():
+                return run_once()
+
+        t_off = best_of(run_once, repeats=repeats)
+        off_outcome, off_rng = run_once()
+        t_on = best_of(run_profiled, repeats=repeats)
+        on_outcome, on_rng = run_profiled()
+        bit_exact = bool(
+            off_outcome.sim == on_outcome.sim
+            and off_outcome.completed == on_outcome.completed
+            and off_outcome.failure == on_outcome.failure
+            and off_outcome.output == on_outcome.output
+            and off_rng == on_rng
         )
-        outcome = runner.run(program.workload, vdd, 25e6)
-        return outcome, _platform_rng_states(runner)
+        snapshot = registry.snapshot()
+        return t_off, t_on, bit_exact, on_outcome, snapshot
 
-    registry = obs.MetricsRegistry()
-
-    def run_profiled():
-        with obs.scoped_metrics(registry), obs.scoped_profiling():
-            return run_once()
-
-    t_off = best_of(lambda: run_once(), repeats=repeats)
-    off_outcome, off_rng = run_once()
-    t_on = best_of(lambda: run_profiled(), repeats=repeats)
-    on_outcome, on_rng = run_profiled()
-    snapshot = registry.snapshot()
-
-    bit_exact = bool(
-        off_outcome.sim == on_outcome.sim
-        and off_outcome.completed == on_outcome.completed
-        and off_outcome.failure == on_outcome.failure
-        and off_outcome.output == on_outcome.output
-        and off_rng == on_rng
+    t_off, t_on, fast_exact, outcome, snapshot = measure(SecdedRunner)
+    s_off, s_on, scalar_exact, _, scalar_snapshot = measure(
+        _scalar(SecdedRunner)
     )
     return {
         "fft_points": fft_points,
@@ -498,8 +486,11 @@ def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
         "unprofiled_s": t_off,
         "profiled_s": t_on,
         "overhead_pct": (t_on - t_off) / t_off * 100.0,
-        "bit_exact": bit_exact,
-        "output_correct": on_outcome.output_matches(golden),
+        "scalar_unprofiled_s": s_off,
+        "scalar_profiled_s": s_on,
+        "scalar_overhead_pct": (s_on - s_off) / s_off * 100.0,
+        "bit_exact": fast_exact and scalar_exact,
+        "output_correct": outcome.output_matches(golden),
         "fast_instructions": snapshot.counters.get(
             names.PROFILE_FAST_INSTRUCTIONS, 0
         ),
@@ -507,6 +498,12 @@ def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
             names.PROFILE_SLOW_INSTRUCTIONS, 0
         ),
         "bursts": snapshot.counters.get(names.PROFILE_BURSTS, 0),
+        "scalar_slow_instructions": scalar_snapshot.counters.get(
+            names.PROFILE_SLOW_INSTRUCTIONS, 0
+        ),
+        "scalar_pc_counts": sum(
+            scalar_snapshot.histograms.get(names.PROFILE_PC, {}).values()
+        ),
     }
 
 
@@ -535,7 +532,7 @@ def bench_simd(
     injected_bits = 0
     start = time.perf_counter()
     for index in range(n_max):
-        runner = SecdedRunner(
+        runner = _scalar(SecdedRunner)(
             ACCESS_CELL_BASED_40NM, seed=seed_base + index
         )
         outcome = runner.run(workload, vdd, 25e6)
@@ -911,9 +908,6 @@ def main() -> int:
         "bch_encode_bit_exact": results["bch"]["encode_bit_exact"],
         "bch_decode_bit_exact": results["bch"]["decode_bit_exact"],
         "fault_stats_ok": results["faults"]["stats_within_tolerance"],
-        "faults_scratch_bit_exact": (
-            results["faults"]["cond_scratch_bit_exact"]
-        ),
         "fig5_bit_exact": results["fig5_campaign"]["bit_exact"],
         "store_warm_100x": results["store"]["warm_speedup"] >= 100.0,
         "store_hit_ratio": results["store"]["hit_ratio"] == 1.0,
@@ -971,6 +965,9 @@ def main() -> int:
         "profile_instruments_populated": (
             results["profile"]["fast_instructions"] > 0
             and results["profile"]["bursts"] > 0
+            and results["profile"]["scalar_slow_instructions"] > 0
+            and results["profile"]["scalar_pc_counts"]
+            == results["profile"]["scalar_slow_instructions"]
         ),
     }
     results["checks"] = checks
@@ -995,9 +992,6 @@ def main() -> int:
             "bch_encode": results["bch"]["encode_speedup"],
             "bch_decode": results["bch"]["decode_speedup"],
             "faults": results["faults"]["speedup"],
-            "faults_cond_scratch": (
-                results["faults"]["cond_scratch_speedup"]
-            ),
             "fig5_campaign": results["fig5_campaign"]["speedup"],
             "store_warm": results["store"]["warm_speedup"],
             "store_campaign_warm": (
@@ -1032,11 +1026,6 @@ def main() -> int:
     print(
         f"{'fault engine':>16}: batch {f['speedup']:6.1f}x "
         f"({f['batch_maccesses_per_s']:.0f} Maccess/s)"
-    )
-    print(
-        f"{'cond masks':>16}: scratch "
-        f"{f['cond_scratch_speedup']:6.1f}x "
-        f"(bit_exact={f['cond_scratch_bit_exact']})"
     )
     c = results["fig5_campaign"]
     print(f"{'fig5 campaign':>16}: batch {c['speedup']:6.1f}x")
@@ -1074,6 +1063,7 @@ def main() -> int:
     p = results["profile"]
     print(
         f"{'profiler':>16}: enabled overhead {p['overhead_pct']:+5.1f}% "
+        f"fast lane / {p['scalar_overhead_pct']:+5.1f}% scalar "
         f"(bit_exact={p['bit_exact']}, "
         f"{p['fast_instructions']} fast / {p['slow_instructions']} slow "
         f"insns profiled)"

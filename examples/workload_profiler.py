@@ -1,8 +1,9 @@
 """Profile a workload on the NTC32 platform.
 
-Uses the execution profiler and the ASCII plotting helpers to look
-inside a run: opcode mix, hot loops, and how the instruction profile
-translates into the per-module energy split that Figures 8/9 stack.
+Uses the engine profiler (``repro.obs.profile``) and the ASCII plotting
+helpers to look inside a run: opcode mix, hot loops, and how the
+instruction profile translates into the per-module energy split that
+Figures 8/9 stack.
 
 Run:  python examples/workload_profiler.py [fft|fir]
 """
@@ -10,6 +11,8 @@ Run:  python examples/workload_profiler.py [fft|fir]
 import sys
 
 from repro.analysis import format_table, histogram
+from repro.obs import names, scoped_metrics
+from repro.obs.profile import scoped_profiling
 from repro.soc.cpu import StopReason
 from repro.soc.energy_model import (
     MemoryComponentSpec,
@@ -18,7 +21,6 @@ from repro.soc.energy_model import (
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform
 from repro.soc.ports import RawPort
-from repro.soc.profiler import ProfilingPort
 from repro.workloads.fft import build_fft_program
 from repro.workloads.fir import build_fir_program
 
@@ -39,29 +41,32 @@ def main() -> None:
 
     im = FaultyMemory("IM", 1024, 32)
     sp = FaultyMemory("SP", 2048, 32)
-    im_port = ProfilingPort(RawPort(im))
-    platform = Platform(im, im_port, sp, RawPort(sp))
+    platform = Platform(im, RawPort(im), sp, RawPort(sp))
     platform.load_program(list(workload.program_words))
     platform.load_data(list(workload.data_words), workload.data_base)
-    while platform.run_until_stop() is not StopReason.HALT:
-        pass
+    with scoped_metrics() as registry, scoped_profiling():
+        while platform.run_until_stop() is not StopReason.HALT:
+            pass
 
-    profile = im_port.profile
+    snapshot = registry.snapshot()
+    by_pc = snapshot.histograms[names.PROFILE_PC]
+    executed = sum(by_pc.values())
     state = platform.cpu.state
     print(
         f"== {workload.name}: {state.instructions:,} instructions, "
         f"{state.cycles:,} cycles ==\n"
     )
-    print(histogram(profile.opcode_histogram(), width=40,
+    print(histogram(snapshot.histograms[names.PROFILE_OPCODE], width=40,
                     title="opcode mix"))
 
     print("\nhottest program counters:")
+    hottest = sorted(by_pc.items(), key=lambda item: -item[1])[:8]
     print(
         format_table(
-            ("pc", "fetches", "share"),
+            ("pc", "executed", "share"),
             [
-                (f"{pc:#06x}", count, f"{count / profile.fetches:.1%}")
-                for pc, count in profile.hottest(8)
+                (pc, count, f"{count / executed:.1%}")
+                for pc, count in hottest
             ],
         )
     )

@@ -463,14 +463,11 @@ def _mitigation_study(
     tracer = active_tracer()
     bars = []
     for runner_cls in (NoMitigationRunner, SecdedRunner, OceanRunner):
-        # The fault-free fast lane is bit-exact with the reference
-        # interpreter (differential-fuzzed), so studies always use it.
         runner = runner_cls(
             access_model,
             config=config,
             seed=seed,
             macro_style=macro_style,
-            fast_lane=True,
         )
         vdd = scheme_voltages[runner.name]
         with tracer.span(

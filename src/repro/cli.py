@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run seeds in lockstep SIMD blocks of N lanes (default 1 "
-        "= scalar engine); bit-identical classification either way",
+        "= one run at a time on the fast lane); bit-identical "
+        "classification either way",
     )
     campaign.add_argument(
         "--resume",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.workspace import ScratchArena
 from repro.obs import active_metrics, names
 
 
@@ -136,65 +135,20 @@ class Codec(abc.ABC):
         """Relative storage overhead, e.g. 7/32 for (39,32) SECDED."""
         return self.check_bits / self.data_bits
 
-    # ------------------------------------------------------------------
-    # Reusable gather workspace (opt-in, bit-exactness-neutral)
-    # ------------------------------------------------------------------
-    #: Class attribute on purpose: subclasses snapshot their built LUTs
-    #: into instance ``__dict__``s via a per-type table cache, and a
-    #: class-level default keeps those snapshots from ever capturing a
-    #: stale arena.  :meth:`enable_scratch` shadows it per instance.
-    _scratch: "ScratchArena | None" = None
-
-    def enable_scratch(self) -> "Codec":
-        """Reuse the batch-gather temporaries across calls.
-
-        Campaign loops turn this on to stop re-allocating the
-        shift/index/partial buffers of the byte-sliced LUT gathers on
-        every :meth:`encode_batch` / :meth:`decode_batch` call.  The
-        arithmetic is unchanged and every returned array is still
-        freshly allocated (no scratch view escapes), so results are
-        bit-identical with scratch on or off.  The arena is per
-        instance and not safe for concurrent batch calls on the same
-        codec.  Returns ``self`` for chaining.
-        """
-        self._scratch = ScratchArena()
-        return self
-
-    def disable_scratch(self) -> None:
-        """Drop the scratch arena; batch calls allocate per call again."""
-        self._scratch = None
-
     def _lut_gather(self, luts: np.ndarray, words: np.ndarray) -> np.ndarray:
         """XOR-accumulate byte-sliced LUT gathers over ``words``.
 
         ``luts[k][b]`` is the table contribution of byte ``k`` of a
         word when that byte has value ``b`` — the shared shape of the
         generator-matrix, parity-check, extraction and syndrome tables
-        of the fast codecs.  The accumulated result is always a fresh
-        array (callers hand it out); with scratch enabled only the
-        per-byte temporaries are reused.
+        of the fast codecs.  The accumulated result is a fresh array.
         """
         u64 = np.uint64
         out = np.empty(words.shape, dtype=luts.dtype)
-        scratch = self._scratch
-        if scratch is None:
-            np.take(luts[0], (words & u64(0xFF)).astype(np.intp), out=out)
-            for k in range(1, luts.shape[0]):
-                byte = ((words >> u64(8 * k)) & u64(0xFF)).astype(np.intp)
-                out ^= luts[k][byte]
-            return out
-        shifted = scratch.array("lut_shifted", words.shape, np.uint64)
-        index = scratch.array("lut_index", words.shape, np.intp)
-        partial = scratch.array("lut_partial", words.shape, luts.dtype)
-        np.bitwise_and(words, u64(0xFF), out=shifted)
-        np.copyto(index, shifted, casting="unsafe")
-        np.take(luts[0], index, out=out)
+        np.take(luts[0], (words & u64(0xFF)).astype(np.intp), out=out)
         for k in range(1, luts.shape[0]):
-            np.right_shift(words, u64(8 * k), out=shifted)
-            np.bitwise_and(shifted, u64(0xFF), out=shifted)
-            np.copyto(index, shifted, casting="unsafe")
-            np.take(luts[k], index, out=partial)
-            out ^= partial
+            byte = ((words >> u64(8 * k)) & u64(0xFF)).astype(np.intp)
+            out ^= luts[k][byte]
         return out
 
     @abc.abstractmethod

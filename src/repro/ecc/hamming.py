@@ -243,22 +243,10 @@ class SecdedCodec(Codec):
     ) -> BatchDecodeResult:
         """Vectorized decode via byte-sliced parity checks + syndrome LUT."""
         codewords = self._as_word_array(codewords, self.code_bits, "codeword")
-        index8 = self._lut_gather(self._index_byte_luts, codewords)
-        scratch = self._scratch
-        if scratch is None:
-            index = index8.astype(np.intp)
-            corrected_words = codewords ^ self._flip_lut[index]
-        else:
-            # Reused intp index + corrected-word buffers; the result
-            # arrays below (data/status/corrected_bits) are all fresh
-            # fancy-indexing outputs, so nothing scratch-backed escapes.
-            index = scratch.array("dec_index", codewords.shape, np.intp)
-            np.copyto(index, index8, casting="unsafe")
-            corrected_words = scratch.array(
-                "dec_words", codewords.shape, _U64
-            )
-            np.take(self._flip_lut, index, out=corrected_words)
-            np.bitwise_xor(corrected_words, codewords, out=corrected_words)
+        index = self._lut_gather(
+            self._index_byte_luts, codewords
+        ).astype(np.intp)
+        corrected_words = codewords ^ self._flip_lut[index]
         data = self._extract_batch(corrected_words)
         status = self._status_lut[index]
         if record:

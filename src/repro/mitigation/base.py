@@ -71,11 +71,12 @@ class SchemeRunner(abc.ABC):
         Platform memory sizes.
     seed:
         Fault-engine RNG seed (reproducible campaigns).
-    fast_lane:
-        Run the platform with the clean-burst fast lane
-        (:mod:`repro.soc.fastlane`).  Bit-exact with the reference
-        interpreter; off by default so existing studies keep their
-        exact execution path unless they opt in.
+
+    The runner does not choose an engine: its platform picks the
+    clean-burst fast lane for the stock ports every scheme wires
+    (bit-exact with the reference interpreter, see
+    :class:`~repro.soc.platform.Platform`), and
+    :func:`~repro.soc.simd.run_lane_block` binds the lockstep engine.
     """
 
     #: Scheme name, matching the fit-solver scheme.
@@ -89,13 +90,11 @@ class SchemeRunner(abc.ABC):
         config: PlatformConfig | None = None,
         seed: int = 0,
         macro_style: str = "cell-based",
-        fast_lane: bool = False,
     ) -> None:
         self.access_model = access_model
         self.config = config if config is not None else PlatformConfig()
         self.seed = seed
         self.macro_style = macro_style
-        self.fast_lane = fast_lane
         #: The platform of the most recent :meth:`run`, kept for
         #: post-run inspection (RNG stream positions, cache state) by
         #: benchmarks and differential tests.

@@ -45,8 +45,7 @@ class DectedRunner(SchemeRunner):
 
     def build_platform(self, vdd: float) -> Platform:
         vdd = validate_vdd(vdd, "DECTED.build_platform")
-        # Scratch reuse is on for campaign-built platforms (bit-exact).
-        codec = BchCodec(data_bits=32, t=2).enable_scratch()
+        codec = BchCodec(data_bits=32, t=2)
         assert codec.code_bits == SCHEME_DECTED.word_bits
         im = FaultyMemory(
             "IM",
@@ -54,7 +53,6 @@ class DectedRunner(SchemeRunner):
             width=codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, codec.code_bits, vdd, rng=self._rng(1),
-                reuse_buffers=True,
             ),
         )
         sp = FaultyMemory(
@@ -63,7 +61,6 @@ class DectedRunner(SchemeRunner):
             width=codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, codec.code_bits, vdd, rng=self._rng(2),
-                reuse_buffers=True,
             ),
         )
         return Platform(

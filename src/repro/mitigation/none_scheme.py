@@ -38,7 +38,6 @@ class NoMitigationRunner(SchemeRunner):
             width=32,
             faults=VoltageFaultModel(
                 self.access_model, 32, vdd, rng=self._rng(1),
-                reuse_buffers=True,
             ),
         )
         sp = FaultyMemory(
@@ -47,12 +46,9 @@ class NoMitigationRunner(SchemeRunner):
             width=32,
             faults=VoltageFaultModel(
                 self.access_model, 32, vdd, rng=self._rng(2),
-                reuse_buffers=True,
             ),
         )
-        return Platform(
-            im, RawPort(im), sp, RawPort(sp), fast_lane=self.fast_lane
-        )
+        return Platform(im, RawPort(im), sp, RawPort(sp))
 
     def memory_specs(self) -> list[MemoryComponentSpec]:
         return [

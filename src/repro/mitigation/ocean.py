@@ -187,19 +187,15 @@ class OceanRunner(SchemeRunner):
 
     def build_platform(self, vdd: float) -> Platform:
         vdd = validate_vdd(vdd, "OCEAN.build_platform")
-        # Scratch reuse is on for campaign-built platforms (bit-exact);
-        # the detect-only wrapper delegates encode_batch, so enabling
-        # it on the inner SECDED covers the burst write-back path too.
-        im_codec = SecdedCodec().enable_scratch()
-        sp_codec = DetectOnlyCodec(SecdedCodec().enable_scratch())
-        pm_codec = BchCodec(data_bits=32, t=4).enable_scratch()
+        im_codec = SecdedCodec()
+        sp_codec = DetectOnlyCodec(SecdedCodec())
+        pm_codec = BchCodec(data_bits=32, t=4)
         im = FaultyMemory(
             "IM",
             self.config.im_words,
             width=im_codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, im_codec.code_bits, vdd, rng=self._rng(1),
-                reuse_buffers=True,
             ),
         )
         sp = FaultyMemory(
@@ -208,7 +204,6 @@ class OceanRunner(SchemeRunner):
             width=sp_codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, sp_codec.code_bits, vdd, rng=self._rng(2),
-                reuse_buffers=True,
             ),
         )
         pm = FaultyMemory(
@@ -217,7 +212,6 @@ class OceanRunner(SchemeRunner):
             width=pm_codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, pm_codec.code_bits, vdd, rng=self._rng(3),
-                reuse_buffers=True,
             ),
         )
         return Platform(
@@ -227,7 +221,6 @@ class OceanRunner(SchemeRunner):
             CodecPort(sp, sp_codec, raise_on_detect=True),
             pm=pm,
             pm_port=CodecPort(pm, pm_codec, raise_on_detect=True),
-            fast_lane=self.fast_lane,
         )
 
     def memory_specs(self) -> list[MemoryComponentSpec]:

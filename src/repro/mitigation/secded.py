@@ -39,16 +39,13 @@ class SecdedRunner(SchemeRunner):
 
     def build_platform(self, vdd: float) -> Platform:
         vdd = validate_vdd(vdd, "SECDED.build_platform")
-        # Scratch reuse is on for campaign-built platforms: bit-exact,
-        # saves the per-batch temporaries in the hot decode/fault paths.
-        codec = SecdedCodec().enable_scratch()
+        codec = SecdedCodec()
         im = FaultyMemory(
             "IM",
             self.config.im_words,
             width=codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, codec.code_bits, vdd, rng=self._rng(1),
-                reuse_buffers=True,
             ),
         )
         sp = FaultyMemory(
@@ -57,7 +54,6 @@ class SecdedRunner(SchemeRunner):
             width=codec.code_bits,
             faults=VoltageFaultModel(
                 self.access_model, codec.code_bits, vdd, rng=self._rng(2),
-                reuse_buffers=True,
             ),
         )
         return Platform(
@@ -65,7 +61,6 @@ class SecdedRunner(SchemeRunner):
             CodecPort(im, codec, raise_on_detect=True, auto_scrub=True),
             sp,
             CodecPort(sp, codec, raise_on_detect=True, auto_scrub=True),
-            fast_lane=self.fast_lane,
         )
 
     def memory_specs(self) -> list[MemoryComponentSpec]:

@@ -13,10 +13,10 @@ Five pillars:
   (seeds, git revision, versions, parameters, timings, metrics)
   written alongside campaign and benchmark outputs.
 * :mod:`repro.obs.profile` — the deterministic, sampling-free engine
-  profiler: opcode mix, fast/slow-path cycle residency, write-back and
-  settlement costs, SIMD lane-occupancy/divergence histograms, all
-  published through the metrics registry under pinned ``profile.*``
-  names.
+  profiler: opcode mix, per-PC execution counts, fast/slow-path cycle
+  residency, write-back and settlement costs, SIMD
+  lane-occupancy/divergence histograms, all published through the
+  metrics registry under pinned ``profile.*`` names.
 * :mod:`repro.obs.report` — span-tree aggregation of NDJSON traces,
   profiler snapshot rendering, live campaign progress (done/total,
   ETA, heartbeat NDJSON) and journal-based worker liveness; plus

@@ -28,8 +28,6 @@ MEMDEV_RETENTION_FLIPPED_BITS = "memdev.retention_flipped_bits"
 MEMDEV_BER_ACCESSES = "memdev.ber_accesses"
 MEMDEV_BER_ERRORS = "memdev.ber_errors"
 
-PROFILE_FETCHES = "profile.fetches"
-
 # Engine profiler (repro.obs.profile) — fast-path here means burst or
 # vector-committed execution; slow-path is the faithful reference
 # interpreter (``Cpu.step``/``Cpu.run``), which is also what the scalar

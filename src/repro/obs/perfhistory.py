@@ -47,9 +47,6 @@ _SCALAR_FIELDS = (
     ("bch", "decode_batch_s"),
     ("faults", "speedup"),
     ("faults", "batch_s"),
-    ("faults", "cond_scratch_s"),
-    ("faults", "cond_noscratch_s"),
-    ("faults", "cond_scratch_speedup"),
     ("fig5_campaign", "speedup"),
     ("fig5_campaign", "batch_s"),
     ("store", "cold_s"),

@@ -1,4 +1,4 @@
-"""Deterministic, sampling-free engine profiler.
+"""Deterministic, sampling-free engine profiler — the one profiler.
 
 All three execution engines — the scalar interpreter (``Cpu.run``), the
 clean-burst :class:`~repro.soc.fastlane.FastLaneEngine` and the
@@ -6,22 +6,22 @@ lockstep :class:`~repro.soc.simd.LaneBlock` — carry instrumentation
 that routes through the module-level *active profiler*, mirroring the
 ``active_metrics()`` / ``active_tracer()`` pattern:
 
-* **Disabled is free.**  The default active profiler is
-  :data:`NULL_PROFILER`; engine hot loops check ``profiler.enabled``
-  *once per run/service* and take their unmodified fast path when it is
-  false, so profiling that is off costs an attribute read, never a
-  per-instruction branch.
+* **One loop per engine.**  Each engine reads ``active_profiler()``
+  once per run/burst/service and keeps its per-PC opcode tally in a
+  local that is ``None`` when the profiler is off, so a disabled
+  profiler costs one ``is not None`` test per instruction in the same
+  loop that runs profiled — there is no separate profiled copy.
 * **Enabled is bit-exactness-neutral.**  Recording methods only read
   already-committed architectural tallies (instruction/cycle deltas,
-  opcode counts accumulated in engine locals) and write them through
-  :func:`~repro.obs.metrics.active_metrics` using the pinned names in
-  :mod:`repro.obs.names` — no RNG draws, no port traffic, no
+  opcode and PC counts accumulated in engine locals) and write them
+  through :func:`~repro.obs.metrics.active_metrics` using the pinned
+  names in :mod:`repro.obs.names` — no RNG draws, no port traffic, no
   wall-clock reads.  The differential fuzzers run with profiling on to
   prove outcomes, fault statistics and RNG positions stay
   bit-identical.
 * **Sampling-free.**  Every committed instruction is tallied (in plain
-  engine locals, published once per burst/service), so opcode mixes and
-  lane histograms are exact, not estimates.
+  engine locals, published once per run/burst/service), so opcode
+  mixes, PC histograms and lane histograms are exact, not estimates.
 
 Because the numbers land in the ordinary metrics registry, profiler
 output inherits everything metrics already do: picklable snapshots,
@@ -35,10 +35,11 @@ What the instruments mean:
 * ``profile.slow_path.*`` — instructions/cycles executed by the
   faithful reference interpreter: fast-lane/SIMD slow steps, and the
   whole run when the scalar engine is selected.
-* ``profile.opcode`` — exact opcode mix of scalar-engine runs plus all
-  fast-path committed instructions (slow-step opcodes are not decoded
-  twice, so the rare replayed instruction is counted in residency but
-  not in the mix).
+* ``profile.opcode`` / ``profile.pc`` — exact opcode mix and per-PC
+  execution counts (labels ``0x0000``-style) of scalar-engine runs plus
+  all fast-path committed instructions (slow-step opcodes are not
+  decoded twice, so the rare replayed instruction is counted in
+  residency but not in these two histograms).
 * ``profile.fastlane.*`` / ``profile.writeback.*`` /
   ``profile.settlement.*`` — burst-length histogram, encoded
   write-back and fault-settlement costs.
@@ -102,6 +103,12 @@ class EngineProfiler:
         histogram = active_metrics().histogram(names.PROFILE_OPCODE)
         for mnemonic, count in opcodes.items():
             histogram.add(mnemonic, count)
+
+    def record_pcs(self, pcs: Mapping[int, int]) -> None:
+        """Fold a pc -> executed-count tally into ``profile.pc``."""
+        histogram = active_metrics().histogram(names.PROFILE_PC)
+        for pc, count in pcs.items():
+            histogram.add(f"{pc:#06x}", count)
 
     def record_burst(self, instructions: int, cycles: int) -> None:
         """One fast-lane burst's committed instructions and cycles.
@@ -189,6 +196,9 @@ class NullEngineProfiler:
         pass
 
     def record_opcodes(self, opcodes: Mapping[str, int]) -> None:
+        pass
+
+    def record_pcs(self, pcs: Mapping[int, int]) -> None:
         pass
 
     def record_burst(self, instructions: int, cycles: int) -> None:

@@ -18,7 +18,8 @@ simulator.  This subpackage is that platform, purpose-built:
   IM, SP, PM — the components of Figures 8 and 9).
 * :mod:`repro.soc.platform` — the assembled Figure 6 platform.
 * :mod:`repro.soc.fastlane` — clean-burst fast lane: bit-exact
-  fault-free execution against predecoded memory views.
+  fault-free execution against predecoded memory views, the engine a
+  platform runs by default.
 """
 
 from repro.soc.isa import Instruction, Opcode, decode, encode
@@ -29,7 +30,6 @@ from repro.soc.faults import VoltageFaultModel
 from repro.soc.bus import BusStats, SharedBus
 from repro.soc.dma import DmaEngine, DmaStats
 from repro.soc.ports import CodecPort, DetectOnlyCodec, RawPort
-from repro.soc.profiler import EmptyProfileError, Profile, ProfilingPort
 from repro.soc.energy_model import EnergyReport, PlatformEnergyModel
 from repro.soc.platform import Platform, PlatformConfig, SimulationResult
 from repro.soc.fastlane import FastLaneEngine
@@ -54,9 +54,6 @@ __all__ = [
     "RawPort",
     "CodecPort",
     "DetectOnlyCodec",
-    "ProfilingPort",
-    "Profile",
-    "EmptyProfileError",
     "PlatformEnergyModel",
     "EnergyReport",
     "Platform",

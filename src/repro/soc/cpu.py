@@ -414,6 +414,20 @@ def predecode(word: int) -> tuple:
     return entry
 
 
+def publish_tally(profiler, tally: dict) -> None:
+    """Fold an engine's ``{(pc, opcode_int): count}`` tally into the
+    profiler's opcode mix and per-PC histogram."""
+    opcodes: dict = {}
+    pcs: dict = {}
+    for (pc, op), count in tally.items():
+        name = OPCODE_NAMES[op]
+        opcodes[name] = opcodes.get(name, 0) + count
+        pcs[pc] = pcs.get(pc, 0) + count
+    if opcodes:
+        profiler.record_opcodes(opcodes)
+        profiler.record_pcs(pcs)
+
+
 class Cpu:
     """NTC32 interpreter bound to instruction/data memory ports.
 
@@ -448,46 +462,35 @@ class Cpu:
         return entry[0](self, state, entry)
 
     def run(self, max_instructions: int = 50_000_000) -> StopReason:
-        """Run until HALT or YIELD; raises on runaway programs."""
+        """Run until HALT or YIELD; raises on runaway programs.
+
+        With a live profiler the loop also tallies the ``(pc, opcode)``
+        of every executed instruction in a local dict (``None`` when
+        profiling is off).  The tally only observes the entry already
+        decoded for dispatch, so it cannot perturb execution; it is
+        published via try/finally so partial tallies survive raised
+        faults.
+        """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
-        executed_limit = self.state.instructions + max_instructions
-        profiler = active_profiler()
-        if profiler.enabled:
-            return self._run_profiled(executed_limit, max_instructions, profiler)
-        while True:
-            reason = self.step()
-            if reason is not None:
-                return reason
-            if self.state.instructions >= executed_limit:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_instructions} instructions at "
-                    f"pc={self.state.pc}"
-                )
-
-    def _run_profiled(
-        self, executed_limit: int, max_instructions: int, profiler
-    ) -> StopReason:
-        """The :meth:`run` loop plus an opcode tally in a local dict.
-
-        Bit-identical to the plain loop: the tally only observes the
-        opcode int already decoded for dispatch.  Published via
-        try/finally so partial tallies survive raised faults.
-        """
         state = self.state
         start_instructions = state.instructions
         start_cycles = state.cycles
-        ops: dict = {}
+        executed_limit = start_instructions + max_instructions
+        profiler = active_profiler()
+        tally = {} if profiler.enabled else None
         try:
             while True:
-                word = self.fetch(state.pc)
+                pc = state.pc
+                word = self.fetch(pc)
                 entry = _PREDECODE_CACHE.get(word)
                 if entry is None:
                     entry = predecode(word)
                 state.instructions += 1
                 state.cycles += entry[5]
-                op = entry[6]
-                ops[op] = ops.get(op, 0) + 1
+                if tally is not None:
+                    key = (pc, entry[6])
+                    tally[key] = tally.get(key, 0) + 1
                 reason = entry[0](self, state, entry)
                 if reason is not None:
                     return reason
@@ -497,11 +500,9 @@ class Cpu:
                         f"pc={state.pc}"
                     )
         finally:
-            profiler.record_slow_path(
-                state.instructions - start_instructions,
-                state.cycles - start_cycles,
-            )
-            if ops:
-                profiler.record_opcodes(
-                    {OPCODE_NAMES[op]: n for op, n in ops.items()}
+            if tally is not None:
+                profiler.record_slow_path(
+                    state.instructions - start_instructions,
+                    state.cycles - start_cycles,
                 )
+                publish_tally(profiler, tally)

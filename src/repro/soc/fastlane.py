@@ -52,11 +52,11 @@ import numpy as np
 from repro.ecc.base import DecodeStatus
 from repro.obs.profile import active_profiler
 from repro.soc.cpu import (
-    OPCODE_NAMES,
     Cpu,
     ExecutionLimitExceeded,
     StopReason,
     predecode,
+    publish_tally,
 )
 from repro.soc.isa import IllegalInstruction
 from repro.soc.ports import CodecPort, RawPort
@@ -76,13 +76,52 @@ _SP_BLOCKED = -1
 _BATCH_FLUSH_THRESHOLD = 16
 
 
+def lane_capable(platform) -> bool:
+    """Whether a platform's ports support clean-view execution.
+
+    The one applicability check of both clean-view engines — the fast
+    lane and the lockstep :class:`~repro.soc.simd.LaneBlock`.  Only
+    the stock port types with a 32-bit data side qualify, so the
+    plain-word views are faithful; any wrapper (custom
+    instrumentation) observes per-access traffic that a burst would
+    hide, and execution stays on the reference interpreter.
+    """
+    for port in (platform.im_port, platform.sp_port):
+        if type(port) is RawPort:
+            continue
+        if type(port) is CodecPort and port.codec.data_bits == 32:
+            continue
+        return False
+    return True
+
+
+def write_back(memory, codec, addresses, values) -> None:
+    """Encode a clean view's dirty words and poke them into ``memory``.
+
+    ``values`` holds the plain words of ``addresses`` (Python ints).
+    Back-door pokes, because counters and fault samples were already
+    settled per executed store; the encode is the same transform the
+    per-access write path applies, vectorized for larger flushes.
+    """
+    count = len(addresses)
+    batched = codec is not None and count >= _BATCH_FLUSH_THRESHOLD
+    profiler = active_profiler()
+    if profiler.enabled:
+        profiler.record_writeback(count, batched)
+    if batched:
+        words = codec.encode_batch(np.array(values, dtype=np.uint64))
+        values = words.tolist()
+    elif codec is not None:
+        values = [codec.encode(value) for value in values]
+    for address, word in zip(addresses, values):
+        memory.poke(address, word)
+
+
 class FastLaneEngine:
     """Clean-burst executor bound to one :class:`Platform`.
 
-    Build via :meth:`try_build`; ``None`` means the platform's ports
-    are not the stock ``RawPort``/``CodecPort`` pair (e.g. a
-    ``ProfilingPort`` observes every fetch) and the caller should use
-    ``Cpu.run`` unchanged.
+    The platform builds one whenever its ports are
+    :func:`lane_capable` and no other engine is bound.
     """
 
     def __init__(self, platform) -> None:
@@ -101,33 +140,6 @@ class FastLaneEngine:
         self._sp_version = -1
         self._dirty: set = set()
 
-    # ------------------------------------------------------------------
-    # Construction / applicability
-    # ------------------------------------------------------------------
-    @staticmethod
-    def supports(platform) -> bool:
-        """Whether the platform's ports have fast-lane semantics.
-
-        Only the stock port types qualify: any wrapper (profiler,
-        custom instrumentation) observes per-access traffic that a
-        burst would hide, so the engine declines and execution stays
-        on the reference interpreter.
-        """
-        for port in (platform.im_port, platform.sp_port):
-            if type(port) is RawPort:
-                continue
-            if type(port) is CodecPort and port.codec.data_bits == 32:
-                continue
-            return False
-        return True
-
-    @classmethod
-    def try_build(cls, platform):
-        """Return an engine for ``platform``, or None if unsupported."""
-        if not cls.supports(platform):
-            return None
-        return cls(platform)
-
     def matches(self, platform) -> bool:
         """Whether this engine still reflects the platform's wiring."""
         return (
@@ -145,56 +157,34 @@ class FastLaneEngine:
         Raises exactly what :meth:`Cpu.run` would: every blocked
         instruction replays through ``Cpu.step`` with all accounting
         settled first, so exceptions carry identical messages and the
-        platform sees identical counter/RNG state.
+        platform sees identical counter/RNG state.  With a live
+        profiler, each slow step is bracketed by instruction/cycle
+        deltas (``Cpu.step`` itself never profiles, so nothing is
+        double-counted).
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
         state = self._cpu.state
         executed_limit = state.instructions + max_instructions
         profiler = active_profiler()
-        if profiler.enabled:
-            return self._run_profiled(
-                state, executed_limit, max_instructions, profiler
-            )
+        if not profiler.enabled:
+            profiler = None
         while True:
-            stop = self._burst(executed_limit, max_instructions)
+            stop = self._burst(executed_limit, max_instructions, profiler)
             if stop is not None:
                 return stop
             # The burst could not (or could no longer) make progress:
             # one faithful reference step handles the blocking access.
-            reason = self._cpu.step()
-            if reason is not None:
-                return reason
-            if state.instructions >= executed_limit:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_instructions} instructions at "
-                    f"pc={state.pc}"
-                )
-
-    def _run_profiled(self, state, executed_limit, max_instructions, profiler):
-        """:meth:`run` with per-burst and slow-step residency tallies.
-
-        Identical control flow; the profiled burst twin tallies opcodes
-        in a local dict and the slow step is bracketed by
-        instruction/cycle deltas.  ``Cpu.step`` (not ``Cpu.run``) is
-        used for slow steps exactly as in the plain loop, so the
-        slow-path residency is recorded here, not double-counted.
-        """
-        while True:
-            stop = self._burst_profiled(
-                executed_limit, max_instructions, profiler
-            )
-            if stop is not None:
-                return stop
             before_instructions = state.instructions
             before_cycles = state.cycles
             try:
                 reason = self._cpu.step()
             finally:
-                profiler.record_slow_path(
-                    state.instructions - before_instructions,
-                    state.cycles - before_cycles,
-                )
+                if profiler is not None:
+                    profiler.record_slow_path(
+                        state.instructions - before_instructions,
+                        state.cycles - before_cycles,
+                    )
             if reason is not None:
                 return reason
             if state.instructions >= executed_limit:
@@ -206,7 +196,7 @@ class FastLaneEngine:
     # ------------------------------------------------------------------
     # Burst core
     # ------------------------------------------------------------------
-    def _burst(self, executed_limit, max_instructions):
+    def _burst(self, executed_limit, max_instructions, profiler):
         """Execute instructions against the clean views until blocked.
 
         Returns a :class:`StopReason` on HALT/YIELD, else ``None``
@@ -214,7 +204,10 @@ class FastLaneEngine:
         fault-engine gap consumption, access counters, dirty stores —
         is settled before returning or raising, so every observer
         (slow path, controller code between YIELDs, result collection)
-        sees the exact per-access state.
+        sees the exact per-access state.  With a ``profiler``, committed
+        instructions are tallied per pc in a local dict and published
+        (with their opcodes) after settlement, together with the burst's
+        length.
         """
         im, sp = self._im, self._sp
         if im.version != self._im_version:
@@ -255,6 +248,7 @@ class FastLaneEngine:
         sp_reads = 0
         sp_writes = 0
         stop = None
+        tally = {} if profiler is not None else None
 
         while True:
             entry = im_entries[pc]
@@ -264,19 +258,18 @@ class FastLaneEngine:
                 break
             mem_kind = entry[7]
             if mem_kind == 0:
+                im_left -= 1
+                executed += 1
+                cycles += entry[5]
+                if tally is not None:
+                    tally[pc] = tally.get(pc, 0) + 1
                 op = entry[6]
                 if op >= 62:  # HALT (0x3E) / YIELD (0x3F)
-                    im_left -= 1
-                    executed += 1
-                    cycles += entry[5]
                     pc += 1
                     stop = (
                         StopReason.HALT if op == 62 else StopReason.YIELD
                     )
                     break
-                im_left -= 1
-                executed += 1
-                cycles += entry[5]
                 state.pc = pc
                 entry[0](None, state, entry)
                 pc = state.pc
@@ -301,6 +294,8 @@ class FastLaneEngine:
                 im_left -= 1
                 executed += 1
                 cycles += entry[5]
+                if tally is not None:
+                    tally[pc] = tally.get(pc, 0) + 1
                 a = entry[1]
                 if a:
                     regs[a] = value
@@ -319,6 +314,8 @@ class FastLaneEngine:
                 im_left -= 1
                 executed += 1
                 cycles += entry[5]
+                if tally is not None:
+                    tally[pc] = tally.get(pc, 0) + 1
                 sp_values[address] = regs[entry[1]]
                 dirty.add(address)
                 pc += 1
@@ -331,145 +328,13 @@ class FastLaneEngine:
         state.instructions += executed
         state.cycles += cycles
         self._settle(executed, sp_reads, sp_writes, sp_samples_writes)
-        if stop is not None:
-            return stop
-        if executed >= insns_left:
-            raise ExecutionLimitExceeded(
-                f"exceeded {max_instructions} instructions at "
-                f"pc={state.pc}"
-            )
-        return None
-
-    def _burst_profiled(self, executed_limit, max_instructions, profiler):
-        """Twin of :meth:`_burst` that tallies the committed opcode mix.
-
-        Kept as a separate copy (rather than a flag in the hot loop) so
-        the unprofiled burst stays branch-for-branch unmodified — the
-        zero-cost-when-disabled contract.  Architectural effects,
-        accounting and RNG consumption are identical; the only addition
-        is a local dict bump per committed instruction, published after
-        settlement (and before any raise) together with the burst's
-        length/cycle record.
-        """
-        im, sp = self._im, self._sp
-        if im.version != self._im_version:
-            self._im_entries = [None] * im.words
-            self._im_version = im.version
-        if sp.version != self._sp_version:
-            self._sp_values = [None] * sp.words
-            self._dirty.clear()
-            self._sp_version = sp.version
-        state = self._cpu.state
-        regs = state.registers
-        im_entries = self._im_entries
-        sp_values = self._sp_values
-        im_words = im.words
-        sp_words = sp.words
-        im_faults = im.faults
-        sp_faults = sp.faults
-        sp_samples_writes = sp_faults is not None and sp.fault_on_write
-        dirty = self._dirty
-        unbounded = 1 << 62
-
-        pc = state.pc
-        if not 0 <= pc < im_words:
-            return None
-        if im_faults is not None:
-            im_left = im_faults.clean_run_length()
-        else:
-            im_left = unbounded
-        sp_left = None
-        insns_left = executed_limit - state.instructions
-        executed = 0
-        cycles = 0
-        sp_reads = 0
-        sp_writes = 0
-        stop = None
-        ops: dict = {}
-
-        while True:
-            entry = im_entries[pc]
-            if entry is None:
-                entry = self._im_fill(pc)
-            if entry is _BLOCKED or im_left < 1:
-                break
-            mem_kind = entry[7]
-            if mem_kind == 0:
-                op = entry[6]
-                if op >= 62:  # HALT (0x3E) / YIELD (0x3F)
-                    im_left -= 1
-                    executed += 1
-                    cycles += entry[5]
-                    ops[op] = ops.get(op, 0) + 1
-                    pc += 1
-                    stop = (
-                        StopReason.HALT if op == 62 else StopReason.YIELD
-                    )
-                    break
-                im_left -= 1
-                executed += 1
-                cycles += entry[5]
-                ops[op] = ops.get(op, 0) + 1
-                state.pc = pc
-                entry[0](None, state, entry)
-                pc = state.pc
-            elif mem_kind == 1:  # LW
-                address = (regs[entry[2]] + entry[4]) & _MASK32
-                if address >= sp_words:
-                    break
-                value = sp_values[address]
-                if value is None:
-                    value = self._sp_fill(address)
-                if value < 0:
-                    break
-                if sp_left is None:
-                    if sp_faults is not None:
-                        sp_left = sp_faults.clean_run_length()
-                    else:
-                        sp_left = unbounded
-                if sp_left < 1:
-                    break
-                sp_left -= 1
-                sp_reads += 1
-                im_left -= 1
-                executed += 1
-                cycles += entry[5]
-                ops[32] = ops.get(32, 0) + 1  # LW
-                a = entry[1]
-                if a:
-                    regs[a] = value
-                pc += 1
-            else:  # SW
-                address = (regs[entry[2]] + entry[4]) & _MASK32
-                if address >= sp_words:
-                    break
-                if sp_samples_writes:
-                    if sp_left is None:
-                        sp_left = sp_faults.clean_run_length()
-                    if sp_left < 1:
-                        break
-                    sp_left -= 1
-                sp_writes += 1
-                im_left -= 1
-                executed += 1
-                cycles += entry[5]
-                ops[33] = ops.get(33, 0) + 1  # SW
-                sp_values[address] = regs[entry[1]]
-                dirty.add(address)
-                pc += 1
-            if executed >= insns_left:
-                break
-            if not 0 <= pc < im_words:
-                break
-
-        state.pc = pc
-        state.instructions += executed
-        state.cycles += cycles
-        self._settle(executed, sp_reads, sp_writes, sp_samples_writes)
-        profiler.record_burst(executed, cycles)
-        if ops:
-            profiler.record_opcodes(
-                {OPCODE_NAMES[op]: n for op, n in ops.items()}
+        if tally is not None:
+            profiler.record_burst(executed, cycles)
+            # The view is fixed for the whole burst, so the entry it
+            # holds at a tallied pc is the one every execution ran.
+            publish_tally(
+                profiler,
+                {(at, im_entries[at][6]): n for at, n in tally.items()},
             )
         if stop is not None:
             return stop
@@ -538,41 +403,16 @@ class FastLaneEngine:
                 profiler.record_settlement(sp_reads, sp_writes)
 
     def _flush_dirty(self):
-        """Encode and write back the burst's pending stores.
-
-        Back-door pokes, because counters and fault samples were
-        already settled per executed SW; the codec encode is the same
-        transform the per-access write path applies.
-        """
+        """Write back the burst's pending stores (see :func:`write_back`)."""
         dirty = self._dirty
         if not dirty:
             return
         sp = self._sp
         values = self._sp_values
-        codec = self._sp_codec
-        profiler = active_profiler()
-        if profiler.enabled:
-            profiler.record_writeback(
-                len(dirty),
-                codec is not None and len(dirty) >= _BATCH_FLUSH_THRESHOLD,
-            )
-        if codec is None:
-            for address in dirty:
-                sp.poke(address, values[address])
-        elif len(dirty) >= _BATCH_FLUSH_THRESHOLD:
-            addresses = list(dirty)
-            words = np.fromiter(
-                (values[a] for a in addresses),
-                dtype=np.uint64,
-                count=len(addresses),
-            )
-            for address, codeword in zip(
-                addresses, codec.encode_batch(words).tolist()
-            ):
-                sp.poke(address, codeword)
-        else:
-            for address in dirty:
-                sp.poke(address, codec.encode(values[address]))
+        addresses = sorted(dirty)
+        write_back(
+            sp, self._sp_codec, addresses, [values[a] for a in addresses]
+        )
         dirty.clear()
         # The pokes bumped the version; the view itself made them, so
         # its cached plain words are still exact — resync, don't drop.

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.access import AccessErrorModel
 from repro.core.bitops import pack_bits_u64, popcount, popcount_u64
 from repro.core.errors import validate_vdd
-from repro.core.workspace import ScratchArena
 from repro.obs import active_metrics, active_tracer, names
 
 
@@ -64,7 +63,6 @@ class VoltageFaultModel:
         width: int,
         vdd: float,
         rng: np.random.Generator | None = None,
-        reuse_buffers: bool = False,
     ) -> None:
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
@@ -77,11 +75,6 @@ class VoltageFaultModel:
         self._mask_block: deque[int] = deque()
         self.injected_bits = 0
         self.injected_events = 0
-        # Opt-in reusable scratch for the conditional-mask kernel
-        # (campaign loops turn this on).  Bit-exactness-neutral: the
-        # scratch path draws the identical RNG stream into preallocated
-        # buffers and never lets a scratch view escape.
-        self._scratch = ScratchArena() if reuse_buffers else None
         self.set_vdd(vdd)
 
     def set_vdd(self, vdd: float) -> None:
@@ -290,30 +283,6 @@ class VoltageFaultModel:
         ``p_bit`` is.
         """
         cdf = self._flip_count_cdf()
-        if self._scratch is not None:
-            # Allocation-free variant: identical draws (same count of
-            # float64s in the same order), identical arithmetic — only
-            # the buffers are reused.  The packed result is a fresh
-            # array; no scratch view escapes.
-            u0 = self._scratch.array("cond_u0", (count,), np.float64)
-            self.rng.random(out=u0)
-            ks = 1 + np.searchsorted(cdf, u0, side="right")
-            np.clip(ks, 1, self.width, out=ks)
-            u = self._scratch.array(
-                "cond_u", (count, self.width), np.float64
-            )
-            self.rng.random(out=u)
-            ordered = self._scratch.array(
-                "cond_sort", (count, self.width), np.float64
-            )
-            np.copyto(ordered, u)
-            ordered.sort(axis=1)
-            thresholds = ordered[np.arange(count), ks - 1]
-            flips = self._scratch.array(
-                "cond_flips", (count, self.width), np.bool_
-            )
-            np.less_equal(u, thresholds[:, None], out=flips)
-            return pack_bits_u64(flips)
         ks = 1 + np.searchsorted(cdf, self.rng.random(count), side="right")
         np.clip(ks, 1, self.width, out=ks)
         u = self.rng.random((count, self.width))

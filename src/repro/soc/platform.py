@@ -25,6 +25,7 @@ from repro.obs.profile import (
     active_profiler,
 )
 from repro.soc.cpu import Cpu, CpuState, ExecutionLimitExceeded, StopReason
+from repro.soc.fastlane import FastLaneEngine, lane_capable
 from repro.soc.isa import IllegalInstruction
 from repro.soc.memory import FaultyMemory, MemoryAccessFault
 from repro.soc.ports import UncorrectableError
@@ -91,12 +92,15 @@ class Platform:
         Scratchpad and the data port.
     pm / pm_port:
         Optional protected buffer (OCEAN).
-    fast_lane:
-        Execute fault-free stretches through the clean-burst engine
-        (:mod:`repro.soc.fastlane`) — bit-exact with the reference
-        interpreter but an order of magnitude faster.  Silently falls
-        back to the reference path when the ports are not the stock
-        types (e.g. a profiling wrapper observes every fetch).
+
+    The platform picks its engine from what it can observe (see
+    :meth:`_runner`): an engine bound through :meth:`bind_engine` (the
+    SIMD lane block), else the clean-burst fast lane
+    (:mod:`repro.soc.fastlane`, bit-exact with the reference
+    interpreter but an order of magnitude faster) whenever the ports
+    are :func:`~repro.soc.fastlane.lane_capable`, else the scalar
+    ``Cpu.run``.  Pin the scalar oracle with
+    ``platform.bind_engine(platform.cpu.run)``.
     """
 
     def __init__(
@@ -107,7 +111,6 @@ class Platform:
         sp_port,
         pm: FaultyMemory | None = None,
         pm_port=None,
-        fast_lane: bool = False,
     ) -> None:
         self.im = im
         self.im_port = im_port
@@ -115,8 +118,7 @@ class Platform:
         self.sp_port = sp_port
         self.pm = pm
         self.pm_port = pm_port
-        self.fast_lane = fast_lane
-        self._fast_engine = None
+        self._fast_engine: FastLaneEngine | None = None
         self._engine_run = None
         self.cpu = Cpu(
             fetch=self._fetch, load=self._load, store=self._store
@@ -198,21 +200,18 @@ class Platform:
     def _runner(self):
         """Pick the execution entry point for this run.
 
-        The fast-lane engine is built lazily and kept across runs (its
-        predecoded views survive YIELD boundaries); it is rebuilt if
-        the port wiring changed, and skipped entirely when the ports
-        are not fast-lane capable.  An externally bound engine (the
-        lockstep SIMD lane block) takes precedence over both.
+        An externally bound engine (the lockstep SIMD lane block, or
+        ``cpu.run`` pinning the scalar oracle) takes precedence.
+        Otherwise the fast-lane engine runs whenever the ports are
+        lane-capable: it is built lazily and kept across runs (its
+        predecoded views survive YIELD boundaries), and rebuilt if the
+        port wiring changed.  Any other wiring runs on ``Cpu.run``.
         """
         if self._engine_run is not None:
             return self._engine_run
-        if not self.fast_lane:
-            return self.cpu.run
         engine = self._fast_engine
         if engine is None or not engine.matches(self):
-            from repro.soc.fastlane import FastLaneEngine
-
-            engine = FastLaneEngine.try_build(self)
+            engine = FastLaneEngine(self) if lane_capable(self) else None
             self._fast_engine = engine
         if engine is None:
             return self.cpu.run
@@ -220,12 +219,11 @@ class Platform:
 
     def _engine_kind(self, runner) -> str:
         """Profiler label for the entry point :meth:`_runner` picked."""
-        if self._engine_run is not None and runner is self._engine_run:
+        if runner == self.cpu.run:
+            return ENGINE_SCALAR
+        if runner is self._engine_run:
             return ENGINE_SIMD
-        engine = self._fast_engine
-        if engine is not None and runner == engine.run:
-            return ENGINE_FAST_LANE
-        return ENGINE_SCALAR
+        return ENGINE_FAST_LANE
 
     def bind_engine(self, run) -> None:
         """Route execution through an external engine.
@@ -234,7 +232,9 @@ class Platform:
         (``max_instructions -> StopReason``).  The SIMD lane block
         binds each member platform here so ``run_until_stop`` — and
         with it every controller built on top — transparently executes
-        through the lockstep interpreter.  Pass ``None`` to unbind.
+        through the lockstep interpreter; binding ``self.cpu.run`` pins
+        the scalar reference interpreter (the oracle differential tests
+        and benchmarks compare against).  Pass ``None`` to unbind.
         """
         self._engine_run = run
 

@@ -56,15 +56,15 @@ from repro.ecc.base import DecodeStatus, STATUS_CLEAN
 from repro.obs import active_metrics, names
 from repro.obs.profile import active_profiler, pow2_bucket, ratio_bucket
 from repro.soc.cpu import (
-    OPCODE_NAMES,
     ExecutionLimitExceeded,
     StopReason,
     predecode,
+    publish_tally,
 )
+from repro.soc.fastlane import lane_capable, write_back
 from repro.soc.isa import NUM_REGISTERS, IllegalInstruction
 from repro.soc.memory import MemoryAccessFault
 from repro.soc.platform import DetectedError
-from repro.soc.ports import CodecPort, RawPort
 
 _MASK32 = 0xFFFFFFFF
 _U64 = np.uint64
@@ -86,10 +86,6 @@ _UNBOUNDED = 1 << 62
 #: Scratchpad view cell states.
 _SP_UNKNOWN, _SP_VALID, _SP_BLOCKED = 0, 1, 2
 
-#: Dirty write-back switches to the vectorized codec path above this
-#: many distinct addresses (same threshold as the fast lane).
-_BATCH_FLUSH_THRESHOLD = 16
-
 #: Exceptions a faithful slow step may raise; buffered as the lane's
 #: event and re-raised from that lane's ``run_until_stop``.
 _STEP_ERRORS = (DetectedError, IllegalInstruction, MemoryAccessFault)
@@ -99,21 +95,6 @@ def _signed(values: np.ndarray) -> np.ndarray:
     """Reinterpret 32-bit patterns (in uint64 lanes) as two's complement."""
     as_int = values.astype(_I64)
     return np.where(as_int >= _SIGN32, as_int - _TWO32, as_int)
-
-
-def lane_capable(platform) -> bool:
-    """Whether a platform's ports support lockstep execution.
-
-    The same contract as the fast lane: only stock ports whose data
-    side is 32 bits wide, so the block's plain-word views are faithful.
-    """
-    for port in (platform.im_port, platform.sp_port):
-        if type(port) is RawPort:
-            continue
-        if type(port) is CodecPort and port.codec.data_bits == 32:
-            continue
-        return False
-    return True
 
 
 class LaneBlock:
@@ -327,7 +308,7 @@ class LaneBlock:
         prof_density: dict = {}
         prof_divergence: dict = {}
         prof_depth: dict = {}
-        prof_ops: dict = {}
+        prof_tally: dict = {}
         # ``active`` (and its index-array mirror) is maintained in
         # ascending lane order across rounds and only re-filtered when
         # a round produced events — the scheduler's per-round work is
@@ -414,16 +395,16 @@ class LaneBlock:
                             for address in range(pcmin, pcmin + batched):
                                 run_entry = clean[address]
                                 prof_fast_cycles += run_entry[5] * width
-                                key = OPCODE_NAMES[run_entry[6]]
-                                prof_ops[key] = prof_ops.get(key, 0) + width
+                                key = (address, run_entry[6])
+                                prof_tally[key] = prof_tally.get(key, 0) + width
                         by_entry = {}
             for entry, lanes in by_entry.values():
                 committed = self._commit(entry, pcmin, lanes, slow)
                 vector_committed += committed
                 if profiling and committed:
                     prof_fast_cycles += entry[5] * committed
-                    key = OPCODE_NAMES[entry[6]]
-                    prof_ops[key] = prof_ops.get(key, 0) + committed
+                    key = (pcmin, entry[6])
+                    prof_tally[key] = prof_tally.get(key, 0) + committed
             for lane in slow:
                 self._slow_step(lane, profiler if profiling else None)
                 slow_steps += 1
@@ -450,8 +431,7 @@ class LaneBlock:
                 prof_depth,
                 vector_cycles=prof_fast_cycles,
             )
-            if prof_ops:
-                profiler.record_opcodes(prof_ops)
+            publish_tally(profiler, prof_tally)
 
     # ------------------------------------------------------------------
     # Vectorized commit of one shared entry across a lane group
@@ -932,36 +912,19 @@ class LaneBlock:
         self._sp_writes[lane] = 0
 
     def _flush_dirty(self, lane) -> None:
-        """Encode and write back a lane's pending vector stores."""
+        """Write back a lane's pending vector stores (see
+        :func:`~repro.soc.fastlane.write_back`)."""
         row = self._sp_dirty[lane]
         addresses = np.nonzero(row)[0]
         if not addresses.size:
             return
         sp = self._sp_mems[lane]
-        values = self._sp_view[lane, addresses]
-        codec = self._sp_codec
-        profiler = active_profiler()
-        if profiler.enabled:
-            profiler.record_writeback(
-                int(addresses.size),
-                codec is not None
-                and int(addresses.size) >= _BATCH_FLUSH_THRESHOLD,
-            )
-        if codec is None:
-            for address, value in zip(
-                addresses.tolist(), values.tolist()
-            ):
-                sp.poke(address, value)
-        elif addresses.size >= _BATCH_FLUSH_THRESHOLD:
-            for address, codeword in zip(
-                addresses.tolist(), codec.encode_batch(values).tolist()
-            ):
-                sp.poke(address, codeword)
-        else:
-            for address, value in zip(
-                addresses.tolist(), values.tolist()
-            ):
-                sp.poke(address, codec.encode(value))
+        write_back(
+            sp,
+            self._sp_codec,
+            addresses.tolist(),
+            self._sp_view[lane, addresses].tolist(),
+        )
         row[:] = False
         # The pokes bumped the version; the view itself made them, so
         # its cached plain words are still exact — resync, don't drop.

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.analysis.ascii_plot import histogram, line_plot
-from repro.soc.assembler import assemble
+from repro.obs import names, scoped_metrics
+from repro.obs.profile import scoped_profiling
 from repro.soc.cpu import StopReason
 from repro.soc.isa import Opcode
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform
 from repro.soc.ports import RawPort
-from repro.soc.profiler import ProfilingPort
 from repro.workloads.fft import build_fft_program
 
 
@@ -78,50 +78,45 @@ class TestProfiler:
         program = build_fft_program(n)
         im = FaultyMemory("IM", 1024, 32)
         sp = FaultyMemory("SP", 2048, 32)
-        port = ProfilingPort(RawPort(im))
-        platform = Platform(im, port, sp, RawPort(sp))
+        platform = Platform(im, RawPort(im), sp, RawPort(sp))
         platform.load_program(list(program.workload.program_words))
         platform.load_data(list(program.data_words))
-        while platform.run_until_stop() is not StopReason.HALT:
-            pass
-        return platform, port.profile
+        with scoped_metrics() as registry, scoped_profiling():
+            while platform.run_until_stop() is not StopReason.HALT:
+                pass
+        return platform, registry.snapshot()
+
+    @staticmethod
+    def _fraction(snapshot, *opcodes):
+        mix = snapshot.histograms[names.PROFILE_OPCODE]
+        return sum(mix.get(op.name, 0) for op in opcodes) / sum(
+            mix.values()
+        )
 
     def test_counts_every_fetch(self):
-        platform, profile = self._run_fft()
-        assert profile.fetches == platform.cpu.state.instructions
-        assert sum(profile.by_opcode.values()) == profile.fetches
+        platform, snapshot = self._run_fft()
+        executed = platform.cpu.state.instructions
+        assert sum(snapshot.histograms[names.PROFILE_OPCODE].values()) == (
+            executed
+        )
+        assert sum(snapshot.histograms[names.PROFILE_PC].values()) == (
+            executed
+        )
 
     def test_fft_is_butterfly_dominated(self):
         """The generated FFT must spend its time where an FFT should:
         the multiply/shift/load-store mix of the butterfly loop."""
-        _, profile = self._run_fft()
-        assert profile.fraction(Opcode.MUL) > 0.05
-        assert profile.fraction(Opcode.LW, Opcode.SW) > 0.08
-        assert profile.fraction(Opcode.MUL, Opcode.MULH) < 0.25
+        _, snapshot = self._run_fft()
+        assert self._fraction(snapshot, Opcode.MUL) > 0.05
+        assert self._fraction(snapshot, Opcode.LW, Opcode.SW) > 0.08
+        assert self._fraction(snapshot, Opcode.MUL, Opcode.MULH) < 0.25
 
     def test_hottest_pcs_are_in_a_loop(self):
-        _, profile = self._run_fft()
-        hottest = profile.hottest(3)
-        assert hottest[0][1] > 300  # executed hundreds of times
-        with pytest.raises(ValueError):
-            profile.hottest(0)
+        _, snapshot = self._run_fft()
+        by_pc = snapshot.histograms[names.PROFILE_PC]
+        assert max(by_pc.values()) > 300  # executed hundreds of times
 
     def test_histogram_integration(self):
-        _, profile = self._run_fft(16)
-        text = histogram(profile.opcode_histogram(), width=30)
+        _, snapshot = self._run_fft(16)
+        text = histogram(snapshot.histograms[names.PROFILE_OPCODE], width=30)
         assert "MUL" in text
-
-    def test_passthrough_preserves_counters(self):
-        im = FaultyMemory("IM", 16, 32)
-        port = ProfilingPort(RawPort(im))
-        port.load(assemble("nop\nhalt"))
-        assert port.peek(0) == assemble("nop\nhalt")[0]
-        port.read(0)
-        assert im.counters.reads == 1
-        assert port.stats.corrected_words == 0
-
-    def test_empty_profile_fraction_raises(self):
-        from repro.soc.profiler import Profile
-
-        with pytest.raises(ValueError):
-            Profile().fraction(Opcode.MUL)

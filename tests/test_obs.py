@@ -32,7 +32,6 @@ from repro.obs import (
     active_tracer,
     scoped_metrics,
 )
-from repro.soc.profiler import EmptyProfileError, Profile
 from repro.workloads.fft import build_fft_program
 
 
@@ -405,12 +404,6 @@ class TestTypedErrors:
         assert isinstance(excinfo.value, ValueError)  # back-compat
         with pytest.raises(EmptyCampaignError):
             empty.silent_rate
-
-    def test_empty_profile_error(self):
-        profile = Profile()
-        with pytest.raises(EmptyProfileError) as excinfo:
-            profile.fraction("LOAD")
-        assert isinstance(excinfo.value, ValueError)
 
 
 # ----------------------------------------------------------------------

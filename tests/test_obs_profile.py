@@ -168,6 +168,54 @@ class TestProfilerRecording:
         assert snap.counters[names.PROFILE_FAST_CYCLES] == 9
         assert snap.histograms[names.PROFILE_BURST_LENGTH] == {"4-7": 1}
 
+    def test_pc_tally_uses_hex_labels(self):
+        snap = self._record(lambda p: p.record_pcs({0: 2, 0x1A: 5}))
+        assert snap.histograms[names.PROFILE_PC] == {
+            "0x0000": 2,
+            "0x001a": 5,
+        }
+
+    def test_engines_tally_identical_opcode_and_pc_mix(self):
+        """A fault-free FFT tallies the same ``profile.opcode`` and
+        ``profile.pc`` histograms on all three engines."""
+        from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
+        from repro.mitigation import SecdedRunner
+        from repro.soc.simd import run_lane_block
+        from repro.workloads.fft import build_fft_program
+        from tests.test_soc_fuzz import _scalar_runner
+
+        workload = build_fft_program(16).workload
+        model = ACCESS_CELL_BASED_40NM_TYPICAL
+
+        def tallies(run):
+            registry = MetricsRegistry()
+            with scoped_metrics(registry), scoped_profiling():
+                run()
+            snap = registry.snapshot()
+            return (
+                snap.histograms[names.PROFILE_OPCODE],
+                snap.histograms[names.PROFILE_PC],
+                snap.counters.get(names.PROFILE_SLOW_INSTRUCTIONS, 0),
+            )
+
+        scalar = tallies(
+            lambda: _scalar_runner(SecdedRunner)(model, seed=1).run(
+                workload, 0.7, 25e6
+            )
+        )
+        fast = tallies(
+            lambda: SecdedRunner(model, seed=1).run(workload, 0.7, 25e6)
+        )
+        simd = tallies(
+            lambda: run_lane_block(
+                [SecdedRunner(model, seed=1)], workload, 0.7, 25e6
+            )[0]
+        )
+        assert sum(scalar[1].values()) == scalar[2] > 0
+        assert fast[2] == simd[2] == 0  # fault-free: no slow steps
+        assert fast[:2] == scalar[:2]
+        assert simd[:2] == scalar[:2]
+
     def test_empty_slow_path_record_is_skipped(self):
         snap = self._record(lambda p: p.record_slow_path(0, 0))
         assert names.PROFILE_SLOW_INSTRUCTIONS not in snap.counters

@@ -7,33 +7,63 @@ between YIELDs, self-modifying instruction memory, architectural
 rollback, latent corruption, unsupported port wiring, and the exact
 semantics of the instruction limit.
 
-Every test runs the same scenario through a reference platform
-(``fast_lane=False``) and a fast-lane platform and requires identical
-observable state — the contract is always "bit-exact with the
-interpreter", never a hand-computed expectation.
+Every test runs the same scenario through a reference platform (pinned
+to ``Cpu.run`` via ``bind_engine``) and a fast-lane platform and
+requires identical observable state — the contract is always
+"bit-exact with the interpreter", never a hand-computed expectation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
+from repro.core.access import ACCESS_CELL_BASED_40NM, ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import SecdedCodec
+from repro.mitigation import DectedRunner
 from repro.soc.assembler import assemble
 from repro.soc.cpu import StopReason
-from repro.soc.fastlane import FastLaneEngine
+from repro.soc.fastlane import FastLaneEngine, lane_capable
 from repro.soc.faults import VoltageFaultModel
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform, SystemFailure
 from repro.soc.ports import CodecPort, RawPort
-from repro.soc.profiler import ProfilingPort
+from repro.workloads.fft import build_fft_program
+
+from tests.test_soc_fuzz import _scalar_runner
 
 _MODEL = ACCESS_CELL_BASED_40NM_TYPICAL
 _IM_WORDS = 64
 _SP_WORDS = 64
 
 
-def _build(scheme="raw", vdd=0.55, seed=11, fast_lane=False,
-           profile_im=False):
+class _CountingPort:
+    """Pass-through IM port counting fetches: wiring the fast lane
+    cannot see through, since it observes every access."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.codec = inner.codec
+        self.fetches = 0
+
+    def read(self, address):
+        self.fetches += 1
+        return self.inner.read(address)
+
+    def write(self, address, value):
+        self.inner.write(address, value)
+
+    def load(self, words, base=0):
+        self.inner.load(words, base)
+
+    def peek(self, address):
+        return self.inner.peek(address)
+
+    @property
+    def stats(self):
+        return self.inner.stats
+
+
+def _build(scheme="raw", vdd=0.55, seed=11, scalar=False,
+           counting_im=False):
     def faults(width, salt):
         return VoltageFaultModel(
             _MODEL, width, vdd, rng=np.random.default_rng(seed * 2 + salt)
@@ -50,13 +80,16 @@ def _build(scheme="raw", vdd=0.55, seed=11, fast_lane=False,
         sp = FaultyMemory("SP", _SP_WORDS, width, faults=faults(width, 1))
         im_port = CodecPort(im, codec, auto_scrub=True)
         sp_port = CodecPort(sp, codec, auto_scrub=True)
-    if profile_im:
-        im_port = ProfilingPort(im_port)
-    return Platform(im, im_port, sp, sp_port, fast_lane=fast_lane)
+    if counting_im:
+        im_port = _CountingPort(im_port)
+    platform = Platform(im, im_port, sp, sp_port)
+    if scalar:
+        platform.bind_engine(platform.cpu.run)
+    return platform
 
 
 def _pair(**kwargs):
-    return _build(fast_lane=False, **kwargs), _build(fast_lane=True, **kwargs)
+    return _build(scalar=True, **kwargs), _build(scalar=False, **kwargs)
 
 
 def _state_tuple(platform):
@@ -187,7 +220,7 @@ def test_latent_corruption_takes_slow_path(auto_scrub):
     """
     codec = SecdedCodec()
     platforms = []
-    for fast_lane in (False, True):
+    for scalar in (True, False):
         im = FaultyMemory("IM", _IM_WORDS, codec.code_bits)
         sp = FaultyMemory("SP", _SP_WORDS, codec.code_bits)
         platform = Platform(
@@ -195,8 +228,9 @@ def test_latent_corruption_takes_slow_path(auto_scrub):
             CodecPort(im, codec, auto_scrub=auto_scrub),
             sp,
             CodecPort(sp, codec, auto_scrub=auto_scrub),
-            fast_lane=fast_lane,
         )
+        if scalar:
+            platform.bind_engine(platform.cpu.run)
         # Two loads of the same address, so a scrubbed word is read
         # clean the second time while an unscrubbed one corrects again.
         _load(platform, assemble(
@@ -219,16 +253,16 @@ def test_latent_corruption_takes_slow_path(auto_scrub):
 
 def test_profiling_port_falls_back_to_interpreter():
     """Unsupported wiring: the engine declines, Cpu.run takes over."""
-    platform = _build(profile_im=True, fast_lane=True)
-    assert not FastLaneEngine.supports(platform)
+    platform = _build(counting_im=True, scalar=False)
+    assert not lane_capable(platform)
     _load(platform)
     _drain(platform)
     assert platform._fast_engine is None
-    assert platform.im_port.profile.fetches == (
+    assert platform.im_port.fetches == (
         platform.cpu.state.instructions
     )
     # And the run still matches a plain reference platform.
-    reference = _build(fast_lane=False)
+    reference = _build(scalar=True)
     _load(reference)
     _drain(reference)
     assert _state_tuple(platform) == _state_tuple(reference)
@@ -239,8 +273,8 @@ def test_execution_limit_parity():
     with the same message, in both lanes."""
     words = assemble("addi r1, r1, 1\njal r0, 0")
     failures = []
-    for fast_lane in (False, True):
-        platform = _build(fast_lane=fast_lane)
+    for scalar in (True, False):
+        platform = _build(scalar=scalar)
         _load(platform, words)
         with pytest.raises(SystemFailure) as excinfo:
             platform.run_until_stop(max_instructions=101)
@@ -252,8 +286,8 @@ def test_execution_limit_parity():
 def test_halt_on_limit_instruction_returns():
     """HALT as the limit-th instruction halts — it does not raise."""
     words = assemble("addi r1, r0, 7\nhalt")
-    for fast_lane in (False, True):
-        platform = _build(fast_lane=fast_lane)
+    for scalar in (True, False):
+        platform = _build(scalar=scalar)
         _load(platform, words)
         assert platform.run_until_stop(max_instructions=2) is (
             StopReason.HALT
@@ -262,7 +296,7 @@ def test_halt_on_limit_instruction_returns():
 
 
 def test_run_rejects_nonpositive_limit():
-    platform = _build(fast_lane=True)
+    platform = _build(scalar=False)
     _load(platform)
     with pytest.raises(ValueError):
         platform.run_until_stop(max_instructions=0)
@@ -270,7 +304,7 @@ def test_run_rejects_nonpositive_limit():
 
 def test_engine_rebuilt_when_wiring_changes():
     """Swapping a port mid-life forces a rebuild, not a stale engine."""
-    platform = _build(fast_lane=True)
+    platform = _build(scalar=False)
     _load(platform)
     assert platform.run_until_stop() is StopReason.YIELD
     first = platform._fast_engine
@@ -280,3 +314,26 @@ def test_engine_rebuilt_when_wiring_changes():
     second = platform._fast_engine
     assert second is not first
     assert second.matches(platform)
+
+
+def test_dected_runner_runs_fast_lane_bit_exact():
+    """Every runner gets the fast lane: a faulting DECTED FFT run
+    builds the engine and matches the same run pinned to ``Cpu.run``
+    — outcome, counters, output and every fault RNG position."""
+    program = build_fft_program(64)
+    runs = []
+    for runner_cls in (DectedRunner, _scalar_runner(DectedRunner)):
+        runner = runner_cls(ACCESS_CELL_BASED_40NM, seed=3)
+        outcome = runner.run(program.workload, 0.36, 25e6)
+        platform = runner.last_platform
+        rng = [
+            memory.faults.rng.bit_generator.state
+            for memory in (platform.im, platform.sp)
+        ]
+        runs.append((outcome, rng, platform))
+    (fast, fast_rng, fast_platform), (ref, ref_rng, _) = runs
+    assert isinstance(fast_platform._fast_engine, FastLaneEngine)
+    assert sum(ref.sim.injected_bits.values()) > 0
+    assert fast.sim == ref.sim
+    assert fast.output == ref.output
+    assert fast_rng == ref_rng

@@ -280,8 +280,13 @@ def soc_programs(draw):
     return "\n".join(lines), seed_regs, data
 
 
-def _build_soc(scheme, vdd, seed, fast_lane):
-    """One platform; fault engines seeded deterministically per memory."""
+def _build_soc(scheme, vdd, seed, scalar):
+    """One platform; fault engines seeded deterministically per memory.
+
+    ``scalar`` pins the reference interpreter (``Cpu.run``) through
+    ``bind_engine``; otherwise the platform picks its own engine, the
+    fast lane for these stock ports.
+    """
     model = ACCESS_CELL_BASED_40NM_TYPICAL
 
     def faults(width, salt):
@@ -303,7 +308,22 @@ def _build_soc(scheme, vdd, seed, fast_lane):
         scrub = scheme == "secded"
         im_port = CodecPort(im, codec, auto_scrub=scrub)
         sp_port = CodecPort(sp, codec, auto_scrub=scrub)
-    return Platform(im, im_port, sp, sp_port, fast_lane=fast_lane)
+    platform = Platform(im, im_port, sp, sp_port)
+    if scalar:
+        platform.bind_engine(platform.cpu.run)
+    return platform
+
+
+def _scalar_runner(runner_cls):
+    """``runner_cls`` whose platforms are pinned to ``Cpu.run``."""
+
+    class ScalarRunner(runner_cls):
+        def build_platform(self, vdd):
+            platform = super().build_platform(vdd)
+            platform.bind_engine(platform.cpu.run)
+            return platform
+
+    return ScalarRunner
 
 
 def _run_soc(platform, source, seed_regs, data, max_instructions=300):
@@ -371,8 +391,8 @@ def soc_scenarios(draw):
 @settings(max_examples=120, deadline=None)
 def test_fast_lane_is_bit_exact(scenario):
     (source, seed_regs, data), vdd, scheme, seed = scenario
-    reference = _build_soc(scheme, vdd, seed, fast_lane=False)
-    fast = _build_soc(scheme, vdd, seed, fast_lane=True)
+    reference = _build_soc(scheme, vdd, seed, scalar=True)
+    fast = _build_soc(scheme, vdd, seed, scalar=False)
     ref_outcome = _run_soc(reference, source, seed_regs, data)
     fast_outcome = _run_soc(fast, source, seed_regs, data)
     assert fast_outcome == ref_outcome
@@ -395,13 +415,13 @@ def test_fast_lane_bit_exact_with_profiling(scenario):
     from repro.obs.profile import scoped_profiling
 
     (source, seed_regs, data), vdd, scheme, seed = scenario
-    reference = _build_soc(scheme, vdd, seed, fast_lane=False)
-    fast = _build_soc(scheme, vdd, seed, fast_lane=True)
+    reference = _build_soc(scheme, vdd, seed, scalar=True)
+    fast = _build_soc(scheme, vdd, seed, scalar=False)
     ref_outcome = _run_soc(reference, source, seed_regs, data)
     fast_outcome = _run_soc(fast, source, seed_regs, data)
 
-    prof_reference = _build_soc(scheme, vdd, seed, fast_lane=False)
-    prof_fast = _build_soc(scheme, vdd, seed, fast_lane=True)
+    prof_reference = _build_soc(scheme, vdd, seed, scalar=True)
+    prof_fast = _build_soc(scheme, vdd, seed, scalar=False)
     registry = MetricsRegistry()
     with scoped_metrics(registry), scoped_profiling():
         prof_ref_outcome = _run_soc(

@@ -36,6 +36,7 @@ from tests.test_soc_fuzz import (
     _build_soc,
     _fingerprint,
     _run_soc,
+    _scalar_runner,
     soc_programs,
 )
 
@@ -71,7 +72,7 @@ class TestLockstepOracle:
         model = ACCESS_CELL_BASED_40NM
         oracle = []
         for seed in range(seed_base, seed_base + lanes):
-            runner = runner_cls(model, seed=seed, **kwargs)
+            runner = _scalar_runner(runner_cls)(model, seed=seed, **kwargs)
             outcome = runner.run(workload, vdd, _FREQUENCY)
             oracle.append((outcome, _rng_states(runner)))
         runners = [
@@ -153,14 +154,14 @@ def lane_scenarios(draw):
 def test_lane_block_is_bit_exact(scenario):
     (source, seed_regs, data), vdd, scheme, seeds = scenario
     references = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     ref_outcomes = [
         _run_soc(platform, source, seed_regs, data)
         for platform in references
     ]
     platforms = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     block = LaneBlock(platforms, program_words=assemble(source))
     outcomes = _run_lockstep(platforms, block, source, seed_regs, data)
@@ -203,10 +204,10 @@ def _edge_case(scheme, vdd, seeds, source, seed_regs, data,
                prepare=None):
     """Run scalar references and a lane block; both fingerprints match."""
     references = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     platforms = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     if prepare is not None:
         for platform in references:
@@ -251,11 +252,11 @@ def test_single_lane_forced_fault_diverges_and_refuses():
         platform.sp.faults.force_next(0b11)
 
     references = [
-        _build_soc("secded", 0.55, seed, fast_lane=False)
+        _build_soc("secded", 0.55, seed, scalar=True)
         for seed in (21, 22, 23)
     ]
     platforms = [
-        _build_soc("secded", 0.55, seed, fast_lane=False)
+        _build_soc("secded", 0.55, seed, scalar=True)
         for seed in (21, 22, 23)
     ]
     prepare_one(references[1])
@@ -294,8 +295,8 @@ def test_single_lane_early_halt():
         references = []
         platforms = []
         for seed, first_word in zip((31, 32, 33, 34), lane_data):
-            ref = _build_soc("secded", 0.55, seed, fast_lane=False)
-            plat = _build_soc("secded", 0.55, seed, fast_lane=False)
+            ref = _build_soc("secded", 0.55, seed, scalar=True)
+            plat = _build_soc("secded", 0.55, seed, scalar=True)
             references.append((ref, first_word))
             platforms.append((plat, first_word))
         words = assemble(source)
@@ -353,7 +354,7 @@ class TestCampaignLanes:
         """runs=5, lanes=2 → blocks of 2+2+1; classification, counts
         and failure kinds identical to the scalar campaign."""
         kwargs = self._kwargs(runs=5)
-        scalar = run_campaign(SecdedRunner, **kwargs)
+        scalar = run_campaign(_scalar_runner(SecdedRunner), **kwargs)
         laned = run_campaign(SecdedRunner, lanes=2, **kwargs)
         assert laned.correct == scalar.correct
         assert laned.silent_corruption == scalar.silent_corruption
@@ -366,7 +367,7 @@ class TestCampaignLanes:
     def test_lanes_wider_than_runs(self):
         """lanes > runs degenerates to one short block."""
         kwargs = self._kwargs(runs=3)
-        scalar = run_campaign(SecdedRunner, **kwargs)
+        scalar = run_campaign(_scalar_runner(SecdedRunner), **kwargs)
         laned = run_campaign(SecdedRunner, lanes=8, **kwargs)
         assert laned.correct == scalar.correct
         assert laned.failures_by_kind == scalar.failures_by_kind
@@ -382,7 +383,7 @@ class TestCampaignLanes:
         scalar_counters: dict = {}
         for seed in seeds:
             with scoped_metrics() as registry:
-                SecdedRunner(model, seed=seed).run(
+                _scalar_runner(SecdedRunner)(model, seed=seed).run(
                     workload, 0.38, _FREQUENCY
                 )
             for name, value in registry.snapshot().as_dict()[
@@ -409,8 +410,8 @@ class TestCampaignLanes:
 def test_block_rejects_mismatched_lanes():
     import pytest
 
-    secded = _build_soc("secded", 0.5, 1, fast_lane=False)
-    raw = _build_soc("raw", 0.5, 2, fast_lane=False)
+    secded = _build_soc("secded", 0.5, 1, scalar=True)
+    raw = _build_soc("raw", 0.5, 2, scalar=True)
     with pytest.raises(ValueError):
         LaneBlock([secded, raw])
     with pytest.raises(ValueError):
@@ -422,7 +423,7 @@ def test_rng_positions_equal_np_advancement():
     each lane's generators sit exactly where N scalar runs left them
     (already asserted via fingerprints above; this pins the numpy
     state dict shape the assertion relies on)."""
-    platform = _build_soc("secded", 0.45, 5, fast_lane=False)
+    platform = _build_soc("secded", 0.45, 5, scalar=True)
     state = platform.sp.faults.rng.bit_generator.state
     assert isinstance(state, dict) and "state" in state
 
@@ -442,7 +443,7 @@ def test_lane_block_bit_exact_with_profiling(scenario):
 
     (source, seed_regs, data), vdd, scheme, seeds = scenario
     references = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     block = LaneBlock(references, program_words=assemble(source))
     ref_outcomes = _run_lockstep(
@@ -450,7 +451,7 @@ def test_lane_block_bit_exact_with_profiling(scenario):
     )
 
     platforms = [
-        _build_soc(scheme, vdd, seed, fast_lane=False) for seed in seeds
+        _build_soc(scheme, vdd, seed, scalar=True) for seed in seeds
     ]
     registry = MetricsRegistry()
     with _scoped_metrics(registry), scoped_profiling():

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -593,7 +592,6 @@ def bench_resilience(
     fft_points: int,
     max_retries: int,
     task_timeout: float | None,
-    journal_path: Path | None,
     vdd: float = 0.40,
 ):
     """Prove the resilient campaign layer and price its overhead.
@@ -601,8 +599,11 @@ def bench_resilience(
     Three campaigns at the same seeds: an unperturbed serial baseline,
     a chaos-perturbed pooled run (worker kill + in-task exception) that
     must converge to a bit-identical ``CampaignResult``, and a
-    journal-interrupted run resumed to completion — also bit-identical.
+    half-finished campaign resumed to completion from a result store —
+    also bit-identical.
     """
+    from repro.store import ResultStore
+
     program = build_fft_program(fft_points)
     golden = program.expected_output(list(program.data_words[:fft_points]))
     kwargs = dict(
@@ -632,30 +633,17 @@ def bench_resilience(
     )
     t_perturbed = time.perf_counter() - start
 
-    # Interrupt-and-resume via the journal: first half checkpointed,
-    # then the full campaign resumed from the same file.
-    if journal_path is not None:
-        journal = str(journal_path)
-        cleanup = False
-    else:
-        handle = tempfile.NamedTemporaryFile(
-            suffix=".ndjson", delete=False
-        )
-        handle.close()
-        journal = handle.name
-        os.unlink(journal)  # executor treats a missing file as fresh
-        cleanup = True
-    try:
+    # Interrupt-and-resume via the store: the first half of the runs
+    # lands in the store, then the full campaign resumes from it.
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(Path(tmp) / "resume.sqlite")
         run_campaign(
-            SecdedRunner, journal=journal,
+            SecdedRunner, store=store,
             **{**kwargs, "runs": max(1, runs // 2)},
         )
         start = time.perf_counter()
-        resumed = run_campaign(SecdedRunner, journal=journal, **kwargs)
+        resumed = run_campaign(SecdedRunner, store=store, **kwargs)
         t_resumed = time.perf_counter() - start
-    finally:
-        if cleanup and os.path.exists(journal):
-            os.unlink(journal)
 
     return {
         "runs": runs,
@@ -672,7 +660,6 @@ def bench_resilience(
         "baseline_s": t_baseline,
         "perturbed_s": t_perturbed,
         "resumed_s": t_resumed,
-        "journal": journal if journal_path is not None else None,
     }
 
 
@@ -786,11 +773,6 @@ def main() -> int:
         help="skip appending this run to the perf-history ledger",
     )
     parser.add_argument(
-        "--resume", type=Path, default=None, metavar="JOURNAL",
-        help="checkpoint the resilience section's campaigns to this "
-        "NDJSON journal (resumes it if it already exists)",
-    )
-    parser.add_argument(
         "--max-retries", type=int, default=3, metavar="N",
         help="retry budget per campaign run in the resilience section "
         "(default 3)",
@@ -894,7 +876,6 @@ def main() -> int:
     with registry.timer("bench.resilience").time():
         results["resilience"] = bench_resilience(
             resilience_runs, 64, args.max_retries, args.task_timeout,
-            args.resume,
         )
     with registry.timer("bench.serve").time():
         results["serve"] = bench_serve(resilience_runs)

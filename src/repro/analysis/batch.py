@@ -22,7 +22,6 @@ anything.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,7 @@ def _die_failure_counts(args) -> tuple:
 
 
 def _encode_die(outcome) -> dict:
-    """JSON-safe journal form of one :func:`_die_failure_counts` tuple."""
+    """JSON-safe store form of one :func:`_die_failure_counts` tuple."""
     counts, snapshot = outcome
     return {
         "counts": [int(n) for n in np.asarray(counts).ravel()],
@@ -302,7 +301,6 @@ class BatchCampaign:
         die_sigma_v: float = 0.015,
         max_retries: int = 3,
         task_timeout: float | None = None,
-        journal: str | None = None,
         chaos: ChaosPolicy | None = None,
         store=None,
     ) -> np.ndarray:
@@ -315,16 +313,16 @@ class BatchCampaign:
 
         Per-die execution is resilient: worker death, deadlines
         (``task_timeout``) and exceptions retry up to ``max_retries``
-        times; ``journal`` checkpoints completed dies to an NDJSON file
-        for bit-identical resume.  A die quarantined after exhausting
-        its retries raises ``RuntimeError`` rather than silently
-        skewing the population curve.
+        times.  A die quarantined after exhausting its retries raises
+        ``RuntimeError`` rather than silently skewing the population
+        curve.
 
         With ``store`` each die is content-addressed by
-        :func:`repro.store.keys.retention_die_key`; cached dies skip
-        the executor entirely (their journal-exact payload — counts
-        plus metrics snapshot — is decoded from the store), only miss
-        dies execute, and fresh dies are published back.  The assembled
+        :func:`repro.store.keys.retention_die_key`: the executor skips
+        stored dies (their payload — counts plus metrics snapshot — is
+        decoded from the store) and publishes each fresh die as it
+        lands, so even a run that raises on a quarantined die leaves
+        its completed dies behind for the next run.  The assembled
         curve and the merged metrics are bit-identical to a cold run
         for any cached/fresh mix.
         """
@@ -342,8 +340,7 @@ class BatchCampaign:
             )
             for offset in offsets
         ]
-        die_keys = None
-        cached: dict[int, tuple] = {}
+        die_keys: list = [None] * n_dies
         if store is not None:
             from repro.store.keys import retention_die_key
 
@@ -354,14 +351,9 @@ class BatchCampaign:
                 )
                 for die_index in range(n_dies)
             ]
-            for die_index, key in enumerate(die_keys):
-                payload = store.get(key)
-                if payload is not None:
-                    cached[die_index] = _decode_die(payload)
         tasks = [
-            TaskSpec(key=f"die-{die_index}", args=(args,))
-            for die_index, args in enumerate(die_args)
-            if die_index not in cached
+            TaskSpec(key=f"die-{die_index}", args=(args,), store_key=key)
+            for die_index, (args, key) in enumerate(zip(die_args, die_keys))
         ]
         executor = ResilientExecutor(
             _die_failure_counts,
@@ -371,12 +363,6 @@ class BatchCampaign:
             chaos=chaos,
             encode=_encode_die,
             decode=_decode_die,
-        )
-        grid_digest = hashlib.sha256(voltages.tobytes()).hexdigest()[:16]
-        fingerprint = (
-            f"retention-curve:v1:seed={self.seed}:dies={n_dies}:"
-            f"words={words}:bits={bits}:sigma={die_sigma_v!r}:"
-            f"retention={base_retention!r}:voltages={grid_digest}"
         )
         tracer = active_tracer()
         metrics = active_metrics()
@@ -389,33 +375,20 @@ class BatchCampaign:
             processes=self.processes or 1,
             seed=self.seed,
         ):
-            report = None
-            if tasks:
-                report = executor.run(
-                    tasks,
-                    run_id=f"retention-curve-{self.seed}",
-                    fingerprint=fingerprint,
-                    journal=journal,
-                )
-                if report.quarantined:
-                    raise RuntimeError(
-                        "retention_failure_curve lost dies to quarantine: "
-                        + ", ".join(
-                            f"{key} ({reason})"
-                            for key, reason in sorted(
-                                report.quarantined.items()
-                            )
-                        )
+            report = executor.run(
+                tasks, run_id=f"retention-curve-{self.seed}", store=store
+            )
+            if report.quarantined:
+                raise RuntimeError(
+                    "retention_failure_curve lost dies to quarantine: "
+                    + ", ".join(
+                        f"{key} ({reason})"
+                        for key, reason in sorted(report.quarantined.items())
                     )
+                )
             counts = []
             for die_index in range(n_dies):
-                if die_index in cached:
-                    die_counts, snapshot = cached[die_index]
-                else:
-                    outcome = report.results[f"die-{die_index}"]
-                    if die_keys is not None:
-                        store.put(die_keys[die_index], _encode_die(outcome))
-                    die_counts, snapshot = outcome
+                die_counts, snapshot = report.results[f"die-{die_index}"]
                 counts.append(die_counts)
                 metrics.merge(snapshot)
                 tracer.point(

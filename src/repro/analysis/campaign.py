@@ -158,7 +158,7 @@ def _campaign_run_lane_block(args) -> tuple:
 
 
 def _encode_outcome(outcome) -> dict:
-    """JSON-safe journal form of one :func:`_campaign_run_one` tuple."""
+    """JSON-safe store form of one :func:`_campaign_run_one` tuple."""
     injected, corrected, rollbacks, matches, completed, failure, snapshot = (
         outcome
     )
@@ -187,7 +187,7 @@ def _decode_outcome(data: dict) -> tuple:
 
 
 def _encode_block_outcome(outcome) -> dict:
-    """JSON-safe journal form of one lane-block outcome."""
+    """JSON-safe store form of one lane-block outcome."""
     per_seed, snapshot = outcome
     return {
         "runs": [
@@ -225,35 +225,6 @@ def _decode_block_outcome(data: dict) -> tuple:
     )
 
 
-def _campaign_fingerprint(
-    scheme: str,
-    vdd: float,
-    frequency: float,
-    runner_kwargs: dict,
-    lanes: int = 1,
-) -> str:
-    """Journal identity of a campaign's per-seed task results.
-
-    Includes exactly the parameters that determine one seeded run's
-    outcome.  Deliberately excludes ``runs`` and ``seed_base``: each
-    task is keyed by its own seed, so an extended campaign (more runs,
-    same everything else) can legally reuse an earlier journal.  Lane
-    mode appends the block width — block tasks carry one result per
-    member seed, so journals of different widths are not interchangeable
-    (and the scalar fingerprint stays byte-identical to v1).
-    """
-    kwargs = ",".join(
-        f"{key}={runner_kwargs[key]!r}" for key in sorted(runner_kwargs)
-    )
-    fingerprint = (
-        f"campaign:v1:scheme={scheme}:vdd={vdd!r}:"
-        f"frequency={frequency!r}:kwargs={kwargs}"
-    )
-    if lanes > 1:
-        fingerprint += f":lanes={lanes}"
-    return fingerprint
-
-
 def run_campaign(
     runner_cls,
     workload: StreamingWorkload,
@@ -266,7 +237,6 @@ def run_campaign(
     processes: int | None = None,
     max_retries: int = 3,
     task_timeout: float | None = None,
-    journal: str | None = None,
     chaos: ChaosPolicy | None = None,
     lanes: int = 1,
     progress=None,
@@ -292,11 +262,8 @@ def run_campaign(
     Execution is resilient (:class:`~repro.resilience.ResilientExecutor`):
     worker death, per-task deadline overruns (``task_timeout`` seconds)
     and in-task exceptions retry up to ``max_retries`` times with
-    deterministic backoff before the run is quarantined.  Passing
-    ``journal`` checkpoints every completed run to an NDJSON file and
-    resumes from it if it already exists — the resumed
-    :class:`CampaignResult` is bit-identical to an uninterrupted one.
-    ``chaos`` injects harness faults for testing.
+    deterministic backoff before the run is quarantined.  ``chaos``
+    injects harness faults for testing.
 
     ``progress`` attaches a live observer with the
     :class:`~repro.obs.report.CampaignProgress` hook surface; passing
@@ -313,15 +280,27 @@ def run_campaign(
     how callers tell warm from fresh), a miss computes cold, publishes,
     and returns the fresh result.  Identical concurrent misses in one
     process collapse onto a single computation (in-flight
-    deduplication).  Execution knobs (``processes``, retries,
-    timeouts, journal, chaos, progress) are not part of the key — the
-    engines are bit-exact across all of them.
+    deduplication).  On a miss every run (or lane block) is itself a
+    store row (:func:`repro.store.keys.campaign_task_key`), published
+    as it completes, so a killed or partly quarantined campaign resumes
+    from its completed runs when rerun against the same store — the
+    resumed :class:`CampaignResult` is bit-identical to an
+    uninterrupted one, and an extended campaign (more ``runs``) reuses
+    the runs it shares with an earlier one.  Execution knobs
+    (``processes``, retries, timeouts, chaos, progress) are not part of
+    either key — the engines are bit-exact across all of them.
     """
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
         raise ValueError("runs must be positive")
     if lanes < 1:
         raise ValueError("lanes must be positive")
+    execute = dict(
+        frequency=frequency, runs=runs, seed_base=seed_base,
+        processes=processes, max_retries=max_retries,
+        task_timeout=task_timeout, chaos=chaos, lanes=lanes,
+        progress=progress, heartbeat=heartbeat, runner_kwargs=runner_kwargs,
+    )
     if store is not None:
         from repro.store.pipeline import (
             campaign_point_key,
@@ -348,29 +327,49 @@ def run_campaign(
             store.note_inflight_wait()
             event.wait()
         try:
-            result = run_campaign(
+            result = _execute_campaign(
                 runner_cls, workload, golden, access_model, vdd,
-                frequency=frequency, runs=runs, seed_base=seed_base,
-                processes=processes, max_retries=max_retries,
-                task_timeout=task_timeout, journal=journal, chaos=chaos,
-                lanes=lanes, progress=progress, heartbeat=heartbeat,
-                store=None, **runner_kwargs,
+                store=store, campaign_key=key, **execute,
             )
             if result.quarantined == 0:
                 # Quarantined campaigns are environment-shaped (retry
                 # budgets, worker death), not provenance-shaped; never
-                # serve one as the canonical answer for this key.
+                # serve one as the canonical answer for this key.  Their
+                # completed runs are already stored as task rows.
                 store.put(key, encode_campaign_result(result))
         finally:
             store.end_compute(fingerprint)
         return result
+    return _execute_campaign(
+        runner_cls, workload, golden, access_model, vdd, **execute
+    )
+
+
+def _execute_campaign(
+    runner_cls, workload, golden, access_model, vdd, *, frequency, runs,
+    seed_base, processes, max_retries, task_timeout, chaos, lanes,
+    progress, heartbeat, runner_kwargs, store=None, campaign_key=None,
+) -> CampaignResult:
+    """Fan a campaign's runs out through the resilient executor.
+
+    With ``store``, each task carries the
+    :func:`~repro.store.keys.campaign_task_key` derived from
+    ``campaign_key``, so the executor resumes stored runs and publishes
+    fresh ones.
+    """
+    blocks = [
+        (seed_base + start, min(lanes, runs - start))
+        for start in range(0, runs, lanes)
+    ]
+    store_keys: list = [None] * len(blocks)
+    if store is not None:
+        from repro.store.keys import campaign_task_key
+
+        store_keys = [
+            campaign_task_key(campaign_key, first_seed, count)
+            for first_seed, count in blocks
+        ]
     if lanes > 1:
-        blocks = []
-        start = 0
-        while start < runs:
-            count = min(lanes, runs - start)
-            blocks.append((seed_base + start, count))
-            start += count
         tasks = [
             TaskSpec(
                 key=f"lanes-{first_seed}-{count}",
@@ -380,40 +379,37 @@ def run_campaign(
                         vdd, frequency, first_seed, count, runner_kwargs,
                     ),
                 ),
+                store_key=store_key,
             )
-            for first_seed, count in blocks
+            for (first_seed, count), store_key in zip(blocks, store_keys)
         ]
-        executor = ResilientExecutor(
-            _campaign_run_lane_block,
-            processes=processes,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            chaos=chaos,
-            encode=_encode_block_outcome,
-            decode=_decode_block_outcome,
-        )
+        fn = _campaign_run_lane_block
+        encode, decode = _encode_block_outcome, _decode_block_outcome
     else:
         tasks = [
             TaskSpec(
-                key=f"run-{seed_base + index}",
+                key=f"run-{seed}",
                 args=(
                     (
                         runner_cls, workload, golden, access_model,
-                        vdd, frequency, seed_base + index, runner_kwargs,
+                        vdd, frequency, seed, runner_kwargs,
                     ),
                 ),
+                store_key=store_key,
             )
-            for index in range(runs)
+            for (seed, _), store_key in zip(blocks, store_keys)
         ]
-        executor = ResilientExecutor(
-            _campaign_run_one,
-            processes=processes,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            chaos=chaos,
-            encode=_encode_outcome,
-            decode=_decode_outcome,
-        )
+        fn = _campaign_run_one
+        encode, decode = _encode_outcome, _decode_outcome
+    executor = ResilientExecutor(
+        fn,
+        processes=processes,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+        chaos=chaos,
+        encode=encode,
+        decode=decode,
+    )
     owns_progress = False
     if progress is None and heartbeat is not None:
         from repro.obs.report import CampaignProgress
@@ -435,11 +431,7 @@ def run_campaign(
             report = executor.run(
                 tasks,
                 run_id=f"campaign-{runner_cls.name}-vdd{vdd:.3f}",
-                fingerprint=_campaign_fingerprint(
-                    runner_cls.name, vdd, frequency, runner_kwargs,
-                    lanes=lanes,
-                ),
-                journal=journal,
+                store=store,
                 progress=progress,
             )
         finally:

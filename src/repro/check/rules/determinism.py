@@ -1,9 +1,9 @@
 """REP301 — no nondeterminism sources reachable from the replay path.
 
-The fast-lane engine (PR 3) and the checkpoint/resume journal (PR 4)
-both promise *bit-exact replay*: the same seed produces the same
-counters, the same RNG stream, the same NDJSON trace — interrupted or
-not, pooled or serial.  That promise dies the moment replay-path code
+The fast-lane engine and store-backed campaign resume both promise
+*bit-exact replay*: the same seed produces the same counters, the same
+RNG stream, the same NDJSON trace — interrupted or not, pooled or
+serial.  That promise dies the moment replay-path code
 consults a wall clock, the OS entropy pool, or an unordered container's
 iteration order — *directly or through any helper it calls*.
 

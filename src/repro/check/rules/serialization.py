@@ -1,12 +1,14 @@
-"""REP601 — NDJSON goes through the sanctioned serializers.
+"""REP601 — NDJSON goes through the sanctioned serializer.
 
-The trace sink (PR 2) and the checkpoint journal (PR 4) both write
-newline-delimited JSON, and both had to solve the same problems once:
-numpy scalar coercion (``_json_default``), compact separators, flush
-discipline, and crash-safe append semantics.  An ad-hoc
-``f.write(json.dumps(rec) + "\\n")`` elsewhere silently re-introduces
-the bugs those modules already fixed — a single numpy ``float32`` in a
-record is enough to crash a six-hour campaign at its final flush.
+Every NDJSON log in the repo — traces, heartbeats, the store sidecar,
+the serve job journal, the perf history — appends through one writer,
+:class:`repro.obs.trace.NdjsonFileSink`, which already solved the
+shared problems once: compact separators, flush discipline, and
+crash-safe append semantics (one ``write()`` per record, so concurrent
+appenders cannot interleave and a torn tail loses at most one line).
+An ad-hoc ``f.write(json.dumps(rec) + "\\n")`` elsewhere silently
+re-introduces a second framing dialect, and ``json.dump(rec, f)``
+streams a large record in fragments another process can split.
 
 Heuristics flagged outside the allowlisted serializer modules:
 
@@ -32,8 +34,6 @@ SERIALIZER_MODULES = frozenset(
     {
         "repro.obs.trace",
         "repro.obs.manifest",
-        "repro.resilience.journal",
-        "repro.serve.durability",
         "repro.check.report",
     }
 )
@@ -44,8 +44,8 @@ class NdjsonSerializerRule(Rule):
     id = "REP601"
     name = "adhoc-ndjson"
     summary = (
-        "NDJSON writing must route through the shared trace/journal "
-        "serializers, not ad-hoc json.dumps"
+        "NDJSON writing must route through the shared NdjsonFileSink, "
+        "not ad-hoc json.dumps"
     )
 
     def applies_to(self, file: FileContext) -> bool:
@@ -72,10 +72,9 @@ class NdjsonSerializerRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "streaming json.dump to a file handle outside the "
-                    "sanctioned serializer modules; route records "
-                    "through repro.obs.trace / repro.resilience.journal "
-                    "so numpy coercion and flush discipline stay in "
-                    "one place",
+                    "sanctioned serializer modules; append records "
+                    "through repro.obs.trace.NdjsonFileSink so framing "
+                    "and flush discipline stay in one place",
                 )
             elif has_separators:
                 yield self.finding(
@@ -83,7 +82,6 @@ class NdjsonSerializerRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "compact json.dumps(separators=...) is the NDJSON "
-                    "idiom; use the shared serializers in "
-                    "repro.obs.trace / repro.resilience.journal instead "
+                    "idiom; use repro.obs.trace.NdjsonFileSink instead "
                     "of re-implementing record framing",
                 )

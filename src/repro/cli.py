@@ -35,15 +35,17 @@ The ``campaign`` exhibit runs a resilient Monte-Carlo failure-rate
 campaign (see ``repro.resilience``) with checkpoint/resume::
 
     python -m repro campaign --scheme ocean --vdd 0.38 --runs 20 \
-        --processes 4 --resume campaign.ndjson --max-retries 3 \
+        --processes 4 --store results.sqlite --max-retries 3 \
         --task-timeout 60
 
-``--resume FILE`` checkpoints every completed run to ``FILE`` and, when
-the file already exists, resumes from it — the merged result is
-bit-identical to an uninterrupted run at the same seed.  ``--progress``
-draws a live done/total + ETA line on stderr while the campaign runs;
-``--heartbeat FILE`` appends the same state as flushed NDJSON records
-an external watcher can tail.
+The result store (``--store FILE`` or ``$REPRO_STORE``) is the
+checkpoint: every completed run is published to it as it lands, so
+rerunning a killed campaign against the same store resumes from its
+completed runs — the merged result is bit-identical to an
+uninterrupted run at the same seed — and rerunning a finished one is
+served warm.  ``--progress`` draws a live done/total + ETA line on
+stderr while the campaign runs; ``--heartbeat FILE`` appends the same
+state as flushed NDJSON records an external watcher can tail.
 """
 
 from __future__ import annotations
@@ -233,7 +235,6 @@ def _campaign_result(args):
             processes=args.processes,
             max_retries=args.max_retries,
             task_timeout=args.task_timeout,
-            journal=args.resume,
             lanes=args.lanes,
             progress=progress,
             store=store,
@@ -289,7 +290,6 @@ def _campaign_payload(result) -> dict:
             "deadline_overruns": report.deadline_overruns,
             "degraded_to_serial": report.degraded_to_serial,
             "quarantined": dict(report.quarantined),
-            "journal": report.journal_path,
         }
     return {"campaign": payload}
 
@@ -322,8 +322,6 @@ def _render_campaign(result) -> str:
             f"{report.requeues} | checkpoints {report.checkpoints} | pool "
             f"breaks {report.pool_breaks}"
         )
-        if report.journal_path:
-            lines.append(f"journal: {report.journal_path}")
     return "\n".join(lines)
 
 
@@ -401,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="content-addressed result store: serve cached campaign "
-        "points and publish fresh ones (default: $REPRO_STORE if set)",
+        "points and publish fresh ones; a campaign rerun against it "
+        "resumes from its completed runs (default: $REPRO_STORE if set)",
     )
     parser.add_argument(
         "--no-store",
@@ -450,13 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run seeds in lockstep SIMD blocks of N lanes (default 1 "
         "= one run at a time on the fast lane); bit-identical "
         "classification either way",
-    )
-    campaign.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=None,
-        help="checkpoint completed runs to this NDJSON journal; if the "
-        "file already exists, resume from it (bit-identical result)",
     )
     campaign.add_argument(
         "--progress",

@@ -151,9 +151,9 @@ class MetricsSnapshot:
     def from_dict(cls, data: dict[str, Any]) -> "MetricsSnapshot":
         """Inverse of :meth:`as_dict` (modulo key ordering).
 
-        Lets a snapshot round-trip through JSON — the resilience
-        journal checkpoints worker snapshots this way, so a resumed
-        campaign merges the *original* run's layer counters exactly.
+        Lets a snapshot round-trip through JSON — the result store
+        checkpoints worker snapshots this way, so a resumed campaign
+        merges the *original* run's layer counters exactly.
         """
         return cls(
             counters={

@@ -29,6 +29,7 @@ import time
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.manifest import git_revision
+from repro.obs.report import read_ndjson
 from repro.obs.trace import NdjsonFileSink
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -139,25 +140,11 @@ def append_history(
 
 def load_history(path: PathLike) -> List[Dict[str, Any]]:
     """Read history entries, tolerating a torn final line."""
-    entries: List[Dict[str, Any]] = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return entries
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if isinstance(record, dict) and isinstance(
-                record.get("sections"), dict
-            ):
-                entries.append(record)
-    return entries
+    return [
+        record
+        for record in read_ndjson(path)
+        if isinstance(record.get("sections"), dict)
+    ]
 
 
 def _numeric_sections(entry: Dict[str, Any]) -> Dict[str, float]:

@@ -26,7 +26,7 @@ that routes through the module-level *active profiler*, mirroring the
 Because the numbers land in the ordinary metrics registry, profiler
 output inherits everything metrics already do: picklable snapshots,
 exact cross-process merging of pool-worker shards, and JSON round-trips
-through the resilience journal.
+through the result store's campaign-task rows.
 
 What the instruments mean:
 

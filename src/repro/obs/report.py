@@ -15,14 +15,15 @@ Three consumers of the raw telemetry the rest of the package emits:
   task durations, an optional NDJSON heartbeat sink (one flushed line
   per update, so external watchers can tail it), and an ``on_update``
   hook for terminal dashboards.  :class:`JournalLiveness` infers
-  worker health from the resilience checkpoint journal's mtime and
-  record counts.
+  worker health from an append-only log's mtime.
 
-NDJSON readers here share the journal's torn-tail tolerance: a file
-cut mid-line (worker death, SIGKILL) yields every complete record
-before the tear.  This module is deliberately outside the REP301
-determinism scope — wall-clock reads (ETA, liveness) belong here, not
-in the engines.
+:func:`read_ndjson` is the one NDJSON reader, the counterpart of
+:class:`~repro.obs.trace.NdjsonFileSink`: traces, heartbeats, the
+store sidecar, the serve job journal and the perf history all read
+through it.  A file cut mid-line (worker death, SIGKILL) yields every
+complete record before the tear.  This module is deliberately outside
+the REP301 determinism scope — wall-clock reads (ETA, liveness) belong
+here, not in the engines.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ class CampaignProgress:
     the ETA extrapolates (mean duration x remaining / workers).  Each
     update appends one flushed line to the heartbeat file, so an
     external watcher (or a post-mortem) always sees the latest state —
-    the heartbeat is torn-tail tolerant like the journal.
+    :func:`read_ndjson` tolerates a torn final heartbeat line.
     """
 
     def __init__(
@@ -405,12 +406,13 @@ class CampaignProgress:
 
 
 class JournalLiveness:
-    """Worker liveness inferred from the resilience checkpoint journal.
+    """Worker liveness inferred from an append-only log's mtime.
 
-    The journal carries no timestamps (the resilience layer is
-    deterministic by rule), but every completed task appends and
-    flushes a record — so the file's mtime is a faithful worker
-    heartbeat, observed from outside the deterministic scope.
+    ``repro serve`` probes its job journal this way: the journal
+    carries no timestamps, but every job transition appends and
+    flushes a record, so the file's mtime is a faithful worker
+    heartbeat, observed from outside the deterministic scope.  The
+    probe is one ``os.stat``; it never reads the file.
     """
 
     def __init__(
@@ -420,33 +422,20 @@ class JournalLiveness:
         self.stale_after_s = stale_after_s
 
     def probe(self) -> Dict[str, Any]:
-        """Snapshot of journal-derived health.
+        """Snapshot of mtime-derived health.
 
-        ``alive`` is None when no journal exists yet (nothing to infer),
+        ``alive`` is None when no file exists yet (nothing to infer),
         else whether the last append is fresher than ``stale_after_s``.
         """
         try:
             stat = os.stat(self.path)
         except OSError:
-            return {
-                "exists": False,
-                "alive": None,
-                "age_s": None,
-                "completed": 0,
-                "quarantined": 0,
-            }
+            return {"exists": False, "alive": None, "age_s": None}
         age = max(0.0, time.time() - stat.st_mtime)
-        records = read_ndjson(self.path)
-        completed = sum(1 for r in records if r.get("kind") == "task")
-        quarantined = sum(
-            1 for r in records if r.get("kind") == "quarantine"
-        )
         return {
             "exists": True,
             "alive": age <= self.stale_after_s,
             "age_s": age,
-            "completed": completed,
-            "quarantined": quarantined,
         }
 
 

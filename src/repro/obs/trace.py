@@ -33,7 +33,7 @@ class TraceSink(Protocol):
     ``flush()`` pushes buffered records to durable storage without
     closing — called on abnormal exits (KeyboardInterrupt, pool worker
     death) so a torn trace file keeps every record emitted before the
-    cut, exactly like the resilience journal's torn-tail contract.
+    cut, which :func:`repro.obs.report.read_ndjson` then reads back.
     """
 
     def emit(self, record: dict[str, Any]) -> None: ...
@@ -62,12 +62,25 @@ class InMemorySink:
         pass
 
 
+def ndjson_line(record: dict[str, Any]) -> str:
+    """One record as a compact JSON line, newline included."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 class NdjsonFileSink:
     """Appends one JSON line per record to a file.
 
+    The one NDJSON writer: traces, heartbeats, the store sidecar, the
+    serve job journal and the perf history all append through it.
+    Each record is serialized first and written with a single
+    ``write()``, so on an append-mode handle a record of any size lands
+    in one system call and cannot interleave with another process's
+    append (``json.dump`` would stream it in 8 KiB fragments).
+
     With ``flush_each=True`` every record is flushed as it is written
-    (heartbeat files that external watchers tail); otherwise records
-    ride the stdio buffer until :meth:`flush`/:meth:`close`.
+    (heartbeat files that external watchers tail, multi-writer logs);
+    otherwise records ride the stdio buffer until
+    :meth:`flush`/:meth:`close`.
     """
 
     def __init__(
@@ -80,8 +93,7 @@ class NdjsonFileSink:
         self._file = open(path, "a", encoding="utf-8")
 
     def emit(self, record: dict[str, Any]) -> None:
-        json.dump(record, self._file, separators=(",", ":"))
-        self._file.write("\n")
+        self._file.write(ndjson_line(record))
         if self._flush_each:
             self._file.flush()
 
@@ -99,8 +111,7 @@ class StderrSink:
     """Writes NDJSON lines to stderr (ad-hoc debugging)."""
 
     def emit(self, record: dict[str, Any]) -> None:
-        json.dump(record, sys.stderr, separators=(",", ":"))
-        sys.stderr.write("\n")
+        sys.stderr.write(ndjson_line(record))
 
     def flush(self) -> None:
         sys.stderr.flush()

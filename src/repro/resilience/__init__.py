@@ -8,9 +8,11 @@ figure, so a campaign survives worker death, hangs, poison tasks and
 
 * :mod:`repro.resilience.executor` — :class:`ResilientExecutor`, the
   fault-tolerant task fan-out (retry with deterministic backoff,
-  quarantine, pool-break detection, graceful serial degradation).
-* :mod:`repro.resilience.journal` — the NDJSON
-  :class:`CheckpointJournal` enabling bit-identical ``--resume``.
+  quarantine, pool-break detection, graceful serial degradation).  Its
+  checkpoints are the result store (:mod:`repro.store`): each task's
+  result is published under its provenance key as it lands, and a
+  rerun against the same store skips every stored task, so resume is
+  bit-identical.
 * :mod:`repro.resilience.chaos` — :class:`ChaosPolicy` fault-injection
   hooks (kill-worker / raise-in-task / delay-task) for the chaos
   test-suite.
@@ -31,12 +33,6 @@ from repro.resilience.executor import (
     ResilientExecutor,
     TaskSpec,
 )
-from repro.resilience.journal import (
-    CheckpointJournal,
-    JournalError,
-    JournalMismatchError,
-    JournalState,
-)
 
 __all__ = [
     "ChaosError",
@@ -46,8 +42,4 @@ __all__ = [
     "ExecutionReport",
     "ResilientExecutor",
     "TaskSpec",
-    "CheckpointJournal",
-    "JournalError",
-    "JournalMismatchError",
-    "JournalState",
 ]

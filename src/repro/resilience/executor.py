@@ -6,11 +6,12 @@ worker, hung task or ``KeyboardInterrupt`` lost every completed run of
 a campaign.  :class:`ResilientExecutor` closes that gap with the same
 discipline, one layer up:
 
-* **Checkpoint**: every completed task's result is appended to an
-  NDJSON :class:`~repro.resilience.journal.CheckpointJournal`, so an
-  interrupted run resumes from its last completed task.  Because each
-  task is fully determined by its own seed and results merge in task
-  order, a resumed run is *bit-identical* to an uninterrupted one.
+* **Checkpoint**: given a :class:`~repro.store.ResultStore`, every
+  completed task's result is published under the task's provenance key
+  as it lands, and every task whose key is already stored is skipped,
+  so an interrupted run resumes from its last completed task.  Because
+  each task is fully determined by its own seed and results merge in
+  task order, a resumed run is *bit-identical* to an uninterrupted one.
 * **Rollback (retry)**: worker death (``BrokenProcessPool``), per-task
   deadline overruns and in-task exceptions requeue the task with
   deterministic, jitter-free exponential backoff.  A task that keeps
@@ -29,9 +30,9 @@ overruns) and a ``resilience.run`` span with per-failure points.
 
 Tasks must be *picklable and deterministic*: a :class:`TaskSpec` is a
 stable string key plus the positional arguments handed to the
-module-level task function.  Results that should survive in a journal
-additionally need ``encode``/``decode`` hooks mapping them to and from
-JSON-safe values.
+module-level task function, and optionally the store key of its
+result.  Results that should survive in the store additionally need
+``encode``/``decode`` hooks mapping them to and from JSON objects.
 """
 
 from __future__ import annotations
@@ -45,18 +46,26 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.obs import active_metrics, active_tracer, names
 from repro.resilience.chaos import NO_CHAOS, ChaosPolicy
-from repro.resilience.journal import CheckpointJournal
+
+if TYPE_CHECKING:
+    from repro.store.keys import PointKey
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One schedulable unit: a stable key plus picklable arguments."""
+    """One schedulable unit: a stable key plus picklable arguments.
+
+    ``store_key`` is where the task's result lives in a result store;
+    tasks without one are never probed or published.
+    """
 
     key: str
     args: tuple
+    store_key: PointKey | None = None
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -84,7 +93,6 @@ class ExecutionReport:
     pool_breaks: int = 0
     deadline_overruns: int = 0
     degraded_to_serial: bool = False
-    journal_path: str | None = None
 
     def result_list(self) -> list:
         """Completed results in task-submission order."""
@@ -147,8 +155,8 @@ class ResilientExecutor:
     chaos:
         Optional :class:`ChaosPolicy` perturbing chosen attempts.
     encode / decode:
-        Result ↔ JSON-safe value hooks for the journal (identity by
-        default; required whenever results are not already JSON-safe).
+        Result ↔ JSON object hooks for the store (identity by default;
+        required whenever results are not already JSON objects).
     """
 
     def __init__(
@@ -197,11 +205,16 @@ class ResilientExecutor:
         tasks,
         *,
         run_id: str,
-        fingerprint: str,
-        journal: str | None = None,
+        store=None,
         progress=None,
     ) -> ExecutionReport:
-        """Execute ``tasks``, resuming from ``journal`` if it exists.
+        """Execute ``tasks``, resuming from ``store`` if one is given.
+
+        Before scheduling, each task's ``store_key`` is probed: a hit
+        counts as ``resumed`` and is not executed.  Each result is
+        published to the store as it lands (``checkpoints``).  A
+        quarantined task stays absent, so it is retried on the next
+        run.
 
         ``progress`` is an optional live-progress observer with the
         :class:`repro.obs.report.CampaignProgress` hook surface
@@ -211,12 +224,10 @@ class ResilientExecutor:
 
         Raises
         ------
-        JournalMismatchError
-            If ``journal`` exists but belongs to different parameters.
         KeyboardInterrupt
             Re-raised after the pool is shut down cleanly (pending
-            futures cancelled, workers joined) and the journal closed —
-            completed work stays checkpointed for a later ``--resume``.
+            futures cancelled, workers joined) — completed work stays
+            in the store for a later rerun.
         """
         tasks = list(tasks)
         keys = [task.key for task in tasks]
@@ -226,21 +237,18 @@ class ResilientExecutor:
         metrics = active_metrics()
         tracer = active_tracer()
 
-        checkpoint = None
-        if journal is not None:
-            checkpoint = CheckpointJournal(journal, run_id, fingerprint)
-            report.journal_path = str(journal)
-            if checkpoint.resumed:
-                wanted = set(keys)
-                for key, encoded in checkpoint.state.completed.items():
-                    if key in wanted:
-                        report.results[key] = self._decode(encoded)
-                        report.resumed += 1
+        if store is not None:
+            for task in tasks:
+                if task.store_key is None:
+                    continue
+                payload = store.get(task.store_key)
+                if payload is not None:
+                    report.results[task.key] = self._decode(payload)
+                    report.resumed += 1
+            if report.resumed:
                 metrics.counter(names.RESILIENCE_RESUMED_TASKS).inc(
                     report.resumed
                 )
-        # Previously quarantined tasks get a fresh chance on resume: the
-        # fault that poisoned them may have been environmental.
         pending = deque(
             _Attempt(task, 1)
             for task in tasks
@@ -263,12 +271,12 @@ class ResilientExecutor:
         ):
             try:
                 self._drain(
-                    pending, report, checkpoint, metrics, tracer, progress
+                    pending, report, store, metrics, tracer, progress
                 )
             except KeyboardInterrupt:
                 # Clean shutdown is the contract: cancel what never
-                # started, join the workers (no orphans), keep the
-                # journal intact for --resume, then propagate.
+                # started, join the workers (no orphans), then
+                # propagate.  Completed tasks are already in the store.
                 self._shutdown_pool(cancel=True)
                 metrics.counter(names.RESILIENCE_INTERRUPTED_RUNS).inc()
                 tracer.point(
@@ -278,13 +286,11 @@ class ResilientExecutor:
                     pending=len(pending),
                 )
                 # The trace file must keep every record emitted before
-                # the cut — same torn-tail contract as the journal.
+                # the cut, so a torn trace still reads back.
                 tracer.flush()
                 raise
             finally:
                 self._shutdown_pool(cancel=True)
-                if checkpoint is not None:
-                    checkpoint.close()
 
         metrics.counter(names.RESILIENCE_RUNS).inc()
         metrics.counter(names.RESILIENCE_TASKS).inc(len(tasks))
@@ -294,7 +300,7 @@ class ResilientExecutor:
     # Scheduling loop
     # ------------------------------------------------------------------
     def _drain(
-        self, pending, report, checkpoint, metrics, tracer, progress=None
+        self, pending, report, store, metrics, tracer, progress=None
     ) -> None:
         # future -> (_Attempt, deadline | None, submit time)
         inflight: dict = {}
@@ -307,7 +313,7 @@ class ResilientExecutor:
             if not pooled:
                 attempt = pending.popleft()
                 self._run_serial(
-                    attempt, pending, report, checkpoint, metrics, tracer,
+                    attempt, pending, report, store, metrics, tracer,
                     progress,
                 )
                 continue
@@ -330,16 +336,16 @@ class ResilientExecutor:
                     broken = True
                     self._fail_attempt(
                         attempt, "worker-death", pending, report,
-                        checkpoint, metrics, tracer, progress,
+                        metrics, tracer, progress,
                     )
                 except Exception as exc:
                     self._fail_attempt(
                         attempt, type(exc).__name__, pending, report,
-                        checkpoint, metrics, tracer, progress,
+                        metrics, tracer, progress,
                     )
                 else:
                     self._complete(
-                        attempt, result, report, checkpoint, metrics,
+                        attempt, result, report, store, metrics,
                         progress, time.monotonic() - started,
                     )
             if broken:
@@ -362,7 +368,7 @@ class ResilientExecutor:
                     metrics.counter(names.RESILIENCE_DEADLINE_OVERRUNS).inc()
                     self._fail_attempt(
                         attempt, "deadline-overrun", pending, report,
-                        checkpoint, metrics, tracer, progress,
+                        metrics, tracer, progress,
                     )
                 self._on_pool_failure(
                     inflight, pending, report, metrics, tracer,
@@ -422,7 +428,7 @@ class ResilientExecutor:
     # Attempt outcomes
     # ------------------------------------------------------------------
     def _run_serial(
-        self, attempt, pending, report, checkpoint, metrics, tracer,
+        self, attempt, pending, report, store, metrics, tracer,
         progress=None,
     ) -> None:
         self._sleep_backoff(attempt)
@@ -431,8 +437,8 @@ class ResilientExecutor:
             result = _execute_task(self._payload(attempt, in_worker=False))
         except Exception as exc:
             self._fail_attempt(
-                attempt, type(exc).__name__, pending, report, checkpoint,
-                metrics, tracer, progress,
+                attempt, type(exc).__name__, pending, report, metrics,
+                tracer, progress,
             )
             return
         elapsed = time.monotonic() - start
@@ -442,32 +448,30 @@ class ResilientExecutor:
             report.deadline_overruns += 1
             metrics.counter(names.RESILIENCE_DEADLINE_OVERRUNS).inc()
             self._fail_attempt(
-                attempt, "deadline-overrun", pending, report, checkpoint,
-                metrics, tracer, progress,
+                attempt, "deadline-overrun", pending, report, metrics,
+                tracer, progress,
             )
             return
         self._complete(
-            attempt, result, report, checkpoint, metrics, progress, elapsed
+            attempt, result, report, store, metrics, progress, elapsed
         )
 
     def _complete(
-        self, attempt, result, report, checkpoint, metrics,
+        self, attempt, result, report, store, metrics,
         progress=None, seconds=None,
     ) -> None:
         report.results[attempt.task.key] = result
         report.executed += 1
         metrics.counter(names.RESILIENCE_TASKS_COMPLETED).inc()
-        if checkpoint is not None:
-            checkpoint.record_task(
-                attempt.task.key, attempt.attempt, self._encode(result)
-            )
+        if store is not None and attempt.task.store_key is not None:
+            store.put(attempt.task.store_key, self._encode(result))
             report.checkpoints += 1
             metrics.counter(names.RESILIENCE_CHECKPOINTS).inc()
         if progress is not None:
             progress.on_task(attempt.task.key, seconds)
 
     def _fail_attempt(
-        self, attempt, reason, pending, report, checkpoint, metrics, tracer,
+        self, attempt, reason, pending, report, metrics, tracer,
         progress=None,
     ) -> None:
         """Charge a failed attempt: requeue with backoff or quarantine."""
@@ -487,10 +491,6 @@ class ResilientExecutor:
                 attempts=attempt.attempt,
                 reason=reason,
             )
-            if checkpoint is not None:
-                checkpoint.record_quarantine(
-                    attempt.task.key, attempt.attempt, reason
-                )
             if progress is not None:
                 progress.on_quarantine(attempt.task.key)
             return

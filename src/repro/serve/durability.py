@@ -5,17 +5,18 @@ job-state transition (submitted → started → point progress → done /
 failed / timed-out) is appended to an NDJSON **job journal**, so a
 server killed with ``SIGKILL`` reconstructs its job table on restart
 by replaying the file and resumes incomplete jobs — warm, because the
-completed points already live in the content-addressed store.  The
-file discipline is the same torn-tail-tolerant idiom as
-:mod:`repro.resilience.journal` and the store sidecar: one JSON object
-per line, flushed per record, and a reader that drops a half-written
-final line (the transition simply re-derives on the next replay).
+completed points (and the completed runs of a half-finished point)
+already live in the content-addressed store.  The journal holds the
+job table, not completed work: that record is the store.
 
-Unlike the resilience journal this file has *multiple* writers across
-restarts — and, transiently, across concurrently restarted servers —
-so every record is serialized to a single string and written with one
-``write()`` call on an append-mode handle: POSIX ``O_APPEND`` keeps
-whole-line appends from interleaving.
+The file has *multiple* writers across restarts — and, transiently,
+across concurrently restarted servers — so it appends through the
+shared :class:`~repro.obs.trace.NdjsonFileSink`, which writes each
+record with one ``write()`` on an append-mode handle (POSIX
+``O_APPEND`` keeps whole-line appends from interleaving) and flushes it.
+Replay reads through the shared :func:`~repro.obs.report.read_ndjson`,
+which drops a half-written final line (the transition simply
+re-derives on the next replay).
 
 :class:`JobClaims` mirrors the store's in-flight dedup across
 *processes*: before a restarted server re-runs a journaled job it must
@@ -30,7 +31,6 @@ fingerprint.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.obs.report import read_ndjson
+from repro.obs.trace import NdjsonFileSink
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -82,7 +83,7 @@ class JobJournal:
         self.path = Path(path)
         self._lock = threading.Lock()
         existed = self.path.exists() and self.path.stat().st_size > 0
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._sink = NdjsonFileSink(self.path, flush_each=True)
         if not existed:
             self._append(
                 {"kind": "header", "version": JOB_JOURNAL_VERSION}
@@ -92,14 +93,8 @@ class JobJournal:
     # Writing
     # ------------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        # One write() per record: the journal can have concurrent
-        # writers (two servers mid-restart-handoff), and O_APPEND only
-        # guarantees atomicity per write call, not per json.dump
-        # streaming fragment.
-        line = json.dumps(record, separators=(",", ":")) + "\n"
         with self._lock:
-            self._file.write(line)
-            self._file.flush()
+            self._sink.emit(record)
 
     def record_submitted(
         self,
@@ -157,14 +152,11 @@ class JobJournal:
 
     def flush(self) -> None:
         with self._lock:
-            if not self._file.closed:
-                self._file.flush()
+            self._sink.flush()
 
     def close(self) -> None:
         with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                self._file.close()
+            self._sink.close()
 
     def __enter__(self) -> "JobJournal":
         return self

@@ -47,6 +47,14 @@ def _describe(entry: Dict[str, Any]) -> str:
             f"vdd={provenance.get('vdd')} runs={provenance.get('runs')} "
             f"lanes={provenance.get('lanes')}"
         )
+    elif kind == "campaign-task":
+        detail = (
+            f"scheme={provenance.get('scheme')} "
+            f"vdd={provenance.get('vdd')} "
+            f"first_seed={provenance.get('first_seed')} "
+            f"count={provenance.get('count')} "
+            f"lanes={provenance.get('lanes')}"
+        )
     elif kind == "fig5-point":
         detail = (
             f"vdd={provenance.get('vdd')} "

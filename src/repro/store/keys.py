@@ -1,14 +1,21 @@
 """Content-addressed campaign point keys.
 
-A *campaign point* is the smallest independently reproducible unit of
-Monte-Carlo work: one (scheme, voltage) platform campaign, one Fig. 5
-voltage grid point, one Fig. 4 die.  Its key is the SHA-256 of the
-canonical JSON of its **provenance** — exactly the fields that
-determine the result bit-for-bit (codec/scheme, fault model, vdd, seed
-range, lanes, workload) and nothing else.
+A *campaign point* is an independently reproducible unit of
+Monte-Carlo work: one (scheme, voltage) platform campaign, one seeded
+run (or lane block) inside it, one Fig. 5 voltage grid point, one
+Fig. 4 die.  Its key is the SHA-256 of the canonical JSON of its
+**provenance** — exactly the fields that determine the result
+bit-for-bit (codec/scheme, fault model, vdd, seed range, lanes,
+workload) and nothing else.  Key kinds: ``scheme-campaign``,
+``campaign-task``, ``fig5-point`` and ``fig4-die``.
+
+The store is the record of completed work, so these keys are also the
+checkpoints of a killed campaign: the resilient executor probes each
+task's key before scheduling it and publishes each result as it
+lands, and a rerun against the same store resumes bit-identically.
 
 Execution knobs are deliberately excluded: ``processes``, retry
-budgets, task timeouts, journals, chaos policies and the PR 7
+budgets, task timeouts, chaos policies, the heartbeat and the
 profiling/progress options change *how* a point is computed, never
 *what* it computes — the engines are proven bit-exact across all of
 them — so including any of it would fragment the cache without adding
@@ -174,6 +181,27 @@ def scheme_campaign_key(
     )
 
 
+def campaign_task_key(
+    campaign: PointKey, first_seed: int, count: int
+) -> PointKey:
+    """Key of one task of a scheme campaign: a seeded run or a lane block.
+
+    The task covers seeds ``first_seed .. first_seed + count - 1``.  Its
+    provenance is the ``campaign`` key's minus ``runs`` and
+    ``seed_base``, so a task keeps its key when the campaign around it
+    grows: an extended campaign reuses every run an earlier one
+    completed.  ``lanes`` stays in, because a lane-block payload carries
+    one result per member seed plus a single block-level metrics
+    snapshot.
+    """
+    provenance = campaign.provenance()
+    for field in ("kind", "schema", "runs", "seed_base"):
+        del provenance[field]
+    provenance["first_seed"] = int(first_seed)
+    provenance["count"] = int(count)
+    return PointKey.from_provenance("campaign-task", provenance)
+
+
 def fig5_point_key(
     access_model: Any,
     vdd: float,
@@ -242,6 +270,7 @@ __all__ = [
     "KEY_SCHEMA",
     "PointKey",
     "access_model_provenance",
+    "campaign_task_key",
     "canonical_json",
     "fig5_point_key",
     "fingerprint_payload",

@@ -1,14 +1,11 @@
-"""Unit tests for :mod:`repro.resilience` — executor, journal, chaos.
+"""Unit tests for :mod:`repro.resilience` — executor, store resume, chaos.
 
 These pin the building blocks in isolation (pure-python task
 functions, no simulator): retry/quarantine accounting, deterministic
-backoff, journal write/resume round-trips including torn tails and
-fingerprint mismatches, and the chaos policy's rule normalisation.
-The end-to-end campaign proofs live in ``test_resilience_chaos.py``.
+backoff, checkpoint/resume round-trips through a result store, and
+the chaos policy's rule normalisation.  The end-to-end campaign proofs
+live in ``test_resilience_chaos.py``.
 """
-
-import json
-import os
 
 import pytest
 
@@ -16,14 +13,12 @@ from repro import obs
 from repro.resilience import (
     ChaosError,
     ChaosPolicy,
-    CheckpointJournal,
-    JournalError,
-    JournalMismatchError,
     NO_CHAOS,
     ResilientExecutor,
     TaskSpec,
     WorkerKilled,
 )
+from repro.store import PointKey, ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +42,26 @@ def _tasks(n):
     return [TaskSpec(key=f"t{i}", args=(i,)) for i in range(n)]
 
 
+def _stored_tasks(n):
+    """Tasks whose results live in a store under a per-task key."""
+    return [
+        TaskSpec(
+            key=f"t{i}",
+            args=(i,),
+            store_key=PointKey.from_provenance("test-task", {"i": i}),
+        )
+        for i in range(n)
+    ]
+
+
+def _encode(value):
+    return {"value": value}
+
+
+def _decode(payload):
+    return payload["value"]
+
+
 class TestTaskSpec:
     def test_rejects_empty_key(self):
         with pytest.raises(ValueError):
@@ -56,13 +71,13 @@ class TestTaskSpec:
         executor = ResilientExecutor(_square)
         tasks = [TaskSpec("a", (1,)), TaskSpec("a", (2,))]
         with pytest.raises(ValueError):
-            executor.run(tasks, run_id="r", fingerprint="f")
+            executor.run(tasks, run_id="r")
 
 
 class TestSerialExecution:
     def test_results_in_submission_order(self):
         report = ResilientExecutor(_square).run(
-            _tasks(5), run_id="r", fingerprint="f"
+            _tasks(5), run_id="r"
         )
         assert report.result_list() == [0, 1, 4, 9, 16]
         assert report.complete
@@ -73,7 +88,7 @@ class TestSerialExecution:
         executor = ResilientExecutor(
             _boom, max_retries=2, backoff_base_s=0.0
         )
-        report = executor.run(_tasks(1), run_id="r", fingerprint="f")
+        report = executor.run(_tasks(1), run_id="r")
         assert not report.complete
         assert report.quarantined == {"t0": "RuntimeError"}
         assert report.retries == 2  # 1 + max_retries attempts total
@@ -83,7 +98,7 @@ class TestSerialExecution:
         executor = ResilientExecutor(
             _square, max_retries=3, backoff_base_s=0.0, chaos=chaos
         )
-        report = executor.run(_tasks(3), run_id="r", fingerprint="f")
+        report = executor.run(_tasks(3), run_id="r")
         assert report.complete
         assert report.result_list() == [0, 1, 4]
         assert report.retries == 2
@@ -93,7 +108,7 @@ class TestSerialExecution:
         executor = ResilientExecutor(
             _square, max_retries=1, backoff_base_s=0.0, chaos=chaos
         )
-        report = executor.run(_tasks(1), run_id="r", fingerprint="f")
+        report = executor.run(_tasks(1), run_id="r")
         assert report.complete
         assert report.retries == 1
 
@@ -102,7 +117,7 @@ class TestSerialExecution:
         chaos = ChaosPolicy(raise_in_task=[("t0", 1)])
         ResilientExecutor(
             _square, max_retries=1, backoff_base_s=0.0, chaos=chaos
-        ).run(_tasks(2), run_id="r", fingerprint="f")
+        ).run(_tasks(2), run_id="r")
         counters = registry.snapshot().counters
         assert counters["resilience.tasks"] == 2
         assert counters["resilience.tasks_completed"] == 2
@@ -149,98 +164,50 @@ class TestValidation:
             ResilientExecutor(_square, max_pool_breaks=-1)
 
 
-class TestJournal:
-    def test_fresh_journal_writes_header(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        with CheckpointJournal(path, "run", "fp") as journal:
-            journal.record_task("t0", 1, {"x": 1})
-        lines = [
-            json.loads(line)
-            for line in open(path, encoding="utf-8")
-        ]
-        assert lines[0]["kind"] == "header"
-        assert lines[0]["fingerprint"] == "fp"
-        assert lines[1] == {
-            "kind": "task", "key": "t0", "attempt": 1, "result": {"x": 1}
-        }
-
-    def test_resume_recovers_completed_tasks(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        with CheckpointJournal(path, "run", "fp") as journal:
-            journal.record_task("t0", 1, 10)
-            journal.record_quarantine("t1", 4, "RuntimeError")
-        resumed = CheckpointJournal(path, "run", "fp")
-        assert resumed.resumed
-        assert resumed.state.completed == {"t0": 10}
-        assert resumed.state.quarantined == {"t1": "RuntimeError"}
-        resumed.close()
-
-    def test_torn_tail_dropped(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        with CheckpointJournal(path, "run", "fp") as journal:
-            journal.record_task("t0", 1, 10)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "task", "key": "t1", "resu')
-        resumed = CheckpointJournal(path, "run", "fp")
-        assert resumed.state.completed == {"t0": 10}
-        resumed.close()
-
-    def test_fingerprint_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        CheckpointJournal(path, "run", "fp-a").close()
-        with pytest.raises(JournalMismatchError) as excinfo:
-            CheckpointJournal(path, "run", "fp-b")
-        assert excinfo.value.expected == "fp-b"
-        assert excinfo.value.found == "fp-a"
-
-    def test_headerless_file_refused(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"kind": "task", "key": "t0", "result": 1}\n')
-        with pytest.raises(JournalError):
-            CheckpointJournal(path, "run", "fp")
-
-
 class TestExecutorJournalIntegration:
+    """Checkpoint and resume through a result store."""
+
     def test_checkpoint_and_resume_skips_completed(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        first = ResilientExecutor(_square).run(
-            _tasks(3), run_id="r", fingerprint="f", journal=path
-        )
+        store = ResultStore(tmp_path / "s.sqlite")
+        first = ResilientExecutor(
+            _square, encode=_encode, decode=_decode
+        ).run(_stored_tasks(3), run_id="r", store=store)
         assert first.checkpoints == 3
-        second = ResilientExecutor(_square).run(
-            _tasks(6), run_id="r", fingerprint="f", journal=path
-        )
+        second = ResilientExecutor(
+            _square, encode=_encode, decode=_decode
+        ).run(_stored_tasks(6), run_id="r", store=store)
         assert second.resumed == 3
         assert second.executed == 3
         assert second.result_list() == [0, 1, 4, 9, 16, 25]
 
     def test_resumed_results_pass_through_decode(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
-        encode = lambda v: {"value": v}  # noqa: E731
-        decode = lambda d: d["value"]  # noqa: E731
-        ResilientExecutor(_square, encode=encode, decode=decode).run(
-            _tasks(2), run_id="r", fingerprint="f", journal=path
+        store = ResultStore(tmp_path / "s.sqlite")
+        ResilientExecutor(_square, encode=_encode, decode=_decode).run(
+            _stored_tasks(2), run_id="r", store=store
         )
+        assert store.get(_stored_tasks(2)[1].store_key) == {"value": 1}
         resumed = ResilientExecutor(
-            _square, encode=encode, decode=decode
-        ).run(_tasks(2), run_id="r", fingerprint="f", journal=path)
+            _square, encode=_encode, decode=_decode
+        ).run(_stored_tasks(2), run_id="r", store=store)
         assert resumed.result_list() == [0, 1]
         assert resumed.executed == 0
 
     def test_quarantined_task_retried_on_resume(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
+        store = ResultStore(tmp_path / "s.sqlite")
         poisoned = ResilientExecutor(
             _square,
             max_retries=0,
             backoff_base_s=0.0,
             chaos=ChaosPolicy(raise_in_task=[("t0", 1)]),
-        ).run(_tasks(1), run_id="r", fingerprint="f", journal=path)
+            encode=_encode,
+            decode=_decode,
+        ).run(_stored_tasks(1), run_id="r", store=store)
         assert poisoned.quarantined
+        assert len(store) == 0  # a quarantined task stays absent
         # The transient cause is gone: the resume gives it a new chance.
-        recovered = ResilientExecutor(_square).run(
-            _tasks(1), run_id="r", fingerprint="f", journal=path
-        )
+        recovered = ResilientExecutor(
+            _square, encode=_encode, decode=_decode
+        ).run(_stored_tasks(1), run_id="r", store=store)
         assert recovered.complete
         assert recovered.result_list() == [0]
 
@@ -284,7 +251,7 @@ class TestChaosPolicy:
 
 class TestKeyboardInterrupt:
     def test_journal_survives_interrupt(self, tmp_path):
-        path = str(tmp_path / "j.ndjson")
+        store = ResultStore(tmp_path / "s.sqlite")
 
         calls = {"n": 0}
 
@@ -294,16 +261,16 @@ class TestKeyboardInterrupt:
                 raise KeyboardInterrupt()
             return x * x
 
-        executor = ResilientExecutor(interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            executor.run(
-                _tasks(5), run_id="r", fingerprint="f", journal=path
-            )
-        # The two completed tasks are checkpointed and resumable.
-        resumed = ResilientExecutor(_square).run(
-            _tasks(5), run_id="r", fingerprint="f", journal=path
+        executor = ResilientExecutor(
+            interrupting, encode=_encode, decode=_decode
         )
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(_stored_tasks(5), run_id="r", store=store)
+        # The two completed tasks are checkpointed and resumable.
+        assert len(store) == 2
+        resumed = ResilientExecutor(
+            _square, encode=_encode, decode=_decode
+        ).run(_stored_tasks(5), run_id="r", store=store)
         assert resumed.resumed == 2
         assert resumed.executed == 3
         assert resumed.result_list() == [0, 1, 4, 9, 16]
-        assert os.path.exists(path)

@@ -1,10 +1,10 @@
 """Chaos suite: campaigns under injected harness faults.
 
-The ISSUE.md acceptance criterion, verbatim: a campaign with injected
-worker kills, task exceptions and deadline overruns must complete (or
-resume from its journal) with a ``CampaignResult`` bit-identical to an
-unperturbed run at the same seed, with retry / requeue / checkpoint
-counts visible in ``repro.obs`` metrics.  Every test here perturbs a
+The contract: a campaign with injected worker kills, task exceptions
+and deadline overruns must complete (or resume from the result store)
+with a ``CampaignResult`` bit-identical to an unperturbed run at the
+same seed, with retry / requeue / checkpoint counts visible in
+``repro.obs`` metrics.  Every test here perturbs a
 real campaign (:func:`run_campaign` over the live SECDED platform, or
 :meth:`BatchCampaign.retention_failure_curve`) through a
 :class:`ChaosPolicy` and compares against the unperturbed truth.
@@ -23,6 +23,7 @@ from repro.core.access import (
 from repro.core.retention import RETENTION_COMMERCIAL_40NM
 from repro.mitigation import SecdedRunner
 from repro.resilience import ChaosPolicy, ResilientExecutor, TaskSpec
+from repro.store import ResultStore
 from repro.workloads.fft import build_fft_program
 
 
@@ -109,17 +110,18 @@ class TestCampaignChaos:
         assert counters["campaign.runs"] == 4
 
     def test_journal_resume_is_bit_identical(self, fft_fixture, tmp_path):
-        """Half the campaign checkpointed, then resumed to the exact
-        same CampaignResult — with the resumed half never re-executed."""
+        """Half the campaign checkpointed to the store, then resumed to
+        the exact same CampaignResult — with the resumed half never
+        re-executed."""
         program, golden = fft_fixture
         kwargs = _campaign_kwargs(program, golden)
         baseline = run_campaign(SecdedRunner, **kwargs)
-        journal = str(tmp_path / "campaign.ndjson")
+        store = ResultStore(tmp_path / "campaign.sqlite")
         registry = obs.enable_metrics()
         half = dict(kwargs, runs=2)
-        run_campaign(SecdedRunner, journal=journal, **half)
+        run_campaign(SecdedRunner, store=store, **half)
         assert registry.snapshot().counters["resilience.checkpoints"] == 2
-        resumed = run_campaign(SecdedRunner, journal=journal, **kwargs)
+        resumed = run_campaign(SecdedRunner, store=store, **kwargs)
         _assert_identical(resumed, baseline)
         assert resumed.resilience.resumed == 2
         assert resumed.resilience.executed == 2
@@ -129,7 +131,7 @@ class TestCampaignChaos:
 
     def test_heartbeat_survives_kill_and_resume(self, fft_fixture, tmp_path):
         """The NDJSON heartbeat stays readable across a worker kill and
-        a journal resume: each campaign invocation emits a ``start``
+        a store resume: each campaign invocation emits a ``start``
         record (with the resumed head start pre-counted) and per-task
         records that drive the ETA, and a torn final line — the
         abnormal-exit case — never hides the complete records."""
@@ -138,13 +140,13 @@ class TestCampaignChaos:
         program, golden = fft_fixture
         kwargs = _campaign_kwargs(program, golden)
         baseline = run_campaign(SecdedRunner, **kwargs)
-        journal = str(tmp_path / "campaign.ndjson")
+        store = ResultStore(tmp_path / "campaign.sqlite")
         first_beat = tmp_path / "hb_first.ndjson"
         resume_beat = tmp_path / "hb_resume.ndjson"
 
         half = dict(kwargs, runs=2)
         run_campaign(
-            SecdedRunner, journal=journal, heartbeat=str(first_beat),
+            SecdedRunner, store=store, heartbeat=str(first_beat),
             **half,
         )
         first = read_ndjson(first_beat)
@@ -154,10 +156,10 @@ class TestCampaignChaos:
         assert first[-1]["done"] == 2
 
         # Resume under chaos: a killed worker must not corrupt either
-        # the journal or the heartbeat stream.
+        # the store or the heartbeat stream.
         chaos = ChaosPolicy(kill=[("run-102", 1)])
         resumed = run_campaign(
-            SecdedRunner, journal=journal, heartbeat=str(resume_beat),
+            SecdedRunner, store=store, heartbeat=str(resume_beat),
             processes=2, chaos=chaos, **kwargs,
         )
         _assert_identical(resumed, baseline)
@@ -193,6 +195,24 @@ class TestCampaignChaos:
         assert result.runs == 3
         assert result.resilience.quarantined == {"run-101": "ChaosError"}
 
+    def test_quarantined_run_resumes_from_store(self, fft_fixture, tmp_path):
+        """A quarantined run stays out of the store while its siblings
+        land there; a clean rerun executes only the missing run and
+        matches the unperturbed campaign."""
+        program, golden = fft_fixture
+        kwargs = _campaign_kwargs(program, golden)
+        baseline = run_campaign(SecdedRunner, **kwargs)
+        store = ResultStore(tmp_path / "campaign.sqlite")
+        chaos = ChaosPolicy(raise_in_task=[("run-101", 1)])
+        poisoned = run_campaign(
+            SecdedRunner, store=store, max_retries=0, chaos=chaos, **kwargs
+        )
+        assert poisoned.quarantined == 1
+        rerun = run_campaign(SecdedRunner, store=store, **kwargs)
+        _assert_identical(rerun, baseline)
+        assert rerun.resilience.resumed == 3
+        assert rerun.resilience.executed == 1
+
 
 def _echo(x):
     return x
@@ -209,7 +229,7 @@ class TestSerialDegradation:
             backoff_base_s=0.0, max_pool_breaks=2, chaos=chaos,
         )
         tasks = [TaskSpec(key=f"k{i}", args=(i,)) for i in range(4)]
-        report = executor.run(tasks, run_id="degrade", fingerprint="f")
+        report = executor.run(tasks, run_id="degrade")
         assert report.complete
         assert report.result_list() == [0, 1, 2, 3]
         assert report.pool_breaks == 3
@@ -245,12 +265,31 @@ class TestBatchChaos:
         np.testing.assert_array_equal(perturbed, baseline)
 
     def test_journal_resume_matches_fresh_run(self, tmp_path):
-        journal = str(tmp_path / "dies.ndjson")
+        store = ResultStore(tmp_path / "dies.sqlite")
         baseline = self._curve()
-        first = self._curve(journal=journal)
+        first = self._curve(store=store)
         np.testing.assert_array_equal(first, baseline)
-        resumed = self._curve(journal=journal)
+        resumed = self._curve(store=store)
         np.testing.assert_array_equal(resumed, baseline)
+
+    def test_completed_dies_survive_a_quarantine(self, tmp_path):
+        """The curve raises on a quarantined die, but the dies that
+        completed are already in the store: the rerun executes only
+        the lost die and reproduces the unperturbed curve."""
+        store = ResultStore(tmp_path / "dies.sqlite")
+        baseline = self._curve()
+        chaos = ChaosPolicy(raise_in_task=[("die-3", 1)])
+        with pytest.raises(RuntimeError, match="die-3"):
+            self._curve(store=store, max_retries=0, chaos=chaos)
+        stored = [entry["provenance"]["die_index"] for entry in store.entries()]
+        assert sorted(stored) == [0, 1, 2]
+        registry = obs.enable_metrics()
+        rerun = self._curve(store=store)
+        np.testing.assert_array_equal(rerun, baseline)
+        counters = registry.snapshot().counters
+        assert counters["resilience.resumed_tasks"] == 3
+        assert counters["resilience.tasks_completed"] == 1
+        assert store.entries()[-1]["provenance"]["die_index"] == 3
 
     def test_quarantined_die_raises_instead_of_skewing(self):
         chaos = ChaosPolicy(raise_in_task=[("die-0", 1)])

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.mitigation import SecdedRunner
+from repro.obs.report import read_ndjson
 from repro.serve import JobFailedError, ServeClient, normalize_spec
 from repro.store import (
     ResultStore,
@@ -84,11 +85,19 @@ def _spawn_server(store_path, journal_path):
 
 
 def _await_first_stored_point(store_path, deadline_s=DEADLINE_S):
-    """Block until the store sidecar holds >= 1 complete record."""
+    """Block until the store sidecar holds >= 1 complete grid point.
+
+    Every run of a point is also stored (a ``campaign-task`` row), so
+    the wait is for the first ``scheme-campaign`` record, not the
+    first line.
+    """
     sidecar = Path(str(store_path) + ".ndjson")
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
-        if sidecar.exists() and sidecar.read_bytes().count(b"\n") >= 1:
+        if any(
+            record.get("kind") == "scheme-campaign"
+            for record in read_ndjson(sidecar)
+        ):
             return
         time.sleep(0.02)
     raise AssertionError(f"no point reached {sidecar} in {deadline_s}s")

@@ -241,6 +241,20 @@ class TestJournalRecovery:
         assert len(result["results"]) == len(SPEC["vdds"])
         assert replay_jobs(journal)[job_id].state == "done"
 
+    def test_stats_counts_jobs_by_state_and_stats_the_journal(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "s.sqlite")
+        journal = tmp_path / "jobs.ndjson"
+        with ServerThread(store, journal=journal) as handle:
+            status, submitted = _request(handle.url + "/submit", payload=SPEC)
+            assert status == 202
+            assert _wait(handle.url, submitted["job"])["state"] == "done"
+            _, stats = _request(handle.url + "/stats")
+        assert stats["jobs"] == {"done": 1}
+        assert set(stats["journal"]) == {"path", "exists", "alive", "age_s"}
+        assert stats["journal"]["alive"] is True
+
     def test_recovered_job_resumes_warm_from_the_store(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
         journal = tmp_path / "jobs.ndjson"
@@ -322,8 +336,9 @@ class TestJournalRecovery:
                 _, stats = _request(winner.url + "/stats")
                 assert stats["recovered_jobs"] == 1
                 # The loser never executed anything into the store.
-                assert stats["store"]["puts"] == len(SPEC["vdds"])
-        assert len(store) == len(SPEC["vdds"])
+                assert stats["store"]["puts"] == stats["store"]["rows"]
+        kinds = [entry["kind"] for entry in store.entries()]
+        assert kinds.count("scheme-campaign") == len(SPEC["vdds"])
 
 
 class _ScriptedTransport:

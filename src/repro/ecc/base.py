@@ -13,13 +13,27 @@ fallback (a loop over :meth:`Codec.encode` / :meth:`Codec.decode`);
 :class:`repro.ecc.hamming.SecdedCodec` and
 :class:`repro.ecc.bch.BchCodec` override them with GF(2) bit-matrix
 kernels that are bit-exact with the scalar paths.
+
+Tables: the fast codecs run *both* paths through one byte-sliced table
+set per code — numpy arrays for the batch kernels, tuples of Python
+ints for the per-access scalar path, where one tuple index is cheaper
+than one numpy element read.  :meth:`Codec._shared_tables` builds each
+set once per process (under a lock, since the job server constructs
+codecs on worker threads), marks its arrays read-only and hands the
+same set to every instance of that code.  The per-bit bodies that
+build the tables stay available as ``encode_reference`` /
+``decode_reference``, the independent oracle that tests and the perf
+harness check the table-driven paths against.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
+import threading
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -56,6 +70,11 @@ def status_code(status: DecodeStatus) -> int:
     return _STATUS_TO_CODE[status]
 
 
+def decode_status(code: int) -> DecodeStatus:
+    """Return the :class:`DecodeStatus` of a batch-path integer code."""
+    return _CODE_TO_STATUS[code]
+
+
 @dataclass(frozen=True)
 class BatchDecodeResult:
     """Column-oriented result of decoding a batch of codewords.
@@ -88,7 +107,7 @@ class BatchDecodeResult:
         """Return element ``index`` as a scalar :class:`DecodeResult`."""
         return DecodeResult(
             data=int(self.data[index]),
-            status=_CODE_TO_STATUS[int(self.status[index])],
+            status=decode_status(int(self.status[index])),
             corrected_bits=int(self.corrected_bits[index]),
         )
 
@@ -117,6 +136,25 @@ class DecodeResult:
         return self.status is not DecodeStatus.DETECTED
 
 
+#: Serializes the first build of each shared table set.  Re-entrant so
+#: a table builder may itself construct another codec.
+_TABLES_LOCK = threading.RLock()
+
+
+def byte_tables(fn: Callable[[int], int], width: int) -> list[list[int]]:
+    """Byte-sliced tables of a GF(2)-linear map over ``width``-bit words.
+
+    Entry ``[k][v]`` is ``fn`` of byte value ``v`` placed at byte ``k``,
+    so XORing the entries of every byte of a word gives ``fn`` of the
+    whole word (:meth:`Codec._fold_bytes`, :meth:`Codec._lut_gather`).
+    """
+    mask = (1 << width) - 1
+    return [
+        [fn((v << (8 * k)) & mask) for v in range(256)]
+        for k in range((width + 7) // 8)
+    ]
+
+
 class Codec(abc.ABC):
     """Abstract block codec over integer bit vectors."""
 
@@ -124,6 +162,10 @@ class Codec(abc.ABC):
     data_bits: int
     #: Number of stored bits per block (payload + check bits).
     code_bits: int
+
+    #: Process-wide memo of table sets, keyed by ``(class, *params)``;
+    #: see :meth:`_shared_tables`.
+    _table_memo: dict[tuple, Mapping[str, Any]] = {}
 
     @property
     def check_bits(self) -> int:
@@ -134,6 +176,43 @@ class Codec(abc.ABC):
     def storage_overhead(self) -> float:
         """Relative storage overhead, e.g. 7/32 for (39,32) SECDED."""
         return self.check_bits / self.data_bits
+
+    def _shared_tables(
+        self, params: tuple, build: Callable[[], dict[str, Any]]
+    ) -> Mapping[str, Any]:
+        """Return the table set of this code, building it on first use.
+
+        A codec's tables are a pure function of its class and
+        ``params``, so every instance of one code shares a single,
+        read-only set: campaigns and lane blocks construct hundreds of
+        codecs, and rebuilding per instance dominated their set-up.
+        The first build runs under a lock, so codecs constructed
+        concurrently still end up with one set; numpy arrays in it are
+        frozen (``write=False``) because a stray write would corrupt
+        every codec of that code at once.
+        """
+        key = (type(self), *params)
+        tables = Codec._table_memo.get(key)
+        if tables is None:
+            with _TABLES_LOCK:
+                tables = Codec._table_memo.get(key)
+                if tables is None:
+                    built = build()
+                    for value in built.values():
+                        if isinstance(value, np.ndarray):
+                            value.setflags(write=False)
+                    tables = MappingProxyType(built)
+                    Codec._table_memo[key] = tables
+        return tables
+
+    @staticmethod
+    def _fold_bytes(luts: tuple[tuple[int, ...], ...], value: int) -> int:
+        """Scalar twin of :meth:`_lut_gather` over tuple tables."""
+        out = 0
+        for lut in luts:
+            out ^= lut[value & 0xFF]
+            value >>= 8
+        return out
 
     def _lut_gather(self, luts: np.ndarray, words: np.ndarray) -> np.ndarray:
         """XOR-accumulate byte-sliced LUT gathers over ``words``.

@@ -10,9 +10,23 @@ Everything is computed, not table-pasted: the generator polynomial is
 the LCM of the minimal polynomials of alpha^1 .. alpha^2t, decoding
 runs syndrome computation, Berlekamp-Massey and a Chien search.  The
 same class also provides t = 1..3 variants for the ablation benches.
+
+Encoding and syndrome computation are GF(2)-linear, so each code
+(``data_bits``, ``t``, ``m``) gets one byte-sliced table set per
+process (:meth:`repro.ecc.base.Codec._shared_tables`): systematic
+encodings, and the 2t syndromes of every byte value packed into one
+integer.  :meth:`BchCodec.encode` and :meth:`BchCodec.decode` fold the
+tuple copies, a handful of lookups per word where the per-bit bodies
+evaluate 2t field sums over every set bit; a non-zero packed syndrome
+is unpacked straight into Berlekamp-Massey and the corrected word is
+re-verified through the same tables.  The batch kernels read the numpy
+copies.  The per-bit bodies the tables are built from stay as
+:meth:`BchCodec.encode_reference` / :meth:`BchCodec.decode_reference`.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,6 +36,7 @@ from repro.ecc.base import (
     DecodeResult,
     DecodeStatus,
     STATUS_CLEAN,
+    byte_tables,
     status_code,
 )
 from repro.ecc.gf2m import GF2m, get_field
@@ -66,6 +81,102 @@ def _gf2_poly_lcm_product(polys: list[int]) -> int:
     return result
 
 
+def _encode_bits(data: int, generator: int, n_check: int) -> int:
+    """Systematic encode by polynomial division, one bit at a time."""
+    shifted = data << n_check
+    return shifted | _gf2_poly_mod(shifted, generator)
+
+
+def _syndromes_bits(field: GF2m, t: int, codeword: int) -> list[int]:
+    """Evaluate the received polynomial at alpha^1 .. alpha^2t."""
+    set_positions = []
+    remaining = codeword
+    while remaining:
+        lsb = remaining & -remaining
+        set_positions.append(lsb.bit_length() - 1)
+        remaining ^= lsb
+    syndromes = []
+    for j in range(1, 2 * t + 1):
+        value = 0
+        for position in set_positions:
+            value ^= field.alpha_pow(position * j)
+        syndromes.append(value)
+    return syndromes
+
+
+def _build_tables(field: GF2m, t: int, data_bits: int) -> dict[str, Any]:
+    """Code parameters and byte-sliced tables of one BCH code.
+
+    * generator — LCM of the minimal polynomials of alpha^1 .. alpha^2t;
+    * encode tables — encoding is linear, so the codeword of a data
+      word is the XOR of the encodings of its bytes in place;
+    * packed-syndrome tables — syndrome computation is linear in the
+      received bits and each of the 2t syndromes fits in m bits, so the
+      whole syndrome vector of a word is the XOR of per-byte entries.
+      All-zero packed syndromes is exactly the CLEAN condition.
+
+    Python-int tuples serve the scalar path at any width; the numpy
+    copies (and the Chien exponent rows of the batch decoder) exist
+    when codewords and packed syndromes fit in a ``uint64`` lane.
+    """
+    m = field.m
+    n_full = (1 << m) - 1
+    minimal_polys = [
+        _poly_to_int(field.minimal_polynomial(field.alpha_pow(i)))
+        for i in range(1, 2 * t + 1)
+    ]
+    generator = _gf2_poly_lcm_product(minimal_polys)
+    n_check = generator.bit_length() - 1
+    k_full = n_full - n_check
+    if data_bits > k_full:
+        raise ValueError(
+            f"data_bits={data_bits} exceeds the code dimension "
+            f"k={k_full} of BCH({n_full}, {k_full}) with t={t}"
+        )
+    code_bits = data_bits + n_check
+
+    def packed_syndromes(part: int) -> int:
+        packed = 0
+        for j, syndrome in enumerate(_syndromes_bits(field, t, part)):
+            packed |= syndrome << (j * m)
+        return packed
+
+    enc = byte_tables(lambda d: _encode_bits(d, generator, n_check), data_bits)
+    syn = byte_tables(packed_syndromes, code_bits)
+    tables: dict[str, Any] = {
+        "generator": generator,
+        "n_check": n_check,
+        "code_bits": code_bits,
+        "shortened": n_full - code_bits,
+        "_enc_bytes": tuple(map(tuple, enc)),
+        "_syn_bytes": tuple(map(tuple, syn)),
+        "_enc_byte_luts": None,
+        "_syn_byte_luts": None,
+    }
+    if code_bits > 64:
+        return tables
+    tables["_enc_byte_luts"] = np.array(enc, dtype=np.uint64)
+    if 2 * t * m > 64:
+        return tables
+    tables.update(
+        _syn_byte_luts=np.array(syn, dtype=np.uint64),
+        _exp_np=np.array(field.exp, dtype=np.uint64),
+        _log_np=np.array(field.log, dtype=np.int64),
+        # Chien exponent rows: locator(alpha^{-p}) sums
+        # coef_k * alpha^{-p*k}; row k holds (-p*k) mod (2^m - 1) for
+        # every position p, so one doubled-exp gather per locator
+        # coefficient evaluates all positions at once.
+        _chien_neg=np.array(
+            [
+                [(-position * k) % n_full for position in range(n_full)]
+                for k in range(t + 2)
+            ],
+            dtype=np.int64,
+        ),
+    )
+    return tables
+
+
 class BchCodec(Codec):
     """Shortened binary BCH codec.
 
@@ -89,108 +200,61 @@ class BchCodec(Codec):
         self.field: GF2m = get_field(m)
         self.n_full = (1 << m) - 1
         self.t = t
-        minimal_polys = [
-            _poly_to_int(self.field.minimal_polynomial(self.field.alpha_pow(i)))
-            for i in range(1, 2 * t + 1)
-        ]
-        self.generator = _gf2_poly_lcm_product(minimal_polys)
-        self.n_check = self.generator.bit_length() - 1
-        k_full = self.n_full - self.n_check
-        if data_bits > k_full:
-            raise ValueError(
-                f"data_bits={data_bits} exceeds the code dimension "
-                f"k={k_full} of BCH({self.n_full}, {k_full}) with t={t}"
-            )
         self.data_bits = data_bits
-        self.code_bits = data_bits + self.n_check
-        #: Number of (implicitly zero) shortened positions.
-        self.shortened = self.n_full - self.code_bits
-        self._build_batch_tables()
-
-    def _build_batch_tables(self) -> None:
-        """Precompute the GF(2) matrix form of the code.
-
-        * generator columns — encoding is linear, so the codeword of any
-          data word is the XOR of per-bit columns; folded into
-          byte-sliced 256-entry tables for the batch encoder;
-        * parity-check remainders — ``x^p mod g(x)`` per codeword
-          position, folded into byte-sliced tables whose XOR is the
-          division remainder of the received word: zero iff the word is
-          a codeword.  The batch decoder uses this as an O(1) clean
-          screen and only runs the scalar Berlekamp-Massey machinery on
-          the (rare) dirty words.
-        """
-        if self.data_bits > 64 or self.code_bits > 64:
-            self._enc_byte_luts = None
-            self._rem_byte_luts = None
-            self._syn_byte_luts = None
-            return
-        n_data_bytes = (self.data_bits + 7) // 8
-        data_mask = (1 << self.data_bits) - 1
-        self._enc_byte_luts = np.array(
-            [
-                [self._encode_raw((v << (8 * k)) & data_mask)
-                 for v in range(256)]
-                for k in range(n_data_bytes)
-            ],
-            dtype=np.uint64,
+        self._tables = self._shared_tables(
+            (data_bits, t, m),
+            lambda: _build_tables(self.field, t, data_bits),
         )
-        n_code_bytes = (self.code_bits + 7) // 8
-        code_mask = (1 << self.code_bits) - 1
-        self._rem_byte_luts = np.array(
-            [
-                [_gf2_poly_mod((v << (8 * k)) & code_mask, self.generator)
-                 for v in range(256)]
-                for k in range(n_code_bytes)
-            ],
-            dtype=np.uint64,
-        )
-        # Packed-syndrome tables: syndrome computation is GF(2)-linear
-        # in the received bits and each of the 2t syndromes fits in m
-        # bits, so all of them pack into one uint64 lane (when
-        # 2*t*m <= 64) and the whole syndrome vector of a word is the
-        # XOR of per-byte table entries.  All-zero packed syndromes is
-        # exactly the CLEAN condition, and the dirty words arrive at
-        # Berlekamp-Massey with their syndromes already computed.
-        self._syn_byte_luts = None
-        if 2 * self.t * self.field.m <= 64:
-            m = self.field.m
-            syn_luts = np.zeros((n_code_bytes, 256), dtype=np.uint64)
-            for k in range(n_code_bytes):
-                for v in range(256):
-                    part = (v << (8 * k)) & code_mask
-                    packed = 0
-                    for j, syndrome in enumerate(self._syndromes(part)):
-                        packed |= syndrome << (j * m)
-                    syn_luts[k, v] = packed
-            self._syn_byte_luts = syn_luts
-            size = self.field.order - 1
-            self._exp_np = np.array(self.field.exp, dtype=np.uint64)
-            self._log_np = np.array(self.field.log, dtype=np.int64)
-            # Chien exponent rows: locator(alpha^{-p}) sums
-            # coef_k * alpha^{-p*k}; row k holds (-p*k) mod (2^m - 1)
-            # for every position p, so one doubled-exp gather per
-            # locator coefficient evaluates all positions at once.
-            self._chien_neg = np.array(
-                [
-                    [(-position * k) % size for position in range(self.n_full)]
-                    for k in range(self.t + 2)
-                ],
-                dtype=np.int64,
-            )
+        #: ``generator``, ``n_check``, ``code_bits``, ``shortened`` (the
+        #: number of implicitly zero positions) and the tables.
+        self.__dict__.update(self._tables)
 
-    def _encode_raw(self, data: int) -> int:
-        """Systematic encode without the range check (LUT construction)."""
-        shifted = data << self.n_check
-        return shifted | _gf2_poly_mod(shifted, self.generator)
-
+    # ------------------------------------------------------------------
+    # Scalar path (tuple tables)
+    # ------------------------------------------------------------------
     def encode(self, data: int) -> int:
         """Systematic encode: codeword = data * x^r + remainder."""
         self._check_data(data)
-        return self._encode_raw(data)
+        return self._fold_bytes(self._enc_bytes, data)
+
+    def decode(self, codeword: int) -> DecodeResult:
+        """Packed-syndrome screen, then Berlekamp-Massey / Chien."""
+        self._check_codeword(codeword)
+        packed = self._fold_bytes(self._syn_bytes, codeword)
+        if not packed:
+            # Positional construction: keywords cost a third more.
+            return DecodeResult(
+                codeword >> self.n_check, DecodeStatus.CLEAN, 0
+            )
+        return self._correct(
+            codeword,
+            self._unpack_syndromes(packed),
+            lambda fixed: not self._fold_bytes(self._syn_bytes, fixed),
+        )
 
     # ------------------------------------------------------------------
-    # Batch API
+    # Per-bit reference path
+    # ------------------------------------------------------------------
+    def encode_reference(self, data: int) -> int:
+        """Per-bit systematic encode by polynomial division."""
+        self._check_data(data)
+        return _encode_bits(data, self.generator, self.n_check)
+
+    def decode_reference(self, codeword: int) -> DecodeResult:
+        """Per-bit syndromes / Berlekamp-Massey / Chien decode."""
+        self._check_codeword(codeword)
+        syndromes = self._syndromes(codeword)
+        if not any(syndromes):
+            return DecodeResult(
+                data=codeword >> self.n_check, status=DecodeStatus.CLEAN
+            )
+        return self._correct(
+            codeword, syndromes,
+            lambda fixed: not any(self._syndromes(fixed)),
+        )
+
+    # ------------------------------------------------------------------
+    # Batch API (numpy tables)
     # ------------------------------------------------------------------
     def encode_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized encode: byte-sliced generator-matrix gathers."""
@@ -213,13 +277,13 @@ class BchCodec(Codec):
         (short) scalar recurrence per word, and locator evaluation over
         all 2^m - 1 positions — the former hot loop — is a gather and
         XOR per locator coefficient across the whole dirty set.  The
-        decision sequence replicates :meth:`decode` exactly.
+        decision sequence replicates :meth:`decode` exactly.  Codes
+        whose codewords or packed syndromes exceed a ``uint64`` lane
+        use the base class's per-word loop.
         """
-        if self._rem_byte_luts is None:
+        if self._syn_byte_luts is None:
             return super().decode_batch(codewords, record=record)
         codewords = self._as_word_array(codewords, self.code_bits, "codeword")
-        if self._syn_byte_luts is None:
-            return self._decode_batch_scalar_dirty(codewords, record)
         u64 = np.uint64
         packed = self._lut_gather(self._syn_byte_luts, codewords)
         data = codewords >> u64(self.n_check)
@@ -236,28 +300,6 @@ class BchCodec(Codec):
             data=data, status=status, corrected_bits=corrected
         )
 
-    def _decode_batch_scalar_dirty(
-        self, codewords: np.ndarray, record: bool
-    ) -> BatchDecodeResult:
-        """Remainder screen + scalar dirty decode (syndromes too wide
-        to pack into a uint64 lane)."""
-        u64 = np.uint64
-        remainder = self._lut_gather(self._rem_byte_luts, codewords)
-        data = codewords >> u64(self.n_check)
-        status = np.full(codewords.shape, STATUS_CLEAN, dtype=np.uint8)
-        corrected = np.zeros(codewords.shape, dtype=np.int64)
-        dirty = np.nonzero(remainder)[0]
-        for i in dirty:
-            result = self.decode(int(codewords[i]))
-            data[i] = result.data
-            status[i] = status_code(result.status)
-            corrected[i] = result.corrected_bits
-        if record:
-            self.record_decode_outcomes(status)
-        return BatchDecodeResult(
-            data=data, status=status, corrected_bits=corrected
-        )
-
     def _decode_dirty(
         self,
         codewords: np.ndarray,
@@ -268,8 +310,6 @@ class BchCodec(Codec):
         corrected: np.ndarray,
     ) -> None:
         """Decode the dirty subset in place, Chien-searching as a batch."""
-        m = self.field.m
-        syn_mask = (1 << m) - 1
         detected = status_code(DecodeStatus.DETECTED)
         corrected_code = status_code(DecodeStatus.CORRECTED)
         # Berlekamp-Massey per dirty word (short scalar recurrence on
@@ -277,11 +317,9 @@ class BchCodec(Codec):
         # batched Chien search.
         candidates = []  # (batch index, codeword, locator, degree)
         for i in dirty:
-            word_syndromes = [
-                (int(packed[i]) >> (j * m)) & syn_mask
-                for j in range(2 * self.t)
-            ]
-            locator, degree = self._berlekamp_massey(word_syndromes)
+            locator, degree = self._berlekamp_massey(
+                self._unpack_syndromes(int(packed[i]))
+            )
             if degree > self.t or degree != len(locator) - 1:
                 status[i] = detected
                 continue
@@ -318,75 +356,58 @@ class BchCodec(Codec):
             fixed = codeword
             for position in positions:
                 fixed ^= 1 << int(position)
-            verify = 0
-            for k in range(self._syn_byte_luts.shape[0]):
-                verify ^= int(self._syn_byte_luts[k][(fixed >> (8 * k)) & 0xFF])
-            if verify:
+            if self._fold_bytes(self._syn_bytes, fixed):
                 status[i] = detected
                 continue
             data[i] = fixed >> self.n_check
             status[i] = corrected_code
             corrected[i] = int(positions.size)
 
-    def decode(self, codeword: int) -> DecodeResult:
-        """Syndrome / Berlekamp-Massey / Chien decode."""
-        self._check_codeword(codeword)
-        syndromes = self._syndromes(codeword)
-        if not any(syndromes):
-            return DecodeResult(
-                data=codeword >> self.n_check, status=DecodeStatus.CLEAN
-            )
-        locator, degree = self._berlekamp_massey(syndromes)
-        if degree > self.t or degree != len(
-            GF2m.poly_trim(locator)
-        ) - 1:
-            return DecodeResult(
-                data=codeword >> self.n_check, status=DecodeStatus.DETECTED
-            )
-        error_positions = self._chien_search(locator)
-        if len(error_positions) != degree:
-            return DecodeResult(
-                data=codeword >> self.n_check, status=DecodeStatus.DETECTED
-            )
-        corrected = codeword
-        for position in error_positions:
-            if position >= self.code_bits:
-                # Error "located" in the shortened always-zero region:
-                # the true pattern exceeded the correction capability.
-                return DecodeResult(
-                    data=codeword >> self.n_check,
-                    status=DecodeStatus.DETECTED,
-                )
-            corrected ^= 1 << position
-        if any(self._syndromes(corrected)):
-            return DecodeResult(
-                data=codeword >> self.n_check, status=DecodeStatus.DETECTED
-            )
-        return DecodeResult(
-            data=corrected >> self.n_check,
-            status=DecodeStatus.CORRECTED,
-            corrected_bits=len(error_positions),
-        )
-
     # ------------------------------------------------------------------
     # Decoder stages
     # ------------------------------------------------------------------
     def _syndromes(self, codeword: int) -> list[int]:
-        """Evaluate the received polynomial at alpha^1 .. alpha^2t."""
-        field = self.field
-        set_positions = []
-        remaining = codeword
-        while remaining:
-            lsb = remaining & -remaining
-            set_positions.append(lsb.bit_length() - 1)
-            remaining ^= lsb
-        syndromes = []
-        for j in range(1, 2 * self.t + 1):
-            value = 0
-            for position in set_positions:
-                value ^= field.alpha_pow(position * j)
-            syndromes.append(value)
-        return syndromes
+        """Per-bit evaluation of the received polynomial at alpha^1..2t."""
+        return _syndromes_bits(self.field, self.t, codeword)
+
+    def _unpack_syndromes(self, packed: int) -> list[int]:
+        """Split a packed syndrome vector into its 2t field elements."""
+        m = self.field.m
+        mask = (1 << m) - 1
+        return [(packed >> (j * m)) & mask for j in range(2 * self.t)]
+
+    def _correct(
+        self,
+        codeword: int,
+        syndromes: list[int],
+        is_codeword: Callable[[int], bool],
+    ) -> DecodeResult:
+        """Decode a dirty word from its (non-zero) syndromes.
+
+        Berlekamp-Massey, then a Chien search that must find exactly
+        ``degree`` roots, none of them in the shortened (always-zero)
+        region; the flipped word must then pass ``is_codeword`` (the
+        table fold or the per-bit syndromes, so each path verifies with
+        its own machinery).  Anything else is DETECTED.
+        """
+        locator, degree = self._berlekamp_massey(syndromes)
+        if degree <= self.t and degree == len(locator) - 1:
+            positions = self._chien_search(locator)
+            if len(positions) == degree and all(
+                position < self.code_bits for position in positions
+            ):
+                fixed = codeword
+                for position in positions:
+                    fixed ^= 1 << position
+                if is_codeword(fixed):
+                    return DecodeResult(
+                        data=fixed >> self.n_check,
+                        status=DecodeStatus.CORRECTED,
+                        corrected_bits=degree,
+                    )
+        return DecodeResult(
+            data=codeword >> self.n_check, status=DecodeStatus.DETECTED
+        )
 
     def _berlekamp_massey(
         self, syndromes: list[int]

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ecc.base import Codec, DecodeStatus
+from repro.ecc.base import (
+    STATUS_CLEAN,
+    STATUS_DETECTED,
+    BatchDecodeResult,
+    Codec,
+    DecodeResult,
+    DecodeStatus,
+)
 from repro.ecc.wrapper import CodecMemoryWrapper, UncorrectableError, WrapperStats
 from repro.soc.memory import FaultyMemory
 
@@ -142,14 +149,33 @@ class DetectOnlyCodec(Codec):
         # the inner codec's vectorized path (used by burst write-back).
         return self.inner.encode_batch(words)
 
-    def decode(self, codeword: int):
-        from repro.ecc.base import DecodeResult
-
+    def decode(self, codeword: int) -> DecodeResult:
         result = self.inner.decode(codeword)
         if result.status is DecodeStatus.CLEAN:
             return result
         return DecodeResult(
             data=result.data, status=DecodeStatus.DETECTED
+        )
+
+    def decode_batch(
+        self, codewords: np.ndarray, record: bool = True
+    ) -> BatchDecodeResult:
+        """Inner batch decode with every non-clean word DETECTED.
+
+        Bit-exact with :meth:`decode`: best-effort inner data, zero
+        corrected bits.  Outcomes are recorded under this codec's name
+        only (the inner decode publishes nothing).
+        """
+        inner = self.inner.decode_batch(codewords, record=False)
+        status = np.where(
+            inner.status == STATUS_CLEAN, STATUS_CLEAN, STATUS_DETECTED
+        ).astype(np.uint8)
+        if record:
+            self.record_decode_outcomes(status)
+        return BatchDecodeResult(
+            data=inner.data,
+            status=status,
+            corrected_bits=np.zeros(status.shape, dtype=np.int64),
         )
 
 

@@ -1,9 +1,13 @@
-"""Batch codec kernels must agree word-for-word with the scalar paths.
+"""Table-driven codec paths must agree word-for-word with the per-bit reference.
 
-The vectorized ``encode_batch``/``decode_batch`` implementations are
-pure reimplementations of the scalar codecs, so the contract is exact
-equality: same codewords, same decoded data, same status per word —
-over random inputs and over exhaustive small error patterns.
+SECDED and BCH run both their scalar ``encode``/``decode`` and their
+``encode_batch``/``decode_batch`` kernels through one shared table set,
+so checking one against the other would be circular.  Both are checked
+against the per-bit ``encode_reference``/``decode_reference`` bodies
+the tables are built from (codecs without tables, like parity, are
+their own reference).  The contract is exact equality: same codewords,
+same decoded data, same status and corrected-bit count per word — over
+random inputs and over exhaustive small error patterns.
 """
 
 import itertools
@@ -23,12 +27,12 @@ from repro.ecc import (
 from repro.ecc.base import Codec, DecodeStatus
 
 
-def scalar_encode(codec, words):
-    return np.array([codec.encode(int(w)) for w in words], dtype=np.uint64)
+def reference_encode(codec, words):
+    encode = getattr(codec, "encode_reference", codec.encode)
+    return np.array([encode(int(w)) for w in words], dtype=np.uint64)
 
 
-def scalar_decode(codec, codewords):
-    results = [codec.decode(int(cw)) for cw in codewords]
+def columns(results):
     return (
         np.array([r.data for r in results], dtype=np.uint64),
         np.array([status_code(r.status) for r in results], dtype=np.uint8),
@@ -36,12 +40,33 @@ def scalar_decode(codec, codewords):
     )
 
 
-def assert_batch_matches_scalar(codec, codewords):
+def assert_encoders_match_reference(codec, words):
+    expected = reference_encode(codec, words)
+    np.testing.assert_array_equal(codec.encode_batch(words), expected)
+    np.testing.assert_array_equal(
+        np.array([codec.encode(int(w)) for w in words], dtype=np.uint64),
+        expected,
+    )
+
+
+def assert_decoders_match_reference(codec, codewords):
+    decode = getattr(codec, "decode_reference", codec.decode)
+    data, status, corrected = columns([decode(int(cw)) for cw in codewords])
     batch = codec.decode_batch(codewords)
-    data, status, corrected = scalar_decode(codec, codewords)
-    np.testing.assert_array_equal(batch.data, data)
-    np.testing.assert_array_equal(batch.status, status)
-    np.testing.assert_array_equal(batch.corrected_bits, corrected)
+    scalar = columns([codec.decode(int(cw)) for cw in codewords])
+    for got in ((batch.data, batch.status, batch.corrected_bits), scalar):
+        np.testing.assert_array_equal(got[0], data)
+        np.testing.assert_array_equal(got[1], status)
+        np.testing.assert_array_equal(got[2], corrected)
+
+
+def flip_random_bits(codec, codewords, counts, rng):
+    """XOR ``counts[i]`` distinct random bit positions into word ``i``."""
+    out = codewords.copy()
+    for i, k in enumerate(counts):
+        for bit in rng.choice(codec.code_bits, size=int(k), replace=False):
+            out[i] ^= np.uint64(1) << np.uint64(bit)
+    return out
 
 
 @pytest.fixture(scope="module", params=[SecdedCodec, BchCodec, ParityCodec])
@@ -55,18 +80,16 @@ class TestEncodeBatch:
         words = rng.integers(
             0, 1 << codec.data_bits, size=4096, dtype=np.uint64
         )
-        np.testing.assert_array_equal(
-            codec.encode_batch(words), scalar_encode(codec, words)
-        )
+        assert_encoders_match_reference(codec, words)
 
     def test_matches_scalar_on_boundary_words(self, codec):
+        top = (1 << codec.data_bits) - 1
         words = np.array(
-            [0, 1, (1 << codec.data_bits) - 1, 0xDEADBEEF & ((1 << codec.data_bits) - 1)],
+            [0, 1, top, top - 1, 1 << (codec.data_bits - 1),
+             0xDEADBEEF & top],
             dtype=np.uint64,
         )
-        np.testing.assert_array_equal(
-            codec.encode_batch(words), scalar_encode(codec, words)
-        )
+        assert_encoders_match_reference(codec, words)
 
     def test_rejects_oversized_words(self, codec):
         with pytest.raises(ValueError):
@@ -80,9 +103,8 @@ class TestEncodeBatch:
     ))
     @settings(max_examples=50, deadline=None)
     def test_property_matches_scalar(self, codec, words):
-        arr = np.array(words, dtype=np.uint64)
-        np.testing.assert_array_equal(
-            codec.encode_batch(arr), scalar_encode(codec, arr)
+        assert_encoders_match_reference(
+            codec, np.array(words, dtype=np.uint64)
         )
 
 
@@ -105,15 +127,14 @@ class TestDecodeBatch:
         # Flip 0..3 random bits per word — spans clean, correctable and
         # detected outcomes for every codec under test.
         n_flips = rng.integers(0, 4, size=codewords.size)
-        for i, k in enumerate(n_flips):
-            for bit in rng.choice(codec.code_bits, size=int(k), replace=False):
-                codewords[i] ^= np.uint64(1) << np.uint64(bit)
-        assert_batch_matches_scalar(codec, codewords)
+        assert_decoders_match_reference(
+            codec, flip_random_bits(codec, codewords, n_flips, rng)
+        )
 
 
 class TestSecdedExhaustivePatterns:
     def test_all_single_and_double_error_patterns(self):
-        """Every <= 2-bit pattern on one codeword, batch vs scalar."""
+        """Every <= 2-bit pattern on one codeword, both paths vs reference."""
         codec = SecdedCodec()
         base = codec.encode(0xCAFEF00D)
         patterns = [0]
@@ -122,8 +143,26 @@ class TestSecdedExhaustivePatterns:
             (1 << i) | (1 << j)
             for i, j in itertools.combinations(range(39), 2)
         ]
+        assert len(patterns) == 1 + 39 + 741
         codewords = np.uint64(base) ^ np.array(patterns, dtype=np.uint64)
-        assert_batch_matches_scalar(codec, codewords)
+        assert_decoders_match_reference(codec, codewords)
+
+    @given(
+        data=st.integers(min_value=0, max_value=2**32 - 1),
+        bits=st.lists(
+            st.integers(min_value=0, max_value=38),
+            min_size=3, max_size=3, unique=True,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_triple_error_patterns(self, data, bits):
+        """Triples alias into miscorrections or misses — identically."""
+        codec = SecdedCodec()
+        pattern = sum(1 << bit for bit in bits)
+        codewords = np.array(
+            [codec.encode_reference(data) ^ pattern], dtype=np.uint64
+        )
+        assert_decoders_match_reference(codec, codewords)
 
     def test_single_errors_on_many_random_words(self):
         codec = SecdedCodec()
@@ -150,6 +189,20 @@ class TestBchPatterns:
             batch = codec.decode_batch(corrupted)
             np.testing.assert_array_equal(batch.data, words, err_msg=f"k={k}")
             np.testing.assert_array_equal(batch.corrected_bits, k)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_zero_to_t_plus_two_flips_match_reference(self, t):
+        """0..t+2 flips: clean, corrected, detected and miscorrected
+        words all decode exactly as the per-bit reference does."""
+        codec = BchCodec(data_bits=32, t=t)
+        rng = np.random.default_rng(10 + t)
+        for k in range(t + 3):
+            words = rng.integers(0, 1 << 32, size=64, dtype=np.uint64)
+            codewords = flip_random_bits(
+                codec, reference_encode(codec, words),
+                np.full(words.size, k), rng,
+            )
+            assert_decoders_match_reference(codec, codewords)
 
 
 class TestBatchResultApi:

@@ -151,6 +151,68 @@ class TestPorts:
             port.read(0)
 
 
+def _corrupted_codewords(codec, flips, n=256, seed=7):
+    """``n`` random codewords of ``codec`` with ``flips`` bits flipped."""
+    rng = np.random.default_rng(seed + flips)
+    codewords = codec.encode_batch(
+        rng.integers(0, 1 << codec.data_bits, size=n, dtype=np.uint64)
+    )
+    for i in range(n):
+        for bit in rng.choice(codec.code_bits, size=flips, replace=False):
+            codewords[i] ^= np.uint64(1) << np.uint64(bit)
+    return codewords
+
+
+class TestDetectOnlyBatch:
+    @pytest.mark.parametrize("flips", [0, 1, 2, 3])
+    def test_batch_matches_scalar(self, flips):
+        from repro.ecc.base import status_code
+
+        codec = DetectOnlyCodec(SecdedCodec())
+        codewords = _corrupted_codewords(codec, flips)
+        batch = codec.decode_batch(codewords)
+        scalar = [codec.decode(int(cw)) for cw in codewords]
+        assert batch.data.tolist() == [r.data for r in scalar]
+        assert batch.status.tolist() == [
+            status_code(r.status) for r in scalar
+        ]
+        assert batch.corrected_bits.tolist() == [0] * len(scalar)
+        assert batch.status.dtype == np.uint8
+        assert batch.corrected_bits.dtype == np.int64
+        assert bool(batch.ok.all()) is (flips == 0)
+
+    def test_decode_batch_does_not_call_decode(self, monkeypatch):
+        codec = DetectOnlyCodec(SecdedCodec())
+        codewords = _corrupted_codewords(codec, 1, n=8)
+
+        def per_word(self, codeword):
+            raise AssertionError("decode_batch fell back to decode()")
+
+        monkeypatch.setattr(DetectOnlyCodec, "decode", per_word)
+        monkeypatch.setattr(SecdedCodec, "decode", per_word)
+        assert not bool(codec.decode_batch(codewords).ok.any())
+
+    def test_records_only_under_its_own_name(self):
+        from repro.obs import names, scoped_metrics
+
+        codec = DetectOnlyCodec(SecdedCodec())
+        codewords = np.concatenate([
+            _corrupted_codewords(codec, 0, n=5),
+            _corrupted_codewords(codec, 1, n=3),
+        ])
+        with scoped_metrics() as registry:
+            codec.decode_batch(codewords, record=False)
+            assert registry.snapshot().counters == {}
+            codec.decode_batch(codewords)
+        counters = registry.snapshot().counters
+        assert counters == {
+            names.ecc_metric("DetectOnlyCodec", "decoded_words"): 8,
+            names.ecc_metric("DetectOnlyCodec", "clean"): 5,
+            names.ecc_metric("DetectOnlyCodec", "corrected"): 0,
+            names.ecc_metric("DetectOnlyCodec", "detected"): 3,
+        }
+
+
 class TestPlatformEnergyModel:
     def _model(self, specs=None):
         specs = specs or [

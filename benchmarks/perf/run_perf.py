@@ -12,10 +12,12 @@ References: the SECDED and BCH codecs run their scalar ``encode`` /
 ``decode`` through the same tables as their batch kernels, so every
 speedup gate divides the time of the per-bit ``encode_reference`` /
 ``decode_reference`` bodies (codec sections) or of ``Cpu.run`` with
-codec ports pinned to those bodies (platform and SIMD sections).  The
-gated fields keep their names and meaning across history; the
-table-driven scalar timings sit next to them as ``*_table_*`` and
-``cpu_run_*`` fields.
+codec ports pinned to those bodies (platform and SIMD sections).  That
+oracle also keeps OCEAN's checkpoint and rollback copies on per-word
+port loops, so the engines' block copies are checked against an
+independent path.  The gated fields keep their names and meaning
+across history; the table-driven scalar timings sit next to them as
+``*_table_*`` and ``cpu_run_*`` fields.
 
 Run directly::
 
@@ -62,6 +64,7 @@ from repro.mitigation import (  # noqa: E402
     OceanRunner,
     SecdedRunner,
 )
+from repro.mitigation.ocean import COPY_CYCLES_PER_WORD  # noqa: E402
 from repro.analysis.campaign import run_campaign  # noqa: E402
 from repro.resilience import ChaosPolicy  # noqa: E402
 from repro.soc.simd import run_lane_block  # noqa: E402
@@ -422,19 +425,41 @@ def _reference_codec(codec):
     return codec
 
 
+class _PerWordOceanCopies:
+    """OCEAN's software checkpoint and rollback copies, one port call
+    per word — the loops the ports' block transfers replace.  (The
+    harness runs OCEAN without the DMA engine.)"""
+
+    def _checkpoint(self, platform, base, words):
+        chunk = [platform.sp_port.read(base + i) for i in range(words)]
+        for i, value in enumerate(chunk):
+            platform.pm_port.write(i, value)
+        return 2 * words * COPY_CYCLES_PER_WORD
+
+    def _restore(self, platform, base, words):
+        for i in range(words):
+            platform.sp_port.write(base + i, platform.pm_port.read(i))
+        return 2 * words * COPY_CYCLES_PER_WORD
+
+
 def _scalar(runner_cls, reference_codecs: bool = True):
     """``runner_cls`` with its platforms pinned to the ``Cpu.run`` oracle.
 
     Runners leave the engine to the platform, which picks the fast lane
     for their stock ports; baselines bind the scalar interpreter
     instead, through the same ``bind_engine`` seam the lane block uses.
-    With ``reference_codecs`` (the default) every codec port also runs
-    the per-bit reference bodies instead of the shared tables, so the
-    oracle shares no codec kernel with the engines it checks and times
-    the same code the speedup gates always divided.
+    OCEAN's checkpoint and rollback copies run as per-word port loops
+    (:class:`_PerWordOceanCopies`).  With ``reference_codecs`` (the
+    default) every codec port also runs the per-bit reference bodies
+    instead of the shared tables, so the oracle shares no codec kernel
+    with the engines it checks and times the same code the speedup
+    gates always divided.
     """
+    bases = (runner_cls,)
+    if issubclass(runner_cls, OceanRunner):
+        bases = (_PerWordOceanCopies, runner_cls)
 
-    class ScalarRunner(runner_cls):
+    class ScalarRunner(*bases):
         def build_platform(self, vdd):
             platform = super().build_platform(vdd)
             platform.bind_engine(platform.cpu.run)
@@ -614,7 +639,10 @@ def bench_simd(
     compares aggregate instructions/s over the same seeds.  The first
     ``cpu_run_seeds`` seeds also run through ``Cpu.run`` with the stock
     table-driven codecs (verified against the oracle too): the baseline
-    rate of ``speedup_vs_cpu_run``.
+    rate of ``speedup_vs_cpu_run``.  Every seed also runs one by one on
+    the platform's own engine, the fast lane (verified too): the
+    baseline of the ungated ``speedup_vs_fast_lane``, the number that
+    says at which lane count a block beats running its lanes serially.
     """
     program = build_fft_program(fft_points)
     workload = program.workload
@@ -650,6 +678,20 @@ def bench_simd(
     t_cpu_run = time.perf_counter() - start
     cpu_run_ips = cpu_run_instructions / t_cpu_run
 
+    fast_exact = True
+    fast_instructions = 0
+    start = time.perf_counter()
+    for index in range(n_max):
+        runner = SecdedRunner(ACCESS_CELL_BASED_40NM, seed=seed_base + index)
+        outcome = runner.run(workload, vdd, 25e6)
+        fast_instructions += outcome.sim.instructions
+        fast_exact &= (
+            outcome == oracle[index][0]
+            and _platform_rng_states(runner) == oracle[index][1]
+        )
+    t_fast = time.perf_counter() - start
+    fast_ips = fast_instructions / t_fast
+
     configs = []
     for lanes in lane_counts:
         runners = [
@@ -679,6 +721,7 @@ def bench_simd(
                 "aggregate_ips": ips,
                 "speedup_vs_scalar": ips / scalar_ips,
                 "speedup_vs_cpu_run": ips / cpu_run_ips,
+                "speedup_vs_fast_lane": ips / fast_ips,
             }
         )
     return {
@@ -693,6 +736,9 @@ def bench_simd(
         "cpu_run_s": t_cpu_run,
         "cpu_run_ips": cpu_run_ips,
         "cpu_run_bit_exact": bool(cpu_run_exact),
+        "fast_lane_s": t_fast,
+        "fast_lane_ips": fast_ips,
+        "fast_lane_bit_exact": bool(fast_exact),
         # Non-vacuousness record: the worst-case access model at this
         # sub-Vmin supply injects real faults, so bit_exact covers the
         # divergence/slow-path machinery, not just the clean path.
@@ -1019,6 +1065,7 @@ def main() -> int:
         "simd_bit_exact": (
             all(c["bit_exact"] for c in simd_configs)
             and results["simd"]["cpu_run_bit_exact"]
+            and results["simd"]["fast_lane_bit_exact"]
         ),
         "simd_256_10x": simd_256["speedup_vs_scalar"] >= 10.0,
         "simd_faults_observed": results["simd"]["scalar_injected_bits"] > 0,
@@ -1175,6 +1222,7 @@ def main() -> int:
             f"{'simd N=' + str(c['lanes']):>16}: "
             f"{c['speedup_vs_scalar']:6.1f}x aggregate "
             f"({c['speedup_vs_cpu_run']:.1f}x vs table-driven Cpu.run, "
+            f"{c['speedup_vs_fast_lane']:.2f}x vs fast lane, "
             f"{c['aggregate_ips'] / 1e6:.2f} Minstr/s, "
             f"bit_exact={c['bit_exact']})"
         )

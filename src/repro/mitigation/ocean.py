@@ -40,7 +40,12 @@ from repro.soc.platform import (
     SystemFailure,
 )
 from repro.soc.dma import DmaEngine
-from repro.soc.ports import CodecPort, DetectOnlyCodec, UncorrectableError
+from repro.soc.ports import (
+    CodecPort,
+    DetectOnlyCodec,
+    UncorrectableError,
+    copy_block,
+)
 from repro.mitigation.base import SchemeRunner
 from repro.mitigation.secded import SECDED_CODEC_ENERGY_FACTOR
 
@@ -258,7 +263,11 @@ class OceanRunner(SchemeRunner):
 
         Two-phase: read everything first (a detected error while
         reading aborts the checkpoint and leaves the previous one
-        intact), then write the buffer.
+        intact), then write the buffer.  Both phases are port block
+        transfers — bit-exact with reading every word through
+        ``sp_port.read`` and then writing each through
+        ``pm_port.write``, but a fault-free run costs one batch decode
+        and one batch encode instead of a codec call per word.
         """
         if words > platform.pm.words:
             raise ValueError(
@@ -269,19 +278,23 @@ class OceanRunner(SchemeRunner):
             return self.dma.transfer(
                 platform.sp_port, base, platform.pm_port, 0, words
             )
-        chunk = [platform.sp_port.read(base + i) for i in range(words)]
-        for i, value in enumerate(chunk):
-            platform.pm_port.write(i, value)
+        chunk = platform.sp_port.read_block(base, words)
+        platform.pm_port.write_block(0, chunk)
         return 2 * words * COPY_CYCLES_PER_WORD
 
     def _restore(self, platform: Platform, base: int, words: int) -> int:
-        """Copy the chunk PM -> SP; returns modelled SW cycles."""
+        """Copy the chunk PM -> SP; returns modelled SW cycles.
+
+        Word-interleaved (:func:`~repro.soc.ports.copy_block`): bit-exact
+        with writing each SP word as soon as its PM word is read, so an
+        uncorrectable PM word raises with the SP words before it already
+        restored.  The DMA path copies two-phase instead.
+        """
         if self.dma is not None:
             return self.dma.transfer(
                 platform.pm_port, 0, platform.sp_port, base, words
             )
-        for i in range(words):
-            platform.sp_port.write(base + i, platform.pm_port.read(i))
+        copy_block(platform.pm_port, 0, platform.sp_port, base, words)
         return 2 * words * COPY_CYCLES_PER_WORD
 
     def execute(

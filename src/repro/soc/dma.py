@@ -10,7 +10,10 @@ OCEAN hardware keeps the checkpoint overhead low.
 
 The engine copies through memory *ports*, so ECC encode/decode happens
 exactly as it would on the real datapath (and a detected error during
-a DMA checkpoint surfaces the same way as a CPU-detected one).
+a DMA checkpoint surfaces the same way as a CPU-detected one).  It
+moves each phase with the ports' block transfers
+(:class:`~repro.soc.ports.BlockTransfers`), which settle fault-free
+runs in bulk and are bit-exact with a per-word copy.
 """
 
 from __future__ import annotations
@@ -76,13 +79,15 @@ class DmaEngine:
 
         Reads the whole block before writing (two-phase), so a detected
         error during the read phase leaves the destination untouched —
-        the property OCEAN's checkpoint commit relies on.
+        the property OCEAN's checkpoint commit relies on.  Both phases
+        are port block transfers: bit-exact with reading every word
+        through ``source_port.read`` and then writing each through
+        ``dest_port.write``, down to the access that raises.
         """
         if words <= 0:
             raise ValueError(f"words must be positive, got {words}")
-        block = [source_port.read(source_base + i) for i in range(words)]
-        for i, value in enumerate(block):
-            dest_port.write(dest_base + i, value)
+        block = source_port.read_block(source_base, words)
+        dest_port.write_block(dest_base, block)
         cycles = self.setup_cycles + words * self.cycles_per_word
         if self.bus is not None:
             waited, _ = self.bus.request(

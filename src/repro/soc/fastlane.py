@@ -39,15 +39,25 @@ Bit-exactness contract (checked by the differential fuzzer in
 
 Cache invalidation keys off :attr:`FaultyMemory.version`, which bumps
 on every content mutation (stores, destructive read upsets, scrubs,
-back-door pokes/loads/restores, DMA): a version mismatch at burst
-entry drops the whole cached view, so external mutation — OCEAN
-rollback traffic, ``force_next``, ``set_vdd``, self-modifying tests —
-can never be observed stale.
+back-door pokes/loads/restores, DMA).  Two rules, shared with the
+lockstep :class:`~repro.soc.simd.LaneBlock`:
+
+* **Slow steps re-derive only what they touched.**  A faithful step
+  (:func:`slow_step`) mutates at most one word per memory: the fetched
+  IM word (a read upset or its scrub) and the one SP word its LW/SW or
+  scrub touched.  The memory records that address
+  (:attr:`FaultyMemory.mutated_address`) — taken from the memory, not
+  from the predecoded entry, because on a :class:`RawPort` a faulted
+  fetch can execute a different instruction than the view holds — and
+  the engine resets just that view cell, keeping the rest.
+* **Everything else drops the whole view.**  A version mismatch at
+  burst entry means a mutation the engine did not make itself —
+  controller traffic between YIELDs (OCEAN restores), loads, pokes,
+  ``force_next`` fallout — so the cached view is discarded and can
+  never be observed stale.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.ecc.base import DecodeStatus
 from repro.obs.profile import active_profiler
@@ -59,21 +69,17 @@ from repro.soc.cpu import (
     publish_tally,
 )
 from repro.soc.isa import IllegalInstruction
-from repro.soc.ports import CodecPort, RawPort
+from repro.soc.ports import BATCH_THRESHOLD, CodecPort, RawPort, poke_encoded
 
 _MASK32 = 0xFFFFFFFF
 
 #: IM-view marker for addresses whose stored word cannot be executed
-#: from the fast lane (non-CLEAN decode or illegal instruction): every
+#: from a clean view (non-CLEAN decode or illegal instruction): every
 #: fetch of such an address takes the faithful slow path.
-_BLOCKED: tuple = ()
+BLOCKED: tuple = ()
 
 #: SP-view marker with the same meaning (plain values are >= 0).
 _SP_BLOCKED = -1
-
-#: Dirty-store write-back switches to the vectorized codec path above
-#: this many distinct addresses.
-_BATCH_FLUSH_THRESHOLD = 16
 
 
 def lane_capable(platform) -> bool:
@@ -98,23 +104,65 @@ def lane_capable(platform) -> bool:
 def write_back(memory, codec, addresses, values) -> None:
     """Encode a clean view's dirty words and poke them into ``memory``.
 
-    ``values`` holds the plain words of ``addresses`` (Python ints).
-    Back-door pokes, because counters and fault samples were already
-    settled per executed store; the encode is the same transform the
-    per-access write path applies, vectorized for larger flushes.
+    :func:`~repro.soc.ports.poke_encoded` (counters and fault samples
+    were already settled per executed store), recorded as one engine
+    write-back for the profiler.
     """
-    count = len(addresses)
-    batched = codec is not None and count >= _BATCH_FLUSH_THRESHOLD
     profiler = active_profiler()
     if profiler.enabled:
-        profiler.record_writeback(count, batched)
-    if batched:
-        words = codec.encode_batch(np.array(values, dtype=np.uint64))
-        values = words.tolist()
-    elif codec is not None:
-        values = [codec.encode(value) for value in values]
-    for address, word in zip(addresses, values):
-        memory.poke(address, word)
+        profiler.record_writeback(
+            len(addresses),
+            codec is not None and len(addresses) >= BATCH_THRESHOLD,
+        )
+    poke_encoded(memory, codec, addresses, values)
+
+
+def im_entry(memory, codec, address):
+    """The predecoded entry of the stored IM word, if provably clean.
+
+    Peeks the word, decodes it through ``codec`` (if any) and
+    predecodes it; returns :data:`BLOCKED` when the word does not
+    decode CLEAN or is not a legal instruction.  Identical clean words
+    resolve to the *same* entry tuple (the predecode cache is keyed by
+    word value), which lets the lane block group lanes by identity.
+    """
+    raw = memory.peek(address)
+    if codec is not None:
+        result = codec.decode(raw)
+        if result.status is not DecodeStatus.CLEAN:
+            return BLOCKED
+        raw = result.data
+    try:
+        return predecode(raw)
+    except IllegalInstruction:
+        return BLOCKED
+
+
+def slow_step(cpu, im, sp, profiler=None):
+    """One faithful ``Cpu.step``, reporting the view cells it touched.
+
+    Returns ``(reason, im_cell, sp_cell)``: the step's stop reason
+    and, per memory, the address of the one word the step changed, or
+    ``None`` when that memory's version did not move (see the module
+    docstring for why one word and why the memory names it).  A view
+    that was in sync before the step stays exact after resetting just
+    those cells.  With a ``profiler``, the step is bracketed by
+    instruction/cycle deltas for slow-path residency, recorded even
+    when the step raises (``Cpu.step`` itself never profiles).
+    """
+    state = cpu.state
+    im_version, sp_version = im.version, sp.version
+    instructions, cycles = state.instructions, state.cycles
+    try:
+        reason = cpu.step()
+    finally:
+        if profiler is not None:
+            profiler.record_slow_path(
+                state.instructions - instructions, state.cycles - cycles
+            )
+    im_cell = im.mutated_address if im.version != im_version else None
+    sp_cell = sp.mutated_address if sp.version != sp_version else None
+    return reason, im_cell, sp_cell
 
 
 class FastLaneEngine:
@@ -155,12 +203,12 @@ class FastLaneEngine:
         """Run until HALT/YIELD, alternating bursts and slow steps.
 
         Raises exactly what :meth:`Cpu.run` would: every blocked
-        instruction replays through ``Cpu.step`` with all accounting
-        settled first, so exceptions carry identical messages and the
-        platform sees identical counter/RNG state.  With a live
-        profiler, each slow step is bracketed by instruction/cycle
-        deltas (``Cpu.step`` itself never profiles, so nothing is
-        double-counted).
+        instruction replays through ``Cpu.step`` (:func:`slow_step`)
+        with all accounting settled first, so exceptions carry
+        identical messages and the platform sees identical counter/RNG
+        state.  The views are in sync at every slow step (the burst
+        just synced them), so afterwards only the cells the step
+        touched are reset.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -169,22 +217,20 @@ class FastLaneEngine:
         profiler = active_profiler()
         if not profiler.enabled:
             profiler = None
+        im, sp = self._im, self._sp
         while True:
             stop = self._burst(executed_limit, max_instructions, profiler)
             if stop is not None:
                 return stop
             # The burst could not (or could no longer) make progress:
             # one faithful reference step handles the blocking access.
-            before_instructions = state.instructions
-            before_cycles = state.cycles
-            try:
-                reason = self._cpu.step()
-            finally:
-                if profiler is not None:
-                    profiler.record_slow_path(
-                        state.instructions - before_instructions,
-                        state.cycles - before_cycles,
-                    )
+            reason, im_cell, sp_cell = slow_step(self._cpu, im, sp, profiler)
+            if im_cell is not None:
+                self._im_entries[im_cell] = None
+                self._im_version = im.version
+            if sp_cell is not None:
+                self._sp_values[sp_cell] = None
+                self._sp_version = sp.version
             if reason is not None:
                 return reason
             if state.instructions >= executed_limit:
@@ -220,6 +266,7 @@ class FastLaneEngine:
         state = self._cpu.state
         regs = state.registers
         im_entries = self._im_entries
+        im_codec = self._im_codec
         sp_values = self._sp_values
         im_words = im.words
         sp_words = sp.words
@@ -253,8 +300,8 @@ class FastLaneEngine:
         while True:
             entry = im_entries[pc]
             if entry is None:
-                entry = self._im_fill(pc)
-            if entry is _BLOCKED or im_left < 1:
+                entry = im_entries[pc] = im_entry(im, im_codec, pc)
+            if entry is BLOCKED or im_left < 1:
                 break
             mem_kind = entry[7]
             if mem_kind == 0:
@@ -348,23 +395,6 @@ class FastLaneEngine:
     # ------------------------------------------------------------------
     # View population
     # ------------------------------------------------------------------
-    def _im_fill(self, address):
-        """Predecode the stored IM word if it is provably clean."""
-        raw = self._im.peek(address)
-        codec = self._im_codec
-        if codec is not None:
-            result = codec.decode(raw)
-            if result.status is not DecodeStatus.CLEAN:
-                self._im_entries[address] = _BLOCKED
-                return _BLOCKED
-            raw = result.data
-        try:
-            entry = predecode(raw)
-        except IllegalInstruction:
-            entry = _BLOCKED
-        self._im_entries[address] = entry
-        return entry
-
     def _sp_fill(self, address):
         """Mirror the stored SP word if it is provably clean."""
         raw = self._sp.peek(address)

@@ -83,6 +83,12 @@ class FaultyMemory:
         #: fast lane's predecoded IM and clean scratchpad mirrors —
         #: compare it to detect staleness without hooking every writer.
         self.version = 0
+        #: Address of the latest per-access mutation (a write or a
+        #: destructive read upset); back-door loads, pokes and restores
+        #: leave it alone.  A clean-view engine reads it after a faithful
+        #: slow step — which can mutate at most one word per memory — to
+        #: re-derive just that view cell.
+        self.mutated_address: int | None = None
 
     # ------------------------------------------------------------------
     # WordStore protocol (compatible with repro.ecc.wrapper)
@@ -103,6 +109,7 @@ class FaultyMemory:
                 value ^= mask
                 self._data[address] = value
                 self.version += 1
+                self.mutated_address = address
         return value
 
     def write(self, address: int, value: int) -> None:
@@ -118,30 +125,44 @@ class FaultyMemory:
             value ^= self.faults.sample_mask()
         self._data[address] = value
         self.version += 1
+        self.mutated_address = address
 
     # ------------------------------------------------------------------
     # Back-door access (loader / checker; no faults, no counters)
     # ------------------------------------------------------------------
     def load(self, words: list[int], base: int = 0) -> None:
-        """Bulk-load contents without faults or counter updates."""
+        """Bulk-load contents without faults or counter updates.
+
+        The whole batch is validated before any word is stored, so a
+        rejected load leaves the contents and :attr:`version` as they
+        were.
+        """
         if base < 0 or base + len(words) > self.words:
             raise MemoryAccessFault(
                 f"{self.name}: load of {len(words)} words at {base} "
                 f"exceeds capacity {self.words}"
             )
-        for offset, value in enumerate(words):
+        for value in words:
             if value < 0 or value >> self.width:
                 raise ValueError(
                     f"{self.name}: load value {value:#x} exceeds "
                     f"{self.width} bits"
                 )
-            self._data[base + offset] = value
+        self._data[base:base + len(words)] = words
         self.version += 1
 
     def peek(self, address: int) -> int:
         """Inspect a word without faults or counters."""
         self._check(address)
         return self._data[address]
+
+    def peek_block(self, base: int, count: int) -> list[int]:
+        """Inspect ``count`` consecutive words without faults or counters."""
+        if count < 1:
+            return []
+        self._check(base)
+        self._check(base + count - 1)
+        return self._data[base:base + count]
 
     def poke(self, address: int, value: int) -> None:
         """Set a word without faults or counters (test hook)."""

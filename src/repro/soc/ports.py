@@ -5,7 +5,10 @@ The CPU talks to memories through ports.  A :class:`RawPort` passes
 :class:`CodecPort` stores codewords and runs the codec on every access
 (the SECDED wrapper of Section V, or the BCH-protected OCEAN buffer).
 Ports also provide the fault-free back-door used to load programs and
-initial data and to inspect results.
+initial data and to inspect results, and block transfers
+(:meth:`BlockTransfers.read_block`, :meth:`BlockTransfers.write_block`,
+:func:`copy_block`) for the chunk copies of checkpoints, rollbacks and
+DMA.
 """
 
 from __future__ import annotations
@@ -23,8 +26,190 @@ from repro.ecc.base import (
 from repro.ecc.wrapper import CodecMemoryWrapper, UncorrectableError, WrapperStats
 from repro.soc.memory import FaultyMemory
 
+#: Runs of at least this many words take the vectorized codec paths
+#: (block transfers and the engines' dirty-store write-backs); shorter
+#: runs stay on the scalar codec.
+BATCH_THRESHOLD = 16
 
-class RawPort:
+
+def poke_encoded(memory: FaultyMemory, codec, addresses, values) -> None:
+    """Encode plain words and poke them into ``memory``.
+
+    ``values`` holds the plain words of ``addresses`` (Python ints).
+    Back-door pokes: the caller has already settled the counters and
+    fault samples of these writes.  The encode is the same transform
+    the per-access write path applies, vectorized for longer runs.
+    """
+    if codec is not None:
+        if len(values) >= BATCH_THRESHOLD:
+            values = codec.encode_batch(
+                np.array(values, dtype=np.uint64)
+            ).tolist()
+        else:
+            values = [codec.encode(value) for value in values]
+    for address, word in zip(addresses, values):
+        memory.poke(address, word)
+
+
+class BlockTransfers:
+    """Block reads and writes, shared by :class:`RawPort` and
+    :class:`CodecPort`.
+
+    Each method is bit-exact with the loop of per-word ``read`` /
+    ``write`` calls it replaces: returned values, stored words, access
+    counters, wrapper stats, RNG stream positions, fault events (and
+    their order) and exceptions all match.  What changes is how a run
+    of accesses that the fault engine guarantees clean is settled: in
+    bulk, with the gap read through ``clean_run_length`` (drawn only
+    when an access at that address is certain to follow), its
+    decrements through ``consume_clean``, the counters through
+    ``account_clean_*``, and the words through one batch decode
+    (``record=False``: the per-word path publishes no codec metrics)
+    or one encode-and-poke (:func:`poke_encoded`).  The access where a
+    fault lands, a stored word that does not decode CLEAN, and a value
+    or address the per-word path rejects each go through the port's
+    own ``read`` / ``write``, which reproduces correction, scrubbing,
+    detection and the exception exactly.
+    """
+
+    memory: FaultyMemory
+    codec: Codec | None
+
+    def read_block(self, base: int, count: int) -> list[int]:
+        """``[self.read(base + i) for i in range(count)]``, in bulk."""
+        values: list[int] = []
+        while len(values) < count:
+            clean = self._clean_reads(base + len(values), count - len(values))
+            if clean:
+                self._settle_reads(len(clean))
+                values += clean
+            if len(values) < count:
+                values.append(self.read(base + len(values)))
+        return values
+
+    def write_block(self, base: int, values: list[int]) -> None:
+        """``self.write(base + i, value)`` for each value, in bulk."""
+        done = 0
+        while done < len(values):
+            count = self._clean_writes(base + done, values[done:])
+            if count:
+                self._settle_writes(base + done, values[done:done + count])
+                done += count
+            if done < len(values):
+                self.write(base + done, values[done])
+                done += 1
+
+    # -- clean runs ------------------------------------------------------
+    def _clean_reads(self, address: int, limit: int) -> list[int]:
+        """Data of the next reads from ``address`` that are sure to be clean.
+
+        At most ``limit`` words, cut at the end of the memory, at the
+        access the fault engine will upset, and before the first stored
+        word that does not decode CLEAN.  Settles nothing; the caller
+        reads ``address`` next, in bulk or per word.
+        """
+        memory = self.memory
+        limit = min(limit, memory.words - address)
+        if address < 0 or limit < 1:
+            return []
+        if memory.faults is not None:
+            limit = min(limit, memory.faults.clean_run_length())
+            if limit < 1:
+                return []
+        words = memory.peek_block(address, limit)
+        codec = self.codec
+        if codec is None:
+            return words
+        if limit < BATCH_THRESHOLD:
+            data = []
+            for word in words:
+                result = codec.decode(word)
+                if result.status is not DecodeStatus.CLEAN:
+                    break
+                data.append(result.data)
+            return data
+        batch = codec.decode_batch(
+            np.array(words, dtype=np.uint64), record=False
+        )
+        blocked = np.flatnonzero(batch.status != STATUS_CLEAN)
+        end = int(blocked[0]) if blocked.size else limit
+        return batch.data[:end].tolist()
+
+    def _clean_writes(self, address: int, values: list[int]) -> int:
+        """How many of ``values`` can be written from ``address`` surely clean.
+
+        Cut at the end of the memory, before the first value the
+        per-word path rejects, and at the write the fault engine will
+        upset.  The gap is drawn only when the first write is certain
+        to reach the memory.
+        """
+        memory = self.memory
+        count = min(len(values), memory.words - address)
+        if address < 0 or count < 1:
+            return 0
+        width = memory.width if self.codec is None else self.codec.data_bits
+        head = values[:count]
+        if min(head) < 0 or max(head) >> width:
+            count = next(
+                i for i, value in enumerate(head)
+                if value < 0 or value >> width
+            )
+            if count < 1:
+                return 0
+        if memory.faults is not None and memory.fault_on_write:
+            count = min(count, memory.faults.clean_run_length())
+        return count
+
+    def _settle_reads(self, count: int) -> None:
+        if self.memory.faults is not None:
+            self.memory.faults.consume_clean(count)
+        self.account_clean_reads(count)
+
+    def _settle_writes(self, address: int, values: list[int]) -> None:
+        memory = self.memory
+        if memory.faults is not None and memory.fault_on_write:
+            memory.faults.consume_clean(len(values))
+        self.account_clean_writes(len(values))
+        poke_encoded(
+            memory, self.codec, range(address, address + len(values)), values
+        )
+
+
+def copy_block(
+    source: BlockTransfers,
+    source_base: int,
+    dest: BlockTransfers,
+    dest_base: int,
+    count: int,
+) -> None:
+    """``dest.write(dest_base + i, source.read(source_base + i))`` for
+    each ``i``, in bulk.
+
+    Word-interleaved like that loop: a run is settled in bulk only
+    where both the read and the write are sure to be clean, so fault
+    events keep their order and a read that raises leaves exactly the
+    preceding words written.  Two ports over one memory share one
+    gap and may overlap, so their copies run word by word.
+    """
+    bulk = source.memory is not dest.memory
+    done = 0
+    while done < count:
+        data = (
+            source._clean_reads(source_base + done, count - done)
+            if bulk else []
+        )
+        # A clean read at ``done`` makes the write there certain.
+        written = dest._clean_writes(dest_base + done, data) if data else 0
+        if written:
+            source._settle_reads(written)
+            dest._settle_writes(dest_base + done, data[:written])
+            done += written
+        if done < count:
+            dest.write(dest_base + done, source.read(source_base + done))
+            done += 1
+
+
+class RawPort(BlockTransfers):
     """Unprotected 32-bit port: bit flips pass silently to the core."""
 
     #: Uniform interface with :class:`CodecPort` (no codec attached).
@@ -64,7 +249,7 @@ class RawPort:
         self.memory.counters.writes += count
 
 
-class CodecPort:
+class CodecPort(BlockTransfers):
     """ECC-wrapped port: encode on write, decode (and count) on read.
 
     ``raise_on_detect`` mirrors :class:`CodecMemoryWrapper`: SECDED
@@ -180,8 +365,12 @@ class DetectOnlyCodec(Codec):
 
 
 __all__ = [
+    "BATCH_THRESHOLD",
+    "BlockTransfers",
     "RawPort",
     "CodecPort",
     "DetectOnlyCodec",
     "UncorrectableError",
+    "copy_block",
+    "poke_encoded",
 ]

@@ -33,6 +33,14 @@ fast lane's machinery for this (see :mod:`repro.soc.fastlane`):
 * **Stores.**  Vector stores land in the per-lane view rows and are
   encoded (batched across addresses) and written back before anything
   can observe the lane's memory.
+* **Invalidation.**  The fast lane's two rules, per lane: a slow step
+  resets only the view cells it touched (the fetched IM word, clearing
+  the lane's straight-line run memo with it, and the one SP word its
+  LW/SW or scrub touched), via the shared
+  :func:`~repro.soc.fastlane.slow_step`; any other mutation of a lane's
+  memories (controller traffic between services) drops that lane's
+  whole view.  The IM view is filled by the shared
+  :func:`~repro.soc.fastlane.im_entry`.
 
 Lane-facing ECC work is vectorized across lanes as well: scratchpad
 view fills gather each lane's raw word and decode them through one
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ecc.base import DecodeStatus, STATUS_CLEAN
+from repro.ecc.base import STATUS_CLEAN
 from repro.obs import active_metrics, names
 from repro.obs.profile import active_profiler, pow2_bucket, ratio_bucket
 from repro.soc.cpu import (
@@ -61,7 +69,13 @@ from repro.soc.cpu import (
     predecode,
     publish_tally,
 )
-from repro.soc.fastlane import lane_capable, write_back
+from repro.soc.fastlane import (
+    BLOCKED,
+    im_entry,
+    lane_capable,
+    slow_step,
+    write_back,
+)
 from repro.soc.isa import NUM_REGISTERS, IllegalInstruction
 from repro.soc.memory import MemoryAccessFault
 from repro.soc.platform import DetectedError
@@ -73,9 +87,6 @@ _M32 = _U64(0xFFFFFFFF)
 _M32_I = _I64(0xFFFFFFFF)
 _SIGN32 = _I64(0x80000000)
 _TWO32 = _I64(0x100000000)
-
-#: IM-view marker for words that cannot be executed vectorized.
-_BLOCKED: tuple = ()
 
 #: Fault budget not yet read from the lane's fault model.
 _UNDRAWN = -1
@@ -355,8 +366,10 @@ class LaneBlock:
                 for i, lane in enumerate(group):
                     entry = im_entries[lane][pcmin]
                     if entry is None:
-                        entry = self._im_fill(lane, pcmin)
-                    if entry is _BLOCKED:
+                        entry = im_entries[lane][pcmin] = im_entry(
+                            self._im_mems[lane], self._im_codec, pcmin
+                        )
+                    if entry is BLOCKED:
                         slow.append(lane)
                         continue
                     # A fetch of pcmin definitely follows (vectorized
@@ -623,7 +636,9 @@ class LaneBlock:
         while address < end:
             cell = row[address]
             if cell is None:
-                cell = self._im_fill(lane, address)
+                cell = row[address] = im_entry(
+                    self._im_mems[lane], self._im_codec, address
+                )
             if cell is not clean[address]:
                 break
             address += 1
@@ -761,28 +776,6 @@ class LaneBlock:
     # ------------------------------------------------------------------
     # View population
     # ------------------------------------------------------------------
-    def _im_fill(self, lane, address):
-        """Predecode a lane's stored IM word if it is provably clean.
-
-        Identical clean words across lanes resolve to the *same* cached
-        entry tuple (the predecode cache is keyed by word value), which
-        is what lets the scheduler group lanes by entry identity.
-        """
-        raw = self._im_mems[lane].peek(address)
-        codec = self._im_codec
-        if codec is not None:
-            result = codec.decode(raw)
-            if result.status is not DecodeStatus.CLEAN:
-                self._im_entries[lane][address] = _BLOCKED
-                return _BLOCKED
-            raw = result.data
-        try:
-            entry = predecode(raw)
-        except IllegalInstruction:
-            entry = _BLOCKED
-        self._im_entries[lane][address] = entry
-        return entry
-
     def _fill_sp(self, idx, address) -> None:
         """Fill unknown SP view cells, decoding all lanes in one batch."""
         raws = np.fromiter(
@@ -810,29 +803,30 @@ class LaneBlock:
     def _slow_step(self, lane, profiler=None) -> None:
         """Settle the lane and replay one instruction via ``Cpu.step``.
 
-        With a profiler, the step is bracketed by instruction/cycle
-        deltas for slow-path residency (``Cpu.step`` itself never
-        profiles, so nothing is double-counted); the delta is recorded
-        even when the step raises.
+        The lane's views are in sync before the step (settling flushed
+        its stores), so afterwards only the cells the step touched are
+        reset (see :func:`~repro.soc.fastlane.slow_step`, which also
+        records slow-path residency with a profiler).  A step that
+        raises leaves the versions moved, and the lane's next sync
+        drops its whole view.
         """
         self._settle(lane)
-        platform = self._platforms[lane]
-        state = platform.cpu.state
-        before_instructions = state.instructions
-        before_cycles = state.cycles
+        im, sp = self._im_mems[lane], self._sp_mems[lane]
         try:
-            try:
-                reason = platform.cpu.step()
-            finally:
-                if profiler is not None:
-                    profiler.record_slow_path(
-                        state.instructions - before_instructions,
-                        state.cycles - before_cycles,
-                    )
+            reason, im_cell, sp_cell = slow_step(
+                self._platforms[lane].cpu, im, sp, profiler
+            )
         except _STEP_ERRORS as exc:
             self._events_dirty = True
             self._events[lane] = ("raise", exc)
             return
+        if im_cell is not None:
+            self._im_entries[lane][im_cell] = None
+            self._im_runs[lane] = [-1] * self._im_words
+            self._im_version[lane] = im.version
+        if sp_cell is not None:
+            self._sp_state[lane, sp_cell] = _SP_UNKNOWN
+            self._sp_version[lane] = sp.version
         self._sync_in(lane)
         if reason is not None:
             self._events_dirty = True

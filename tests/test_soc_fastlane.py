@@ -26,6 +26,7 @@ from repro.soc.faults import VoltageFaultModel
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform, SystemFailure
 from repro.soc.ports import CodecPort, RawPort
+from repro.soc.simd import LaneBlock
 from repro.workloads.fft import build_fft_program
 
 from tests.test_soc_fuzz import _scalar_runner
@@ -337,3 +338,226 @@ def test_dected_runner_runs_fast_lane_bit_exact():
     assert fast.sim == ref.sim
     assert fast.output == ref.output
     assert fast_rng == ref_rng
+
+
+# ---------------------------------------------------------------------------
+# Precise invalidation: a slow step re-derives only the cells it touched
+# ---------------------------------------------------------------------------
+class _CountingSecded(SecdedCodec):
+    """SECDED that records every codeword it decodes.  ``lane_capable``
+    checks the port type, not the codec type, so both clean-view
+    engines still run over it."""
+
+    def __init__(self):
+        super().__init__()
+        self.decoded = []
+
+    def decode(self, codeword):
+        self.decoded.append(codeword)
+        return super().decode(codeword)
+
+    def decode_batch(self, codewords, record=True):
+        self.decoded.extend(int(word) for word in codewords)
+        return super().decode_batch(codewords, record=record)
+
+
+# Three SP loads and a yield per iteration.  Addresses: 0 init,
+# 1-3 loads, 4 add, 5 yield, 6 decrement, 7 branch, 8 halt.
+_READ_LOOP = assemble("""
+    addi r2, r0, 12
+loop:
+    lw   r3, r0, 8
+    lw   r5, r0, 9
+    lw   r6, r0, 10
+    add  r4, r4, r3
+    yield
+    addi r2, r2, -1
+    bne  r2, r0, loop
+    halt
+""")
+_SP_DATA = [0] * 8 + [0x1111, 0x2222, 0x3333]
+
+
+def _counting_platform(scalar=False):
+    """SECDED platform over counting codecs; no random faults (only
+    the forced masks a test queues)."""
+    im_codec, sp_codec = _CountingSecded(), _CountingSecded()
+    width = im_codec.code_bits
+    memories = [
+        FaultyMemory(name, _IM_WORDS, width, faults=VoltageFaultModel(
+            _MODEL, width, 0.6, rng=np.random.default_rng(salt)
+        ))
+        for salt, name in enumerate(("IM", "SP"))
+    ]
+    im, sp = memories
+    platform = Platform(
+        im, CodecPort(im, im_codec, auto_scrub=True),
+        sp, CodecPort(sp, sp_codec, auto_scrub=True),
+    )
+    if scalar:
+        platform.bind_engine(platform.cpu.run)
+    platform.load_program(_READ_LOOP)
+    platform.load_data(_SP_DATA)
+    return platform, im_codec, sp_codec
+
+
+def _upset(memory, address, mask, step):
+    """Queue ``mask`` for the next access of ``memory``, run ``step``,
+    and return the upset word as stored by that access."""
+    memory.faults.force_next(mask)
+    corrupted = memory.peek(address) ^ mask
+    step()
+    assert memory.faults.injected_events == 1
+    return corrupted
+
+
+def test_slow_step_re_derives_only_the_upset_im_word():
+    """A forced IM upset on a warm fast lane: the faulted fetch decodes
+    the corrupted word once (slow step), and the next pass re-decodes
+    exactly that one scrubbed word — no other IM cell."""
+    fast, im_codec, _ = _counting_platform()
+    reference, _, _ = _counting_platform(scalar=True)
+    for platform in (fast, reference):
+        for _ in range(2):  # warm: every loop address is cached
+            assert platform.run_until_stop() is StopReason.YIELD
+    im_codec.decoded.clear()
+    corrupted = _upset(fast.im, 6, 1 << 3, fast.run_until_stop)
+    assert fast.run_until_stop() is StopReason.YIELD
+    assert im_codec.decoded == [corrupted, fast.im.peek(6)]
+    reference.im.faults.force_next(1 << 3)
+    for _ in range(2):
+        reference.run_until_stop()
+    _assert_same(reference, fast)
+
+
+def test_slow_step_re_derives_only_the_upset_sp_word():
+    """A forced SP upset on a warm fast lane: only the upset word is
+    decoded again (slow step, then one refill of its scrubbed form);
+    the other cached SP words are not."""
+    fast, _, sp_codec = _counting_platform()
+    reference, _, _ = _counting_platform(scalar=True)
+    for platform in (fast, reference):
+        for _ in range(2):
+            assert platform.run_until_stop() is StopReason.YIELD
+    sp_codec.decoded.clear()
+    corrupted = _upset(fast.sp, 8, 1 << 2, fast.run_until_stop)
+    assert fast.run_until_stop() is StopReason.YIELD
+    assert sp_codec.decoded == [corrupted, fast.sp.peek(8)]
+    reference.sp.faults.force_next(1 << 2)
+    for _ in range(2):
+        reference.run_until_stop()
+    _assert_same(reference, fast)
+
+
+def _lane_round(block, platforms):
+    block.demand(range(len(platforms)))
+    for platform in platforms:
+        assert platform.run_until_stop() is StopReason.YIELD
+
+
+@pytest.mark.parametrize("memory", ["im", "sp"])
+@pytest.mark.parametrize("lane", [0, 1, 2])
+def test_lane_slow_step_re_derives_only_the_upset_word(memory, lane):
+    """The same rule per lane of a lane block: one forced upset in one
+    lane re-decodes that lane's one word, and no other lane's view
+    moves.  (View fills decode through the first lane's codec, slow
+    steps through each lane's own port codec: the count is over all.)"""
+    built = [_counting_platform() for _ in range(3)]
+    platforms = [platform for platform, _, _ in built]
+    codecs = [im if memory == "im" else sp for _, im, sp in built]
+    block = LaneBlock(platforms, program_words=list(_READ_LOOP))
+    try:
+        for _ in range(2):
+            _lane_round(block, platforms)
+        for codec in codecs:
+            codec.decoded.clear()
+        target = getattr(platforms[lane], memory)
+        address = 6 if memory == "im" else 8
+        corrupted = _upset(
+            target, address, 1 << 3,
+            lambda: _lane_round(block, platforms),
+        )
+        _lane_round(block, platforms)
+    finally:
+        block.close()
+    decoded = sorted(word for codec in codecs for word in codec.decoded)
+    assert decoded == sorted([corrupted, target.peek(address)])
+
+
+# A loop whose body after the yield is a straight-line ALU run
+# (addresses 2-4), which the lane block commits as one batch.
+_RUN_LOOP = assemble("""
+    addi r2, r0, 9
+loop:
+    yield
+    addi r2, r2, -1
+    add  r4, r4, r2
+    xor  r5, r4, r2
+    lw   r3, r0, 8
+    bne  r2, r0, loop
+    halt
+""")
+#: Upset of the stored word at address 3: ``add r4, r4, r2`` becomes
+#: ``add r4, r4, r3``, a different legal instruction.
+_RUN_UPSET = _RUN_LOOP[3] ^ assemble("add r4, r4, r3")[0]
+
+
+def _raw_platform(scalar=False):
+    memories = [
+        FaultyMemory(name, _IM_WORDS, 32, faults=VoltageFaultModel(
+            _MODEL, 32, 0.6, rng=np.random.default_rng(salt)
+        ))
+        for salt, name in enumerate(("IM", "SP"))
+    ]
+    im, sp = memories
+    platform = Platform(im, RawPort(im), sp, RawPort(sp))
+    if scalar:
+        platform.bind_engine(platform.cpu.run)
+    platform.load_program(_RUN_LOOP)
+    platform.load_data([0] * 8 + [7])
+    return platform
+
+
+def _rounds(platforms, block, count=None):
+    """Run every platform to its next stop, ``count`` times or until
+    all have halted (a lane block advances its lanes together)."""
+    pending = list(range(len(platforms)))
+    done = 0
+    while pending and (count is None or done < count):
+        if block is not None:
+            block.demand(pending)
+        pending = [
+            lane for lane in pending
+            if platforms[lane].run_until_stop() is StopReason.YIELD
+        ]
+        done += 1
+
+
+@pytest.mark.parametrize("lane", [None, 0, 1, 2])
+def test_raw_im_upset_inside_a_cached_run_executes_the_new_word(lane):
+    """On a RawPort a fetch upset rewrites the stored instruction, so
+    the engine must re-derive that cell — and, in a lane block, the
+    lane's straight-line run memo over it — or it keeps executing the
+    old word.  ``lane=None`` runs the fast lane."""
+    if lane is None:
+        platforms, block, target = [_raw_platform()], None, 0
+    else:
+        platforms = [_raw_platform() for _ in range(3)]
+        block = LaneBlock(platforms, program_words=list(_RUN_LOOP))
+        target = lane
+    upset, clean = _raw_platform(scalar=True), _raw_platform(scalar=True)
+    try:
+        _rounds(platforms, block, count=3)  # warm views and run memos
+        _rounds([upset, clean], None, count=3)
+        for platform in (upset, platforms[target]):
+            # Address 2 fetches clean (a forced no-op), 3 is upset.
+            platform.im.faults.force_next(0)
+            platform.im.faults.force_next(_RUN_UPSET)
+        _rounds(platforms, block)
+        _rounds([upset, clean], None)
+    finally:
+        if block is not None:
+            block.close()
+    assert upset.cpu.state.registers != clean.cpu.state.registers
+    for index, platform in enumerate(platforms):
+        _assert_same(upset if index == target else clean, platform)

@@ -107,6 +107,27 @@ class TestFaultyMemory:
         with pytest.raises(MemoryAccessFault):
             memory.load([1, 2, 3], base=2)
 
+    @pytest.mark.parametrize("bad", [1 << 40, -1])
+    def test_rejected_load_changes_nothing(self, bad):
+        """A load with one bad word stores none of its words, so a
+        cached view keyed on ``version`` cannot go stale."""
+        memory = FaultyMemory("A", 8, 32)
+        memory.poke(3, 0x33)
+        before, version = memory.snapshot(), memory.version
+        with pytest.raises(ValueError):
+            memory.load([7, bad, 9], base=2)
+        assert memory.snapshot() == before
+        assert memory.version == version
+
+    def test_peek_block(self):
+        memory = FaultyMemory("A", 8, 32)
+        memory.load([5, 6, 7], base=4)
+        assert memory.peek_block(4, 3) == [5, 6, 7]
+        assert memory.peek_block(0, 0) == []
+        assert memory.counters.total == 0
+        with pytest.raises(MemoryAccessFault):
+            memory.peek_block(6, 3)
+
 
 class TestPorts:
     def test_raw_port_requires_32_bits(self):

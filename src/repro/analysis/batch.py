@@ -1,16 +1,16 @@
 """Array-oriented Monte-Carlo campaign runner.
 
 The paper's headline exhibits are statistical sweeps: Figure 5 counts
-access errors per voltage point, Figure 4 aggregates retention failures
-over nine dies, and the failure-rate campaigns execute the live
-platform many times per (scheme, voltage) cell.  This module drives all
-of them batch-first:
+access errors per voltage point and Figure 4 aggregates retention
+failures over nine dies.  This module drives both batch-first (the
+platform failure-rate campaigns live in
+:mod:`repro.analysis.campaign`):
 
 * whole voltage grids are evaluated per vectorized call (the per-point
   Bernoulli matrices are drawn in chunks and counted by numpy);
-* every grid point / die / run derives its own child RNG stream from
-  one master seed, so campaigns are reproducible *and* parallelizable;
-* dies and runs optionally fan out across a
+* every grid point / die derives its own child RNG stream from one
+  master seed, so campaigns are reproducible *and* parallelizable;
+* dies optionally fan out across a
   :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Each vectorized kernel has a scalar reference (the pre-batch per-access
@@ -99,70 +99,20 @@ class BatchCampaign:
         fan-out.  ``None`` draws a fresh master seed from the OS.
     processes:
         When > 1, per-die work fans out across a process pool.
-    lanes:
-        When > 1, scheme campaigns run their seeds in lockstep SIMD
-        blocks of this width (:mod:`repro.soc.simd`) before any
-        process fan-out; classification stays bit-identical.
     """
 
     def __init__(
         self,
         seed: int | None = None,
         processes: int | None = None,
-        lanes: int = 1,
     ) -> None:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % (2**63)  # repro: noqa[REP101] seed=None asks for a fresh master seed; it is recorded on self.seed for replay
-        if lanes < 1:
-            raise ValueError("lanes must be positive")
         self.seed = int(seed)
         self.processes = processes
-        self.lanes = lanes
 
     def _point_rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
-
-    # ------------------------------------------------------------------
-    # Section V: scheme failure campaigns on the simulated platform
-    # ------------------------------------------------------------------
-    def scheme_failure_campaign(
-        self,
-        runner_cls,
-        workload,
-        golden,
-        access_model,
-        vdd: float,
-        frequency: float = 290e3,
-        runs: int = 20,
-        store=None,
-        **campaign_kwargs,
-    ):
-        """Monte-Carlo failure campaign under this driver's execution
-        policy (master seed, process fan-out, SIMD lane width).
-
-        Thin front end to :func:`repro.analysis.campaign.run_campaign`:
-        run ``i`` uses seed ``self.seed + i``, and ``lanes`` > 1 shards
-        the seed axis into lockstep lane blocks before the ProcessPool
-        fan-out.  The result is bit-identical for any (processes,
-        lanes) combination.  ``store`` content-addresses the campaign
-        (see :func:`~repro.analysis.campaign.run_campaign`).
-        """
-        from repro.analysis.campaign import run_campaign
-
-        return run_campaign(
-            runner_cls,
-            workload,
-            golden,
-            access_model,
-            vdd,
-            frequency=frequency,
-            runs=runs,
-            seed_base=self.seed,
-            processes=self.processes,
-            lanes=self.lanes,
-            store=store,
-            **campaign_kwargs,
-        )
 
     # ------------------------------------------------------------------
     # Figure 5: access-error campaigns

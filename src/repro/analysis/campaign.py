@@ -89,22 +89,8 @@ class CampaignResult:
         return self.silent_corruption / self.runs
 
 
-def _campaign_run_one(args) -> tuple:
-    """Execute one seeded run and reduce it to picklable statistics.
-
-    Module-level so :class:`ProcessPoolExecutor` can ship it to worker
-    processes; each run is fully determined by its own seed, so results
-    are identical whether runs execute serially or fanned out.  The run
-    executes under a private metrics registry whose snapshot rides back
-    with the statistics (exact cross-process metric merging).
-    """
-    (
-        runner_cls, workload, golden, access_model,
-        vdd, frequency, seed, runner_kwargs,
-    ) = args
-    with scoped_metrics() as registry:
-        runner = runner_cls(access_model, seed=seed, **runner_kwargs)
-        outcome = runner.run(workload, vdd=vdd, frequency=frequency)
+def _run_stats(outcome, golden) -> tuple:
+    """Picklable statistics of one seeded run's outcome."""
     return (
         sum(outcome.sim.injected_bits.values()),
         outcome.sim.corrected_words,
@@ -112,20 +98,45 @@ def _campaign_run_one(args) -> tuple:
         outcome.output_matches(golden),
         outcome.completed,
         outcome.failure,
+    )
+
+
+def _campaign_run_one(args) -> tuple:
+    """Execute a task's seeds one run at a time.
+
+    Module-level so :class:`ProcessPoolExecutor` can ship it to worker
+    processes; each run is fully determined by its own seed, so results
+    are identical whether runs execute serially or fanned out.  Returns
+    the per-seed statistics plus the snapshot of the private metrics
+    registry the runs executed under (exact cross-process metric
+    merging) — the one task shape :func:`_campaign_run_lane_block`
+    shares.
+    """
+    (
+        runner_cls, workload, golden, access_model,
+        vdd, frequency, first_seed, count, runner_kwargs,
+    ) = args
+    with scoped_metrics() as registry:
+        outcomes = [
+            runner_cls(access_model, seed=seed, **runner_kwargs).run(
+                workload, vdd=vdd, frequency=frequency
+            )
+            for seed in range(first_seed, first_seed + count)
+        ]
+    return (
+        [_run_stats(outcome, golden) for outcome in outcomes],
         registry.snapshot(),
     )
 
 
 def _campaign_run_lane_block(args) -> tuple:
-    """Execute one lane block of consecutive seeds in lockstep.
+    """Execute a task's seeds as one lockstep lane block.
 
-    The lockstep engine is bit-exact with the scalar engine per lane
-    (differentially fuzzed), so the per-seed statistics returned here
-    are identical to ``count`` :func:`_campaign_run_one` calls.  The
-    whole block runs under one scoped registry; its single snapshot is
-    the additive merge of the per-run snapshots (plus the engine's own
-    ``simd.*`` counters), so campaign-level metric totals still match
-    the scalar path.
+    Same arguments and result shape as :func:`_campaign_run_one`.  The
+    lockstep engine is bit-exact with the scalar engine per lane
+    (differentially fuzzed), so the per-seed statistics are identical;
+    the snapshot additionally carries the engine's own ``simd.*``
+    counters.
     """
     from repro.soc.simd import run_lane_block
 
@@ -135,59 +146,20 @@ def _campaign_run_lane_block(args) -> tuple:
     ) = args
     with scoped_metrics() as registry:
         runners = [
-            runner_cls(access_model, seed=first_seed + offset, **runner_kwargs)
-            for offset in range(count)
+            runner_cls(access_model, seed=seed, **runner_kwargs)
+            for seed in range(first_seed, first_seed + count)
         ]
         outcomes = run_lane_block(
             runners, workload, vdd=vdd, frequency=frequency
         )
     return (
-        [
-            (
-                sum(outcome.sim.injected_bits.values()),
-                outcome.sim.corrected_words,
-                outcome.sim.rollbacks,
-                outcome.output_matches(golden),
-                outcome.completed,
-                outcome.failure,
-            )
-            for outcome in outcomes
-        ],
+        [_run_stats(outcome, golden) for outcome in outcomes],
         registry.snapshot(),
     )
 
 
 def _encode_outcome(outcome) -> dict:
-    """JSON-safe store form of one :func:`_campaign_run_one` tuple."""
-    injected, corrected, rollbacks, matches, completed, failure, snapshot = (
-        outcome
-    )
-    return {
-        "injected": int(injected),
-        "corrected": int(corrected),
-        "rollbacks": int(rollbacks),
-        "matches": bool(matches),
-        "completed": bool(completed),
-        "failure": failure,
-        "metrics": snapshot.as_dict(),
-    }
-
-
-def _decode_outcome(data: dict) -> tuple:
-    """Inverse of :func:`_encode_outcome` (exact round-trip)."""
-    return (
-        int(data["injected"]),
-        int(data["corrected"]),
-        int(data["rollbacks"]),
-        bool(data["matches"]),
-        bool(data["completed"]),
-        data["failure"],
-        MetricsSnapshot.from_dict(data["metrics"]),
-    )
-
-
-def _encode_block_outcome(outcome) -> dict:
-    """JSON-safe store form of one lane-block outcome."""
+    """JSON-safe store form of one campaign task's result."""
     per_seed, snapshot = outcome
     return {
         "runs": [
@@ -207,8 +179,8 @@ def _encode_block_outcome(outcome) -> dict:
     }
 
 
-def _decode_block_outcome(data: dict) -> tuple:
-    """Inverse of :func:`_encode_block_outcome` (exact round-trip)."""
+def _decode_outcome(data: dict) -> tuple:
+    """Inverse of :func:`_encode_outcome` (exact round-trip)."""
     return (
         [
             (
@@ -252,12 +224,16 @@ def run_campaign(
     With ``lanes`` > 1 the seed axis is sharded into consecutive blocks
     of that width *before* the fan-out, and each block executes on the
     lockstep SIMD engine (:func:`repro.soc.simd.run_lane_block`) — one
-    task per block instead of one per seed.  The lockstep engine is
-    bit-exact with the scalar engine, so the classification, the
-    per-run ``campaign.outcome`` trace records and the merged metrics
-    (modulo the engine's own ``simd.*`` counters) are identical to
-    ``lanes=1``; only the task granularity changes (a quarantined block
-    retires all of its member runs).
+    task per block instead of one per seed.  Both kinds of task take a
+    ``(first_seed, count)`` seed block and return per-seed statistics
+    plus one metrics snapshot, stored through one codec.  The lockstep
+    engine is bit-exact with the scalar engine, so the classification,
+    the per-run ``campaign.outcome`` trace records and the merged
+    metrics (modulo the engine's own ``simd.*`` counters) are identical
+    to ``lanes=1``; only the task granularity changes (a quarantined
+    block retires all of its member runs).  Lane width is therefore an
+    execution knob of the campaign, not provenance: it is not part of
+    the campaign's store key.
 
     Execution is resilient (:class:`~repro.resilience.ResilientExecutor`):
     worker death, per-task deadline overruns (``task_timeout`` seconds)
@@ -287,8 +263,11 @@ def run_campaign(
     resumed :class:`CampaignResult` is bit-identical to an
     uninterrupted one, and an extended campaign (more ``runs``) reuses
     the runs it shares with an earlier one.  Execution knobs
-    (``processes``, retries, timeouts, chaos, progress) are not part of
-    either key — the engines are bit-exact across all of them.
+    (``processes``, ``lanes``, retries, timeouts, chaos, progress) are
+    not part of the campaign key — the engines are bit-exact across all
+    of them, so a campaign stored at one lane width answers every
+    other.  Task keys do carry ``lanes``, because a lane-block task's
+    snapshot also holds the ``simd.*`` counters.
     """
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
@@ -312,7 +291,7 @@ def run_campaign(
         key = campaign_point_key(
             runner_cls, workload, golden, access_model,
             vdd=vdd, frequency=frequency, runs=runs, seed_base=seed_base,
-            lanes=lanes, runner_kwargs=runner_kwargs,
+            runner_kwargs=runner_kwargs,
         )
         fingerprint = key.fingerprint()
         while True:
@@ -366,49 +345,34 @@ def _execute_campaign(
         from repro.store.keys import campaign_task_key
 
         store_keys = [
-            campaign_task_key(campaign_key, first_seed, count)
+            campaign_task_key(campaign_key, first_seed, count, lanes)
             for first_seed, count in blocks
         ]
-    if lanes > 1:
-        tasks = [
-            TaskSpec(
-                key=f"lanes-{first_seed}-{count}",
-                args=(
-                    (
-                        runner_cls, workload, golden, access_model,
-                        vdd, frequency, first_seed, count, runner_kwargs,
-                    ),
+    tasks = [
+        TaskSpec(
+            key=(
+                f"lanes-{first_seed}-{count}" if lanes > 1
+                else f"run-{first_seed}"
+            ),
+            args=(
+                (
+                    runner_cls, workload, golden, access_model,
+                    vdd, frequency, first_seed, count, runner_kwargs,
                 ),
-                store_key=store_key,
-            )
-            for (first_seed, count), store_key in zip(blocks, store_keys)
-        ]
-        fn = _campaign_run_lane_block
-        encode, decode = _encode_block_outcome, _decode_block_outcome
-    else:
-        tasks = [
-            TaskSpec(
-                key=f"run-{seed}",
-                args=(
-                    (
-                        runner_cls, workload, golden, access_model,
-                        vdd, frequency, seed, runner_kwargs,
-                    ),
-                ),
-                store_key=store_key,
-            )
-            for (seed, _), store_key in zip(blocks, store_keys)
-        ]
-        fn = _campaign_run_one
-        encode, decode = _encode_outcome, _decode_outcome
+            ),
+            store_key=store_key,
+        )
+        for (first_seed, count), store_key in zip(blocks, store_keys)
+    ]
+    fn = _campaign_run_lane_block if lanes > 1 else _campaign_run_one
     executor = ResilientExecutor(
         fn,
         processes=processes,
         max_retries=max_retries,
         task_timeout=task_timeout,
         chaos=chaos,
-        encode=encode,
-        decode=decode,
+        encode=_encode_outcome,
+        decode=_decode_outcome,
     )
     owns_progress = False
     if progress is None and heartbeat is not None:
@@ -441,72 +405,45 @@ def _execute_campaign(
                 progress.close()
         result = CampaignResult(scheme=runner_cls.name, vdd=vdd)
         result.resilience = report
-        # Per-run outcome stream, in global seed order.  Scalar tasks
-        # carry one run and its snapshot; block tasks carry one run per
-        # member seed plus a single block-level snapshot (merged once,
-        # attached to the block's first run below).
-        stream: list = []
-        quarantined_runs = 0
-        global_index = 0
-        for task in tasks:
+        for (first_seed, count), task in zip(blocks, tasks):
             outcome = report.results.get(task.key)
-            if task.key.startswith("lanes-"):
-                count = int(task.key.rsplit("-", 1)[1])
-                if outcome is None:
-                    quarantined_runs += count
-                else:
-                    per_seed, snapshot = outcome
-                    for offset, run_stats in enumerate(per_seed):
-                        stream.append(
-                            (
-                                global_index + offset,
-                                run_stats,
-                                snapshot if offset == 0 else None,
-                            )
-                        )
-                global_index += count
-            else:
-                if outcome is None:
-                    quarantined_runs += 1
-                else:
-                    stream.append((global_index, outcome[:6], outcome[6]))
-                global_index += 1
-        result.quarantined = quarantined_runs
-        for index, run_stats, snapshot in stream:
-            (
+            if outcome is None:
+                result.quarantined += count
+                continue
+            per_seed, snapshot = outcome
+            metrics.merge(snapshot)
+            for seed, (
                 injected, corrected, rollbacks, matches, completed, failure,
-            ) = run_stats
-            result.runs += 1
-            result.total_injected_bits += injected
-            result.total_corrected += corrected
-            result.total_rollbacks += rollbacks
-            if matches:
-                result.correct += 1
-                classification = "correct"
-            elif completed:
-                result.silent_corruption += 1
-                classification = "silent-corruption"
-            else:
-                result.detected_failure += 1
-                classification = "detected-failure"
-                kind = failure or "unknown"
-                result.failures_by_kind[kind] = (
-                    result.failures_by_kind.get(kind, 0) + 1
+            ) in enumerate(per_seed, first_seed):
+                result.runs += 1
+                result.total_injected_bits += injected
+                result.total_corrected += corrected
+                result.total_rollbacks += rollbacks
+                if matches:
+                    result.correct += 1
+                    classification = "correct"
+                elif completed:
+                    result.silent_corruption += 1
+                    classification = "silent-corruption"
+                else:
+                    result.detected_failure += 1
+                    classification = "detected-failure"
+                    kind = failure or "unknown"
+                    result.failures_by_kind[kind] = (
+                        result.failures_by_kind.get(kind, 0) + 1
+                    )
+                tracer.point(
+                    names.POINT_CAMPAIGN_OUTCOME,
+                    scheme=result.scheme,
+                    vdd=result.vdd,
+                    run=seed - seed_base,
+                    seed=seed,
+                    injected=injected,
+                    corrected=corrected,
+                    rollbacks=rollbacks,
+                    classification=classification,
+                    failure=failure,
                 )
-            if snapshot is not None:
-                metrics.merge(snapshot)
-            tracer.point(
-                names.POINT_CAMPAIGN_OUTCOME,
-                scheme=result.scheme,
-                vdd=result.vdd,
-                run=index,
-                seed=seed_base + index,
-                injected=injected,
-                corrected=corrected,
-                rollbacks=rollbacks,
-                classification=classification,
-                failure=failure,
-            )
         metrics.counter(names.CAMPAIGN_RUNS).inc(result.runs)
         metrics.counter(names.CAMPAIGN_CORRECT).inc(result.correct)
         metrics.counter(names.CAMPAIGN_SILENT_CORRUPTION).inc(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from repro.soc.energy_model import (
     PlatformEnergyModel,
 )
 from repro.soc.platform import (
+    DetectedError,
     Platform,
     PlatformConfig,
     SimulationResult,
+    SystemFailure,
 )
 from repro.workloads.streaming import StreamingWorkload
 
@@ -75,8 +78,10 @@ class SchemeRunner(abc.ABC):
     The runner does not choose an engine: its platform picks the
     clean-burst fast lane for the stock ports every scheme wires
     (bit-exact with the reference interpreter, see
-    :class:`~repro.soc.platform.Platform`), and
-    :func:`~repro.soc.simd.run_lane_block` binds the lockstep engine.
+    :class:`~repro.soc.platform.Platform`), and whoever binds another
+    engine drives the scheme through :meth:`prepare`, :meth:`control`
+    and :meth:`collect_outcome` itself.  A scheme writes its run
+    controller once, as :meth:`control`.
     """
 
     #: Scheme name, matching the fit-solver scheme.
@@ -95,7 +100,7 @@ class SchemeRunner(abc.ABC):
         self.config = config if config is not None else PlatformConfig()
         self.seed = seed
         self.macro_style = macro_style
-        #: The platform of the most recent :meth:`run`, kept for
+        #: The platform of the most recent :meth:`prepare`, kept for
         #: post-run inspection (RNG stream positions, cache state) by
         #: benchmarks and differential tests.
         self.last_platform: Platform | None = None
@@ -111,62 +116,54 @@ class SchemeRunner(abc.ABC):
     def memory_specs(self) -> list[MemoryComponentSpec]:
         """Component widths/codec factors for the energy model."""
 
-    def execute(
+    def control(
         self, platform: Platform, workload: StreamingWorkload
-    ) -> tuple[bool, str | None, int, int]:
-        """Run the workload; returns (completed, failure, rollbacks,
-        overhead_cycles).  Default: straight-line run to HALT."""
-        from repro.soc.platform import DetectedError, SystemFailure
+    ) -> Generator[None, None, tuple[bool, str | None, int, int]]:
+        """This scheme's run controller, written once as a generator.
 
+        It yields just before every ``platform.run_until_stop()`` and
+        returns ``(completed, failure, rollbacks, overhead_cycles)``.
+        :meth:`execute` drives it straight through; a driver that
+        interleaves several platforms resumes each one's controller
+        between engine calls.  Default: straight-line run to HALT.
+        """
         try:
             while True:
-                reason = platform.run_until_stop()
-                if reason is StopReason.HALT:
+                yield
+                if platform.run_until_stop() is StopReason.HALT:
                     return True, None, 0, 0
         except DetectedError as exc:
             return False, f"uncorrectable:{exc.module}", 0, 0
         except SystemFailure as exc:
             return False, exc.kind, 0, 0
 
-    def execute_lanes(
-        self, platforms, workload: StreamingWorkload, block
-    ) -> list[tuple[bool, str | None, int, int]]:
-        """Lockstep counterpart of :meth:`execute` over a lane block.
-
-        Runs every platform breadth-first — all pending lanes are
-        demanded before any is run, so the whole block advances through
-        :class:`repro.soc.simd.LaneBlock` servicing together — and
-        mirrors the default :meth:`execute` control flow per lane.
-        Returns one ``(completed, failure, rollbacks, overhead)`` tuple
-        per lane, bit-identical to N scalar :meth:`execute` calls.
-        """
-        from repro.soc.platform import DetectedError, SystemFailure
-
-        results: list = [None] * len(platforms)
-        pending = set(range(len(platforms)))
-        while pending:
-            block.demand(pending)
-            for lane in sorted(pending):
-                try:
-                    reason = platforms[lane].run_until_stop()
-                except DetectedError as exc:
-                    results[lane] = (
-                        False, f"uncorrectable:{exc.module}", 0, 0
-                    )
-                except SystemFailure as exc:
-                    results[lane] = (False, exc.kind, 0, 0)
-                else:
-                    if reason is StopReason.HALT:
-                        results[lane] = (True, None, 0, 0)
-                    # YIELD: the lane stays pending for the next round.
-            pending = {
-                lane for lane in pending if results[lane] is None
-            }
-        return results
+    def execute(
+        self, platform: Platform, workload: StreamingWorkload
+    ) -> tuple[bool, str | None, int, int]:
+        """Run :meth:`control` to completion; returns (completed,
+        failure, rollbacks, overhead_cycles)."""
+        control = self.control(platform, workload)
+        try:
+            while True:
+                next(control)
+        except StopIteration as finished:
+            return finished.value
 
     # ------------------------------------------------------------------
     # Shared driver
     # ------------------------------------------------------------------
+    def prepare(self, workload: StreamingWorkload, vdd: float) -> Platform:
+        """Build this scheme's platform at ``vdd`` and load the workload.
+
+        The platform is also kept as :attr:`last_platform`.
+        """
+        vdd = validate_vdd(vdd, f"{self.name}.prepare")
+        platform = self.build_platform(vdd)
+        self.last_platform = platform
+        platform.load_program(list(workload.program_words))
+        platform.load_data(list(workload.data_words), workload.data_base)
+        return platform
+
     def run(
         self,
         workload: StreamingWorkload,
@@ -174,10 +171,7 @@ class SchemeRunner(abc.ABC):
         frequency: float,
     ) -> RunOutcome:
         """Execute the full workload at one operating point."""
-        platform = self.build_platform(vdd)
-        self.last_platform = platform
-        platform.load_program(list(workload.program_words))
-        platform.load_data(list(workload.data_words), workload.data_base)
+        platform = self.prepare(workload, vdd)
         completed, failure, rollbacks, overhead = self.execute(
             platform, workload
         )

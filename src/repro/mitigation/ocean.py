@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Generator
 
 from repro.core.errors import validate_vdd
 from repro.core.fit_solver import SCHEME_OCEAN
@@ -297,9 +298,16 @@ class OceanRunner(SchemeRunner):
         copy_block(platform.pm_port, 0, platform.sp_port, base, words)
         return 2 * words * COPY_CYCLES_PER_WORD
 
-    def execute(
+    def control(
         self, platform: Platform, workload
-    ) -> tuple[bool, str | None, int, int]:
+    ) -> Generator[None, None, tuple[bool, str | None, int, int]]:
+        """OCEAN's checkpoint-and-rollback state machine (Fig. 7).
+
+        Checkpoints the chunk before the first phase and at every due
+        phase boundary; a detected scratchpad error restores the last
+        checkpoint and re-executes from it.  Yields before each engine
+        call (see :meth:`SchemeRunner.control`).
+        """
         phases = workload.phases
         chunk_base = workload.data_base
         chunk_words = len(workload.data_words)
@@ -328,6 +336,7 @@ class OceanRunner(SchemeRunner):
         phase_index = 0
 
         while True:
+            yield
             try:
                 reason = platform.run_until_stop()
             except DetectedError as exc:
@@ -383,134 +392,3 @@ class OceanRunner(SchemeRunner):
                 cpu_checkpoint = platform.snapshot_cpu()
                 checkpoint_phase_index = phase_index
                 segment_rollbacks = 0
-
-    def execute_lanes(
-        self, platforms, workload, block
-    ) -> list[tuple[bool, str | None, int, int]]:
-        """Breadth-first lockstep counterpart of :meth:`execute`.
-
-        Each lane carries its own rollback context and walks exactly
-        the scalar state machine; only the scheduling is interleaved.
-        Checkpoint/restore traffic runs through the lane's real ports
-        between servicing rounds, where the lane block's version checks
-        pick the mutations up, so per-lane port, RNG and counter
-        sequences stay bit-identical to N scalar ``execute`` calls.
-        """
-        n = len(platforms)
-        results: list = [None] * n
-        lanes = []
-        chunk_base = workload.data_base
-        chunk_words = len(workload.data_words)
-        n_phases = len(workload.phases)
-        # Initial checkpoint, per lane (pure port traffic — no
-        # execution, so no block servicing is involved yet).
-        for lane, platform in enumerate(platforms):
-            context = {
-                "rollbacks": 0,
-                "overhead": 0,
-                "phase_index": 0,
-                "checkpoint_phase_index": 0,
-                "segment_rollbacks": 0,
-            }
-            lanes.append(context)
-            for attempt in range(MAX_ROLLBACKS_PER_SEGMENT):
-                try:
-                    context["overhead"] += self._checkpoint(
-                        platform, chunk_base, chunk_words
-                    )
-                    break
-                except (DetectedError, UncorrectableError):
-                    platform.load_data(
-                        list(workload.data_words), workload.data_base
-                    )
-            else:
-                results[lane] = (
-                    False, "livelock",
-                    context["rollbacks"], context["overhead"],
-                )
-                continue
-            context["cpu_checkpoint"] = platform.snapshot_cpu()
-
-        pending = {lane for lane in range(n) if results[lane] is None}
-        while pending:
-            block.demand(pending)
-            for lane in sorted(pending):
-                platform = platforms[lane]
-                context = lanes[lane]
-                try:
-                    reason = platform.run_until_stop()
-                except DetectedError as exc:
-                    if exc.module == "IM":
-                        results[lane] = (
-                            False, "uncorrectable:IM",
-                            context["rollbacks"], context["overhead"],
-                        )
-                        continue
-                    results[lane] = self._lane_rollback(
-                        platform, context, chunk_base, chunk_words
-                    )
-                    continue
-                except SystemFailure as exc:
-                    results[lane] = (
-                        False, exc.kind,
-                        context["rollbacks"], context["overhead"],
-                    )
-                    continue
-
-                if reason is StopReason.HALT:
-                    results[lane] = (
-                        True, None,
-                        context["rollbacks"], context["overhead"],
-                    )
-                    continue
-
-                # YIELD: a phase boundary.
-                context["phase_index"] += 1
-                due = (
-                    context["phase_index"] % self.checkpoint_interval == 0
-                    or context["phase_index"] >= n_phases
-                )
-                if due:
-                    try:
-                        context["overhead"] += self._checkpoint(
-                            platform, chunk_base, chunk_words
-                        )
-                    except (DetectedError, UncorrectableError):
-                        results[lane] = self._lane_rollback(
-                            platform, context, chunk_base, chunk_words
-                        )
-                        continue
-                    context["cpu_checkpoint"] = platform.snapshot_cpu()
-                    context["checkpoint_phase_index"] = context[
-                        "phase_index"
-                    ]
-                    context["segment_rollbacks"] = 0
-            pending = {
-                lane for lane in pending if results[lane] is None
-            }
-        return results
-
-    def _lane_rollback(
-        self, platform, context, chunk_base, chunk_words
-    ):
-        """One rollback of one lane; returns a result tuple if the lane
-        is finished (livelock / PM failure), else None (lane continues)."""
-        context["segment_rollbacks"] += 1
-        context["rollbacks"] += 1
-        if context["segment_rollbacks"] > MAX_ROLLBACKS_PER_SEGMENT:
-            return (
-                False, "livelock",
-                context["rollbacks"], context["overhead"],
-            )
-        try:
-            context["overhead"] += self._restore(
-                platform, chunk_base, chunk_words
-            )
-        except UncorrectableError:
-            return (
-                False, "pm-uncorrectable",
-                context["rollbacks"], context["overhead"],
-            )
-        platform.restore_cpu(context["cpu_checkpoint"])
-        context["phase_index"] = context["checkpoint_phase_index"]
-        return None

@@ -94,7 +94,9 @@ _MAX_HEADERS = 100
 
 #: Fields of a normalized spec that determine the answer bit-for-bit.
 #: Execution knobs (processes) are deliberately not here — same rule
-#: as the store keys (REP103): provenance only.
+#: as the store keys (REP103): provenance only.  ``lanes`` stays even
+#: though the store keys dropped it, so job journals written with it
+#: keep replaying and deduplicating as before.
 _PROVENANCE_FIELDS = (
     "scheme", "vdds", "runs", "seed", "lanes", "fft", "frequency",
     "macro_style",
@@ -823,7 +825,7 @@ class CampaignJobServer:
             key = campaign_point_key(
                 runner_cls, workload, golden, access_model,
                 vdd=vdd, frequency=spec["frequency"], runs=spec["runs"],
-                seed_base=spec["seed"], lanes=spec["lanes"],
+                seed_base=spec["seed"],
                 runner_kwargs={"macro_style": spec["macro_style"]},
             )
             payload = self.store.get(key)

@@ -52,8 +52,11 @@ Each member platform is attached via :meth:`Platform.bind_engine`, so
 transparently executes through the block.  A lane's
 ``run_until_stop`` call *demands* that lane; servicing advances every
 demanded lane until each has produced its own stop/raise event, never
-past it.  Breadth-first controllers (``SchemeRunner.execute_lanes``)
-demand all lanes up front so the whole block advances together.
+past it.  :func:`run_lane_block` is the one lockstep driver: it demands
+every pending lane up front, so the whole block advances together, and
+resumes each lane's own scheme controller
+(:meth:`~repro.mitigation.base.SchemeRunner.control`) between
+services — schemes carry no lockstep copy of their controllers.
 """
 
 from __future__ import annotations
@@ -928,9 +931,14 @@ class LaneBlock:
 def run_lane_block(runners, workload, vdd, frequency):
     """Run one workload across N runners' platforms in lockstep.
 
-    Builds one platform per runner (all runners must be the same
-    scheme), executes them as a :class:`LaneBlock` through the scheme's
-    ``execute_lanes`` controller, and collects one
+    The only lockstep driver.  Builds and loads one platform per runner
+    (all runners must be the same scheme, each with its own options),
+    binds them to one :class:`LaneBlock`, and drives every lane with its
+    *own* runner's :meth:`~repro.mitigation.base.SchemeRunner.control`
+    generator: each controller first runs up to its first engine call,
+    then every round demands all pending lanes and resumes their
+    controllers in ascending lane order, each up to its next engine call
+    or its result.  Returns one
     :class:`~repro.mitigation.base.RunOutcome` per lane — bit-identical
     to running each runner's ``run`` individually.
     """
@@ -938,31 +946,34 @@ def run_lane_block(runners, workload, vdd, frequency):
         raise ValueError("need at least one runner")
     if any(type(r) is not type(runners[0]) for r in runners):
         raise ValueError("all lane runners must be the same scheme")
-    platforms = []
-    for runner in runners:
-        platform = runner.build_platform(vdd)
-        runner.last_platform = platform
-        platform.load_program(list(workload.program_words))
-        platform.load_data(list(workload.data_words), workload.data_base)
-        platforms.append(platform)
+    platforms = [runner.prepare(workload, vdd) for runner in runners]
+    controls = [
+        runner.control(platform, workload)
+        for runner, platform in zip(runners, platforms)
+    ]
+    results: list = [None] * len(runners)
+
+    def advance(lanes):
+        for lane in lanes:
+            try:
+                next(controls[lane])
+            except StopIteration as finished:
+                results[lane] = finished.value
+        return [lane for lane in lanes if results[lane] is None]
+
     block = LaneBlock(
         platforms, program_words=list(workload.program_words)
     )
     try:
-        lane_results = runners[0].execute_lanes(
-            platforms, workload, block
-        )
+        pending = advance(range(len(runners)))
+        while pending:
+            block.demand(pending)
+            pending = advance(pending)
     finally:
         block.close()
-    outcomes = []
-    for runner, platform, lane_result in zip(
-        runners, platforms, lane_results
-    ):
-        completed, failure, rollbacks, overhead = lane_result
-        outcomes.append(
-            runner.collect_outcome(
-                workload, vdd, frequency, platform,
-                completed, failure, rollbacks, overhead,
-            )
+    return [
+        runner.collect_outcome(
+            workload, vdd, frequency, platform, *result
         )
-    return outcomes
+        for runner, platform, result in zip(runners, platforms, results)
+    ]

@@ -44,8 +44,7 @@ def _describe(entry: Dict[str, Any]) -> str:
     if kind == "scheme-campaign":
         detail = (
             f"scheme={provenance.get('scheme')} "
-            f"vdd={provenance.get('vdd')} runs={provenance.get('runs')} "
-            f"lanes={provenance.get('lanes')}"
+            f"vdd={provenance.get('vdd')} runs={provenance.get('runs')}"
         )
     elif kind == "campaign-task":
         detail = (

@@ -5,8 +5,8 @@ Monte-Carlo work: one (scheme, voltage) platform campaign, one seeded
 run (or lane block) inside it, one Fig. 5 voltage grid point, one
 Fig. 4 die.  Its key is the SHA-256 of the canonical JSON of its
 **provenance** — exactly the fields that determine the result
-bit-for-bit (codec/scheme, fault model, vdd, seed range, lanes,
-workload) and nothing else.  Key kinds: ``scheme-campaign``,
+bit-for-bit (codec/scheme, fault model, vdd, seed range, workload)
+and nothing else.  Key kinds: ``scheme-campaign``,
 ``campaign-task``, ``fig5-point`` and ``fig4-die``.
 
 The store is the record of completed work, so these keys are also the
@@ -25,11 +25,14 @@ the build if key construction in this package ever touches such a
 source, because one impure field silently turns every lookup into a
 miss.
 
-Lane width *is* part of the scheme-campaign key even though lockstep
-execution is bit-exact: the seed axis is sharded into lane blocks
-before fan-out, so ``lanes`` changes task granularity (a quarantined
-block retires ``lanes`` runs, not one).  Chunk size is *not* part of
-the Fig. 5 point key: the child stream draws its doubles in C order
+Lane width is *not* part of the scheme-campaign key either.  Lockstep
+execution is bit-exact, and a campaign is only stored when none of its
+runs was quarantined — the one case where lane width shows (a
+quarantined lane block retires all of its runs) — so a stored answer
+is the same at every lane width.  It *is* part of the campaign-task
+key, because a lane-block task's payload carries the engine's own
+``simd.*`` counters in its metrics snapshot.  Chunk size is not part
+of the Fig. 5 point key: the child stream draws its doubles in C order
 regardless of how the Bernoulli matrix is split into row blocks.
 """
 
@@ -45,7 +48,7 @@ import numpy as np
 from repro.core.errors import validate_vdd
 
 #: Bumped when the provenance layout changes; part of every key.
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -159,7 +162,6 @@ def scheme_campaign_key(
     frequency: float,
     runs: int,
     seed_base: int,
-    lanes: int,
     runner_kwargs: Mapping[str, Any],
 ) -> PointKey:
     """Key of one full (scheme, vdd) platform campaign."""
@@ -175,14 +177,13 @@ def scheme_campaign_key(
             "frequency": float(frequency),
             "runs": int(runs),
             "seed_base": int(seed_base),
-            "lanes": int(lanes),
             "runner_kwargs": _normalize_kwargs(runner_kwargs),
         },
     )
 
 
 def campaign_task_key(
-    campaign: PointKey, first_seed: int, count: int
+    campaign: PointKey, first_seed: int, count: int, lanes: int
 ) -> PointKey:
     """Key of one task of a scheme campaign: a seeded run or a lane block.
 
@@ -190,15 +191,16 @@ def campaign_task_key(
     provenance is the ``campaign`` key's minus ``runs`` and
     ``seed_base``, so a task keeps its key when the campaign around it
     grows: an extended campaign reuses every run an earlier one
-    completed.  ``lanes`` stays in, because a lane-block payload carries
-    one result per member seed plus a single block-level metrics
-    snapshot.
+    completed.  ``lanes`` is added, because the payload's metrics
+    snapshot carries the lockstep engine's ``simd.*`` counters when
+    ``lanes`` > 1.
     """
     provenance = campaign.provenance()
     for field in ("kind", "schema", "runs", "seed_base"):
         del provenance[field]
     provenance["first_seed"] = int(first_seed)
     provenance["count"] = int(count)
+    provenance["lanes"] = int(lanes)
     return PointKey.from_provenance("campaign-task", provenance)
 
 

@@ -82,7 +82,6 @@ def campaign_point_key(
     frequency: float,
     runs: int,
     seed_base: int,
-    lanes: int,
     runner_kwargs: Dict[str, Any],
 ) -> PointKey:
     """Content-addressed key of one ``run_campaign`` invocation."""
@@ -96,7 +95,6 @@ def campaign_point_key(
         frequency=frequency,
         runs=runs,
         seed_base=seed_base,
-        lanes=lanes,
         runner_kwargs=runner_kwargs,
     )
 

@@ -7,9 +7,10 @@ and RNG stream positions — to an independent scalar run of the same
 platform.  The scalar engine is the oracle; these tests hold the
 vector engine to it three ways:
 
-* an N-lane campaign oracle check on the real FFT workload for both
-  SECDED and OCEAN at sub-Vmin supplies (full ``RunOutcome`` equality
-  plus RNG stream positions);
+* an N-lane campaign oracle check on the real FFT workload for every
+  scheme and every OCEAN controller branch at sub-Vmin supplies, lanes
+  with differing scheme options included (full ``RunOutcome``
+  equality plus RNG stream positions);
 * Hypothesis differential fuzzing of random programs (ALU, memory
   traffic, branches, yields) across lane blocks with per-lane fault
   seeds, reusing the scalar fuzzer's golden machinery;
@@ -24,7 +25,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.campaign import run_campaign
 from repro.core.access import ACCESS_CELL_BASED_40NM
-from repro.mitigation import OceanRunner, SecdedRunner
+from repro.mitigation import (
+    DectedRunner,
+    NoMitigationRunner,
+    OceanRunner,
+    SecdedRunner,
+)
 from repro.obs import scoped_metrics
 from repro.soc.assembler import assemble
 from repro.soc.cpu import StopReason
@@ -67,33 +73,60 @@ def _fft_fixture(points):
 class TestLockstepOracle:
     """run_lane_block == N scalar runner.run calls, outcome for outcome."""
 
-    def _check(self, runner_cls, vdd, lanes=6, seed_base=40, **kwargs):
+    def _check(self, runner_cls, vdd, options, seed_base=40):
+        """Lane ``i`` runs seed ``seed_base + i`` with ``options[i]``;
+        returns the lane outcomes."""
         workload, _ = _fft_fixture(16)
         model = ACCESS_CELL_BASED_40NM
+        seeds = range(seed_base, seed_base + len(options))
         oracle = []
-        for seed in range(seed_base, seed_base + lanes):
+        for seed, kwargs in zip(seeds, options):
             runner = _scalar_runner(runner_cls)(model, seed=seed, **kwargs)
             outcome = runner.run(workload, vdd, _FREQUENCY)
             oracle.append((outcome, _rng_states(runner)))
         runners = [
             runner_cls(model, seed=seed, **kwargs)
-            for seed in range(seed_base, seed_base + lanes)
+            for seed, kwargs in zip(seeds, options)
         ]
         outcomes = run_lane_block(runners, workload, vdd, _FREQUENCY)
-        assert len(outcomes) == lanes
-        for lane in range(lanes):
+        assert len(outcomes) == len(options)
+        for lane in range(len(options)):
             assert outcomes[lane] == oracle[lane][0]
             assert _rng_states(runners[lane]) == oracle[lane][1]
+        return outcomes
 
     def test_secded_sub_vmin(self):
-        self._check(SecdedRunner, vdd=0.38)
+        """The default controller, shared by SECDED, DECTED and the
+        unprotected baseline (one lane of which crashes at 0.38 V)."""
+        self._check(SecdedRunner, 0.38, [{}] * 6)
+        self._check(DectedRunner, 0.32, [{}] * 6)
+        outcomes = self._check(NoMitigationRunner, 0.38, [{}] * 6)
+        assert any(not outcome.completed for outcome in outcomes)
 
     def test_ocean_sub_vmin(self):
-        self._check(OceanRunner, vdd=0.32)
+        """Every OCEAN controller branch: rollbacks at each checkpoint
+        interval and copy engine, and lanes lost to an IM error."""
+        for options in ({}, {"checkpoint_interval": 3}, {"use_dma": True}):
+            outcomes = self._check(OceanRunner, 0.32, [options] * 6)
+            assert all(outcome.sim.rollbacks for outcome in outcomes)
+        outcomes = self._check(OceanRunner, 0.28, [{}] * 12)
+        failures = [outcome.failure for outcome in outcomes]
+        assert failures.count("uncorrectable:IM") == 3
+
+    def test_lanes_keep_their_own_scheme_options(self):
+        """Each lane runs its own runner's controller: checkpoint
+        interval and DMA engine differ per lane, and each lane still
+        equals its own scalar run."""
+        self._check(OceanRunner, 0.32, [
+            {"checkpoint_interval": 1},
+            {"checkpoint_interval": 3},
+            {"use_dma": True},
+            {"checkpoint_interval": 7},
+        ])
 
     def test_single_lane_block_matches_scalar(self):
         """N=1: the degenerate block is still bit-exact, not special."""
-        self._check(SecdedRunner, vdd=0.40, lanes=1)
+        self._check(SecdedRunner, 0.40, [{}])
 
     def test_lane_platforms_are_lane_capable(self):
         runner = SecdedRunner(ACCESS_CELL_BASED_40NM, seed=1)

@@ -4,8 +4,8 @@ The store's contract has three load-bearing promises, each tested
 here:
 
 * **Provenance-only keys** — a fingerprint depends on what a campaign
-  point *is* (codec, fault model, voltage, seeds, lanes), never on how
-  it happens to be executed (process count, retry budget, journaling).
+  point *is* (codec, fault model, voltage, seeds), never on how it
+  happens to be executed (process count, lane width, retry budget).
 * **Append-safe persistence** — torn sidecar tails, a corrupted SQLite
   file, a concurrent writer, or a payload that no longer matches its
   fingerprint must degrade to recovery or a miss, never to a wrong
@@ -80,16 +80,15 @@ class TestKeys:
                 kwargs["scheme"], workload, [1, 2, 3],
                 kwargs["access_model"], kwargs["vdd"],
                 kwargs["frequency"], kwargs["runs"],
-                kwargs["seed_base"], kwargs["lanes"],
-                kwargs["runner_kwargs"],
+                kwargs["seed_base"], kwargs["runner_kwargs"],
             ).fingerprint()
 
         assert fp() == fp()
         assert fp(vdd=0.45) != fp()
         assert fp(seed_base=101) != fp()
-        # Lane count changes quarantine granularity, so it is
-        # provenance, not an execution knob.
-        assert fp(lanes=4) != fp()
+        # Lane width is an execution knob: lockstep runs are bit-exact
+        # and only campaigns without quarantined runs are stored.
+        assert fp(lanes=4) == fp()
 
     def test_key_rejects_invalid_vdd(self):
         with pytest.raises(InvalidVoltageError):
@@ -411,6 +410,19 @@ class TestCampaignStore:
         )
         assert warm.resilience is None
         assert warm == cold
+
+    def test_lane_width_is_not_provenance(self, tmp_path):
+        """A lockstep campaign is answered by the stored scalar one."""
+        store = ResultStore(tmp_path / "s.sqlite")
+        cold = run_campaign(SecdedRunner, **self._kwargs(store, runs=5))
+        hits = store.stats()["hits"]
+        laned = run_campaign(
+            SecdedRunner, **self._kwargs(store, runs=5, lanes=4)
+        )
+        assert laned.resilience is None
+        assert laned == cold
+        assert store.stats()["hits"] == hits + 1
+        assert len(store) == 6  # five run rows and the campaign row
 
     def test_payload_codec_roundtrips_exactly(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")

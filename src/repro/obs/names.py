@@ -37,6 +37,7 @@ PROFILE_FAST_CYCLES = "profile.fast_path.cycles"
 PROFILE_SLOW_INSTRUCTIONS = "profile.slow_path.instructions"
 PROFILE_SLOW_CYCLES = "profile.slow_path.cycles"
 PROFILE_BURSTS = "profile.fastlane.bursts"
+PROFILE_BLOCK_INSTRUCTIONS = "profile.fastlane.block_instructions"
 PROFILE_SETTLEMENTS = "profile.settlements"
 PROFILE_SETTLED_READS = "profile.settlement.reads"
 PROFILE_SETTLED_WRITES = "profile.settlement.writes"

@@ -41,8 +41,9 @@ What the instruments mean:
   decoded twice, so the rare replayed instruction is counted in
   residency but not in these two histograms).
 * ``profile.fastlane.*`` / ``profile.writeback.*`` /
-  ``profile.settlement.*`` — burst-length histogram, encoded
-  write-back and fault-settlement costs.
+  ``profile.settlement.*`` — bursts, their length histogram and the
+  instructions they ran inside compiled blocks, encoded write-back
+  and fault-settlement costs.
 * ``profile.simd.*`` — per-service-round lane telemetry: occupancy of
   the min-PC group, mask density (occupancy / active lanes, decile
   buckets), divergence (distinct PCs) and reconvergence depth
@@ -110,12 +111,16 @@ class EngineProfiler:
         for pc, count in pcs.items():
             histogram.add(f"{pc:#06x}", count)
 
-    def record_burst(self, instructions: int, cycles: int) -> None:
+    def record_burst(
+        self, instructions: int, cycles: int, compiled: int = 0
+    ) -> None:
         """One fast-lane burst's committed instructions and cycles.
 
-        Zero-length bursts are recorded too: their ``"0"`` bucket in
-        the burst-length histogram is the direct measure of slow-path
-        pressure (every one of them forced a reference step).
+        ``compiled`` counts the instructions of those that ran inside
+        compiled blocks.  Zero-length bursts are recorded too: their
+        ``"0"`` bucket in the burst-length histogram is the direct
+        measure of slow-path pressure (every one of them forced a
+        reference step).
         """
         metrics = active_metrics()
         metrics.counter(names.PROFILE_BURSTS).inc()
@@ -124,6 +129,8 @@ class EngineProfiler:
                 instructions
             )
             metrics.counter(names.PROFILE_FAST_CYCLES).inc(cycles)
+        if compiled:
+            metrics.counter(names.PROFILE_BLOCK_INSTRUCTIONS).inc(compiled)
         metrics.histogram(names.PROFILE_BURST_LENGTH).add(
             pow2_bucket(instructions)
         )
@@ -201,7 +208,9 @@ class NullEngineProfiler:
     def record_pcs(self, pcs: Mapping[int, int]) -> None:
         pass
 
-    def record_burst(self, instructions: int, cycles: int) -> None:
+    def record_burst(
+        self, instructions: int, cycles: int, compiled: int = 0
+    ) -> None:
         pass
 
     def record_slow_path(self, instructions: int, cycles: int) -> None:

@@ -235,8 +235,11 @@ def render_profile(snapshot: MetricsSnapshot) -> str:
 
     bursts = counters.get("profile.fastlane.bursts", 0)
     if bursts:
+        compiled = counters.get("profile.fastlane.block_instructions", 0)
+        share = (100.0 * compiled / fast_i) if fast_i else 0.0
         lines.append(
-            f"fast lane: {bursts} bursts, "
+            f"fast lane: {bursts} bursts, {compiled} insns in compiled "
+            f"blocks ({share:.1f}% of fast-path), "
             f"{counters.get('profile.writeback.words', 0)} words written "
             f"back ({counters.get('profile.writeback.batches', 0)} "
             f"batched flushes)"

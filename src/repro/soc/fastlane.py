@@ -36,6 +36,24 @@ Bit-exactness contract (checked by the differential fuzzer in
 * **Stores.**  Burst stores land in a dirty plain-word buffer and are
   encoded and written back (fault-free, as budgeted) before anything
   can observe the memory: before every slow step, stop, or raise.
+* **Compiled blocks.**  A burst runs a straight-line run of the view
+  as one generated Python function (:class:`Block`) only when the IM
+  budget, the instruction limit and an *already drawn* SP budget cover
+  all of it (drawn by an earlier access, possibly in an earlier burst:
+  ``drawn_clean_run_length``), so a block never draws from the fault
+  RNG and never needs a budget check inside.  A block's LW/SW exits
+  early at an out-of-range address or a non-CLEAN SP word: the
+  instructions before it are committed, the access itself is not, and
+  the burst stops so the slow step replays it — the per-instruction
+  loop and ``Cpu.step`` stay the only places that know the slow-path
+  rules.  The early-exit
+  marker (:data:`EARLY_EXIT` plus the count run) lies above every next
+  pc a block can return, negative branch targets included.  Taken
+  branches update ``CpuState`` exactly as the handlers do; the
+  templates (:data:`TEMPLATES`) restate each opcode's semantics, and
+  the ``_x_*`` handlers of :mod:`repro.soc.cpu` remain the oracle the
+  fuzzer holds them to.  With a profiler, each block run is tallied
+  and expanded into the per-pc tally at publish.
 
 Cache invalidation keys off :attr:`FaultyMemory.version`, which bumps
 on every content mutation (stores, destructive read upsets, scrubs,
@@ -49,26 +67,41 @@ lockstep :class:`~repro.soc.simd.LaneBlock`:
   (:attr:`FaultyMemory.mutated_address`) — taken from the memory, not
   from the predecoded entry, because on a :class:`RawPort` a faulted
   fetch can execute a different instruction than the view holds — and
-  the engine resets just that view cell, keeping the rest.
+  the engine resets just that view cell, keeping the rest.  The fast
+  lane re-derives a touched IM cell at once and drops the blocks
+  covering it only if its entry changed, so an auto-scrub that
+  restores the same word keeps every block.
 * **Everything else drops the whole view.**  A version mismatch at
   burst entry means a mutation the engine did not make itself —
   controller traffic between YIELDs (OCEAN restores), loads, pokes,
-  ``force_next`` fallout — so the cached view is discarded and can
-  never be observed stale.
+  ``force_next`` fallout — so the cached view, blocks included, is
+  discarded and can never be observed stale.
+
+Blocks are looked up only at *leaders*: the pc a run starts at, and
+every pc reached by a control transfer or a completed block — never
+the pc after a slow step, which is usually mid-run.  Their compiled
+functions live in one bounded process-wide cache keyed by start pc and
+predecoded entries (:func:`cached_block`), compiled the second time a
+block is derived anywhere in the process, so a variant that a fault
+created and that is never seen again costs no compile.
 """
 
 from __future__ import annotations
 
+import threading
+
 from repro.ecc.base import DecodeStatus
 from repro.obs.profile import active_profiler
 from repro.soc.cpu import (
+    MEM_LOAD,
+    MEM_STORE,
     Cpu,
     ExecutionLimitExceeded,
     StopReason,
     predecode,
     publish_tally,
 )
-from repro.soc.isa import IllegalInstruction
+from repro.soc.isa import IllegalInstruction, Opcode
 from repro.soc.ports import BATCH_THRESHOLD, CodecPort, RawPort, poke_encoded
 
 _MASK32 = 0xFFFFFFFF
@@ -80,6 +113,208 @@ BLOCKED: tuple = ()
 
 #: SP-view marker with the same meaning (plain values are >= 0).
 _SP_BLOCKED = -1
+
+# ----------------------------------------------------------------------
+# Compiled blocks
+# ----------------------------------------------------------------------
+#: Template kinds: the value written to register ``a``; the SP address
+#: of a load or store; a branch's taken condition; a jump's next pc
+#: (its link ``pc + 1`` goes to register ``a``).
+_SET, _LOAD, _STORE, _BRANCH, _JUMP = range(5)
+
+#: Each compilable opcode's semantics for :func:`compile_block`, stated
+#: once, as ``(kind, expression)``.  Fields: ``{a}``/``{b}``/``{c}``
+#: read a register (a local, or ``0`` for r0), ``{sa}``/``{sb}``/``{sc}``
+#: read it as a signed value; ``{imm}`` is the decoded immediate,
+#: ``{imm32}`` its 32-bit pattern, ``{shift}`` its low five bits,
+#: ``{lui}`` its LUI result and ``{target}`` the pc it names.
+TEMPLATES = {
+    Opcode.ADD: (_SET, "({b} + {c}) & 0xFFFFFFFF"),
+    Opcode.SUB: (_SET, "({b} - {c}) & 0xFFFFFFFF"),
+    Opcode.AND: (_SET, "{b} & {c}"),
+    Opcode.OR: (_SET, "{b} | {c}"),
+    Opcode.XOR: (_SET, "{b} ^ {c}"),
+    Opcode.SLL: (_SET, "({b} << ({c} & 31)) & 0xFFFFFFFF"),
+    Opcode.SRL: (_SET, "{b} >> ({c} & 31)"),
+    Opcode.SRA: (_SET, "({sb} >> ({c} & 31)) & 0xFFFFFFFF"),
+    Opcode.SLT: (_SET, "1 if {sb} < {sc} else 0"),
+    Opcode.MUL: (_SET, "({b} * {c}) & 0xFFFFFFFF"),  # sign cancels mod 2**32
+    Opcode.MULH: (_SET, "(({sb} * {sc}) >> 32) & 0xFFFFFFFF"),
+    Opcode.ADDI: (_SET, "({b} + {imm}) & 0xFFFFFFFF"),
+    Opcode.ANDI: (_SET, "{b} & {imm32}"),
+    Opcode.ORI: (_SET, "{b} | {imm32}"),
+    Opcode.XORI: (_SET, "{b} ^ {imm32}"),
+    Opcode.SLLI: (_SET, "({b} << {shift}) & 0xFFFFFFFF"),
+    Opcode.SRLI: (_SET, "{b} >> {shift}"),
+    Opcode.SRAI: (_SET, "({sb} >> {shift}) & 0xFFFFFFFF"),
+    Opcode.SLTI: (_SET, "1 if {sb} < {imm} else 0"),
+    Opcode.LUI: (_SET, "{lui}"),
+    Opcode.LW: (_LOAD, "({b} + {imm}) & 0xFFFFFFFF"),
+    Opcode.SW: (_STORE, "({b} + {imm}) & 0xFFFFFFFF"),
+    Opcode.BEQ: (_BRANCH, "{a} == {b}"),
+    Opcode.BNE: (_BRANCH, "{a} != {b}"),
+    Opcode.BLT: (_BRANCH, "{sa} < {sb}"),
+    Opcode.BGE: (_BRANCH, "{sa} >= {sb}"),
+    Opcode.JAL: (_JUMP, "{target}"),
+    Opcode.JALR: (_JUMP, "({b} + {imm}) & 0xFFFFFFFF"),
+}
+
+#: A block returns its next pc, or ``EARLY_EXIT + k`` after committing
+#: its first ``k`` instructions.  Next pcs lie in
+#: ``[-2**21, 2**32 + IM size)`` (branch/JAL offsets are signed,
+#: JALR targets 32-bit), far below this marker.
+EARLY_EXIT = 1 << 40
+
+
+def _signed(register: str) -> str:
+    """A block expression reading ``register`` as a signed value."""
+    return f"(({register} ^ 0x80000000) - 0x80000000)"
+
+
+def compile_block(start: int, entries: tuple):
+    """Generate the function that runs ``entries`` as one block.
+
+    ``entries`` are the predecoded entries at ``start``, ``start + 1``,
+    ...; only the last may be a branch or jump, and none is HALT or
+    YIELD.  The function takes ``(regs, sp, sp_words, fill, dirty,
+    state)`` — the register list, the SP view with its size and filler,
+    the dirty-store set, and the ``CpuState`` a taken branch bumps.  It
+    keeps the registers it uses in locals, writes back the ones it
+    assigns however it returns, and returns its next pc, or
+    :data:`EARLY_EXIT` ``+ k`` when the ``k``-th instruction's access
+    has to take the slow path.
+    """
+    used: set = set()
+    written: set = set()
+
+    def register(number):
+        if not number:
+            return "0"
+        used.add(number)
+        return f"r{number}"
+
+    body: list = []
+    for index, entry in enumerate(entries):
+        pc = start + index
+        a, b, c, imm = entry[1], entry[2], entry[3], entry[4]
+        kind, template = TEMPLATES[entry[6]]
+        # A field the template ignores only costs an unused load.
+        ra, rb, rc = register(a), register(b), register(c)
+        expression = template.format(
+            a=ra, b=rb, c=rc, sa=_signed(ra), sb=_signed(rb), sc=_signed(rc),
+            imm=imm, imm32=imm & _MASK32, shift=imm & 31,
+            lui=(imm << 12) & _MASK32, target=pc + imm,
+        )
+        early_exit = f"    return {EARLY_EXIT + index}"
+        if kind == _SET:
+            if a:
+                body.append(f"{ra} = {expression}")
+                written.add(a)
+        elif kind == _LOAD:
+            body += [f"t = {expression}", "if t >= sp_words:", early_exit,
+                     "v = sp[t]", "if v is None:", "    v = fill(t)",
+                     "if v < 0:", early_exit]
+            if a:
+                body.append(f"{ra} = v")
+                written.add(a)
+        elif kind == _STORE:
+            body += [f"t = {expression}", "if t >= sp_words:", early_exit,
+                     f"sp[t] = {ra}", "dirty.add(t)"]
+        elif kind == _BRANCH:
+            body += [
+                f"if {expression}:",
+                "    state.taken_branches += 1",
+                "    state.cycles += 1",
+                f"    return {pc + imm}",
+                f"return {pc + 1}",
+            ]
+        else:  # _JUMP: the target reads its register before the link
+            body.append(f"t = {expression}")
+            if a:
+                body.append(f"{ra} = {(pc + 1) & _MASK32}")
+                written.add(a)
+            body.append("return t")
+    if kind not in (_BRANCH, _JUMP):  # cut short: fall through
+        body.append(f"return {start + len(entries)}")
+    # Every used register is loaded, so the write-back is exact at any
+    # return: a register not yet assigned writes back its own value.
+    lines = [f"r{r} = regs[{r}]" for r in sorted(used)]
+    if written:
+        lines += ["try:"] + ["    " + line for line in body] + ["finally:"]
+        lines += [f"    regs[{r}] = r{r}" for r in sorted(written)]
+    else:
+        lines += body
+    name = f"block_{start}"
+    source = "\n".join(
+        [f"def {name}(regs, sp, sp_words, fill, dirty, state):"]
+        + ["    " + line for line in lines]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<ntc32 block at pc {start}>", "exec"), namespace)
+    return namespace[name]
+
+
+class Block:
+    """One straight-line run of predecoded entries starting at a leader.
+
+    It ends at its first branch or jump (included), or before the first
+    HALT, YIELD or :data:`BLOCKED` cell.  ``run`` is the compiled
+    function (:func:`compile_block`), ``None`` until the block is seen
+    a second time; ``n``, ``cycles``, ``loads`` and ``stores`` are what
+    one complete run commits.
+    """
+
+    __slots__ = ("start", "entries", "n", "cycles", "loads", "stores", "run")
+
+    def __init__(self, start: int, entries: tuple) -> None:
+        self.start = start
+        self.entries = entries
+        self.n = len(entries)
+        self.cycles, self.loads, self.stores = self.prefix(self.n)
+        self.run = None
+
+    def prefix(self, count: int) -> tuple:
+        """``(cycles, loads, stores)`` of the first ``count`` entries."""
+        done = self.entries[:count]
+        return (
+            sum(entry[5] for entry in done),
+            sum(entry[7] == MEM_LOAD for entry in done),
+            sum(entry[7] == MEM_STORE for entry in done),
+        )
+
+
+#: Leader cell that starts no block (HALT, YIELD or BLOCKED).
+_NO_BLOCK = Block(-1, ())
+
+#: Process-wide blocks, least recently derived first, keyed by
+#: ``(start, entries)``.  Bounded: faults and fuzzing create variants
+#: that are seen once.  The lock makes each lookup-insert-evict step
+#: atomic across the server's job threads; compiling happens outside
+#: it, so two threads may at worst compile the same block twice.
+_BLOCK_CACHE: dict = {}
+_BLOCK_CACHE_LIMIT = 512
+_BLOCK_CACHE_LOCK = threading.Lock()
+
+
+def cached_block(start: int, entries: tuple) -> Block:
+    """The shared :class:`Block` for ``entries`` at ``start``.
+
+    Each call is one sighting.  The first creates the block without
+    compiling it; a later one, from any engine, compiles it, and every
+    engine holding the block runs the compiled function from then on.
+    """
+    key = (start, entries)
+    with _BLOCK_CACHE_LOCK:
+        block = _BLOCK_CACHE.pop(key, None)
+        seen = block is not None
+        if not seen:
+            block = Block(start, entries)
+            if len(_BLOCK_CACHE) >= _BLOCK_CACHE_LIMIT:
+                del _BLOCK_CACHE[next(iter(_BLOCK_CACHE))]
+        _BLOCK_CACHE[key] = block
+    if seen and block.run is None:
+        block.run = compile_block(start, entries)
+    return block
 
 
 def lane_capable(platform) -> bool:
@@ -183,6 +418,10 @@ class FastLaneEngine:
         self._sp_codec = platform.sp_port.codec
         self._im_entries: list = [None] * self._im.words
         self._sp_values: list = [None] * self._sp.words
+        # Per leader pc: its Block once derived; and the end of the IM
+        # cells each derived block's extent depends on.
+        self._blocks: list = [None] * self._im.words
+        self._spans: dict = {}
         # Forced stale so the first burst syncs against the memories.
         self._im_version = -1
         self._sp_version = -1
@@ -208,7 +447,8 @@ class FastLaneEngine:
         identical messages and the platform sees identical counter/RNG
         state.  The views are in sync at every slow step (the burst
         just synced them), so afterwards only the cells the step
-        touched are reset.
+        touched are reset.  The pc a run starts at is a leader; the pc
+        after a slow step is not.
         """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
@@ -218,15 +458,19 @@ class FastLaneEngine:
         if not profiler.enabled:
             profiler = None
         im, sp = self._im, self._sp
+        leader = True
         while True:
-            stop = self._burst(executed_limit, max_instructions, profiler)
+            stop = self._burst(
+                executed_limit, max_instructions, profiler, leader
+            )
             if stop is not None:
                 return stop
+            leader = False
             # The burst could not (or could no longer) make progress:
             # one faithful reference step handles the blocking access.
             reason, im_cell, sp_cell = slow_step(self._cpu, im, sp, profiler)
             if im_cell is not None:
-                self._im_entries[im_cell] = None
+                self._reset_im_cell(im_cell)
                 self._im_version = im.version
             if sp_cell is not None:
                 self._sp_values[sp_cell] = None
@@ -242,7 +486,7 @@ class FastLaneEngine:
     # ------------------------------------------------------------------
     # Burst core
     # ------------------------------------------------------------------
-    def _burst(self, executed_limit, max_instructions, profiler):
+    def _burst(self, executed_limit, max_instructions, profiler, leader):
         """Execute instructions against the clean views until blocked.
 
         Returns a :class:`StopReason` on HALT/YIELD, else ``None``
@@ -250,14 +494,19 @@ class FastLaneEngine:
         fault-engine gap consumption, access counters, dirty stores —
         is settled before returning or raising, so every observer
         (slow path, controller code between YIELDs, result collection)
-        sees the exact per-access state.  With a ``profiler``, committed
-        instructions are tallied per pc in a local dict and published
-        (with their opcodes) after settlement, together with the burst's
-        length.
+        sees the exact per-access state.  ``leader`` says whether the
+        entry pc is a leader.  At each leader whose compiled block the
+        budgets cover, the block runs in place of the per-instruction
+        loop.  With a ``profiler``, committed instructions are tallied
+        per pc in a local dict (block runs per start and length, expanded
+        at the end) and published (with their opcodes) after settlement,
+        together with the burst's length and its compiled share.
         """
         im, sp = self._im, self._sp
         if im.version != self._im_version:
             self._im_entries = [None] * im.words
+            self._blocks = [None] * im.words
+            self._spans = {}
             self._im_version = im.version
         if sp.version != self._sp_version:
             self._sp_values = [None] * sp.words
@@ -266,6 +515,7 @@ class FastLaneEngine:
         state = self._cpu.state
         regs = state.registers
         im_entries = self._im_entries
+        blocks = self._blocks
         im_codec = self._im_codec
         sp_values = self._sp_values
         im_words = im.words
@@ -274,6 +524,7 @@ class FastLaneEngine:
         sp_faults = sp.faults
         sp_samples_writes = sp_faults is not None and sp.fault_on_write
         dirty = self._dirty
+        fill = self._sp_fill
         unbounded = 1 << 62
 
         pc = state.pc
@@ -285,7 +536,13 @@ class FastLaneEngine:
             im_left = im_faults.clean_run_length()
         else:
             im_left = unbounded
-        sp_left = None  # drawn lazily at the first data access
+        # The SP gap is only drawn when a data access is certain: by the
+        # loop's first one, unless an earlier access already drew it.
+        # Blocks with data accesses only run once it is drawn.
+        if sp_faults is not None:
+            sp_left = sp_faults.drawn_clean_run_length()
+        else:
+            sp_left = unbounded
         # Instruction/cycle tallies accumulate in locals and settle in
         # one shot at burst exit — the hot loop touches no dataclass
         # attributes beyond the PC handshake the shared handlers need.
@@ -296,8 +553,54 @@ class FastLaneEngine:
         sp_writes = 0
         stop = None
         tally = {} if profiler is not None else None
+        block_runs = {} if profiler is not None else None
 
         while True:
+            if leader:
+                leader = False
+                block = blocks[pc]
+                if block is None:
+                    block = self._block_at(pc)
+                run = block.run
+                if run is not None:
+                    n = block.n
+                    loads = block.loads
+                    stores = block.stores
+                    samples = loads + stores if sp_samples_writes else loads
+                    if n <= im_left and n <= insns_left - executed and (
+                        not samples
+                        or (sp_left is not None and samples <= sp_left)
+                    ):
+                        next_pc = run(
+                            regs, sp_values, sp_words, fill, dirty, state
+                        )
+                        if next_pc >= EARLY_EXIT:
+                            # n instructions ran; the slow step takes the
+                            # access at the next pc.
+                            n = next_pc - EARLY_EXIT
+                            block_cycles, loads, stores = block.prefix(n)
+                            next_pc = pc + n
+                        else:
+                            block_cycles = block.cycles
+                            im_left -= n
+                            if samples:
+                                sp_left -= samples
+                            leader = True
+                        executed += n
+                        cycles += block_cycles
+                        sp_reads += loads
+                        sp_writes += stores
+                        if block_runs is not None and n:
+                            key = (pc, n)
+                            block_runs[key] = block_runs.get(key, 0) + 1
+                        pc = next_pc
+                        if (
+                            not leader
+                            or executed >= insns_left
+                            or not 0 <= pc < im_words
+                        ):
+                            break
+                        continue
             entry = im_entries[pc]
             if entry is None:
                 entry = im_entries[pc] = im_entry(im, im_codec, pc)
@@ -320,20 +623,19 @@ class FastLaneEngine:
                 state.pc = pc
                 entry[0](None, state, entry)
                 pc = state.pc
+                if op >= 48:  # BEQ (0x30) .. JALR (0x35)
+                    leader = True
             elif mem_kind == 1:  # LW
                 address = (regs[entry[2]] + entry[4]) & _MASK32
                 if address >= sp_words:
                     break
                 value = sp_values[address]
                 if value is None:
-                    value = self._sp_fill(address)
+                    value = fill(address)
                 if value < 0:
                     break
                 if sp_left is None:
-                    if sp_faults is not None:
-                        sp_left = sp_faults.clean_run_length()
-                    else:
-                        sp_left = unbounded
+                    sp_left = sp_faults.clean_run_length()
                 if sp_left < 1:
                     break
                 sp_left -= 1
@@ -376,7 +678,12 @@ class FastLaneEngine:
         state.cycles += cycles
         self._settle(executed, sp_reads, sp_writes, sp_samples_writes)
         if tally is not None:
-            profiler.record_burst(executed, cycles)
+            compiled = 0
+            for (start, length), count in block_runs.items():
+                compiled += length * count
+                for at in range(start, start + length):
+                    tally[at] = tally.get(at, 0) + count
+            profiler.record_burst(executed, cycles, compiled)
             # The view is fixed for the whole burst, so the entry it
             # holds at a tallied pc is the one every execution ran.
             publish_tally(
@@ -391,6 +698,62 @@ class FastLaneEngine:
                 f"pc={state.pc}"
             )
         return None
+
+    # ------------------------------------------------------------------
+    # Blocks
+    # ------------------------------------------------------------------
+    def _block_at(self, start):
+        """Derive the :class:`Block` that starts at leader ``start``.
+
+        Walks the view from ``start``, filling cells as a fetch would
+        (resolution peeks and decodes, which observes nothing), and
+        records the end of the cells the block's extent depends on:
+        through its closing branch or jump, or through the cell that
+        cut it short.
+        """
+        im_entries = self._im_entries
+        words = self._im.words
+        entries = []
+        address = start
+        end = words
+        while address < words:
+            entry = im_entries[address]
+            if entry is None:
+                entry = im_entries[address] = im_entry(
+                    self._im, self._im_codec, address
+                )
+            if entry is BLOCKED or entry[6] >= 62:  # HALT / YIELD
+                end = address + 1
+                break
+            entries.append(entry)
+            address += 1
+            if entry[6] >= 48:  # BEQ (0x30) .. JALR (0x35)
+                end = address
+                break
+        block = cached_block(start, tuple(entries)) if entries else _NO_BLOCK
+        self._blocks[start] = block
+        self._spans[start] = end
+        return block
+
+    def _reset_im_cell(self, address):
+        """Re-derive the IM cell a slow step rewrote.
+
+        An unchanged entry (an auto-scrub restoring the corrected word)
+        keeps every block; a changed one drops the blocks whose extent
+        covers the cell.  A cell never filled is left for its next
+        fetch: no block covers it.
+        """
+        previous = self._im_entries[address]
+        if previous is None:
+            return
+        entry = im_entry(self._im, self._im_codec, address)
+        if entry == previous:
+            return
+        self._im_entries[address] = entry
+        spans = self._spans
+        for start in [s for s, end in spans.items() if s <= address < end]:
+            del spans[start]
+            self._blocks[start] = None
 
     # ------------------------------------------------------------------
     # View population

@@ -172,6 +172,16 @@ class VoltageFaultModel:
             self._gap = int(self.rng.geometric(self._p_any)) - 1
         return self._gap
 
+    def drawn_clean_run_length(self) -> int | None:
+        """:meth:`clean_run_length` when it needs no RNG draw, else ``None``.
+
+        Lets a caller that is not yet sure an access will occur use a
+        gap an earlier access already drew, without drawing one itself.
+        """
+        if self._gap is None and not self._forced and self._p_any != 0.0:
+            return None
+        return self.clean_run_length()
+
     def consume_clean(self, accesses: int) -> None:
         """Account ``accesses`` fault-free accesses taken off the gap.
 

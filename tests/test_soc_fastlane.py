@@ -13,15 +13,28 @@ requires identical observable state — the contract is always
 "bit-exact with the interpreter", never a hand-computed expectation.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.access import ACCESS_CELL_BASED_40NM, ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import SecdedCodec
-from repro.mitigation import DectedRunner
+from repro.mitigation import DectedRunner, NoMitigationRunner, SecdedRunner
+from repro.obs import MetricsRegistry, names, scoped_metrics
+from repro.obs.profile import scoped_profiling
+from repro.soc import fastlane
 from repro.soc.assembler import assemble
-from repro.soc.cpu import StopReason
-from repro.soc.fastlane import FastLaneEngine, lane_capable
+from repro.soc.cpu import _HANDLERS, StopReason, predecode
+from repro.soc.fastlane import (
+    EARLY_EXIT,
+    TEMPLATES,
+    FastLaneEngine,
+    cached_block,
+    lane_capable,
+)
+from repro.soc.isa import Opcode
 from repro.soc.faults import VoltageFaultModel
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform, SystemFailure
@@ -34,6 +47,14 @@ from tests.test_soc_fuzz import _scalar_runner
 _MODEL = ACCESS_CELL_BASED_40NM_TYPICAL
 _IM_WORDS = 64
 _SP_WORDS = 64
+
+
+@pytest.fixture(autouse=True)
+def _empty_block_cache():
+    """Start every test with no block seen, so test order never decides
+    whether a block runs compiled or interpreted."""
+    with fastlane._BLOCK_CACHE_LOCK:
+        fastlane._BLOCK_CACHE.clear()
 
 
 class _CountingPort:
@@ -538,8 +559,11 @@ def test_raw_im_upset_inside_a_cached_run_executes_the_new_word(lane):
     """On a RawPort a fetch upset rewrites the stored instruction, so
     the engine must re-derive that cell — and, in a lane block, the
     lane's straight-line run memo over it — or it keeps executing the
-    old word.  ``lane=None`` runs the fast lane."""
+    old word.  ``lane=None`` runs the fast lane with the loop body
+    (addresses 2-6) compiled: the upset drops that block, and the
+    variant it creates is seen once, so it runs uncompiled."""
     if lane is None:
+        _rounds([_raw_platform()], None)  # first sighting of each block
         platforms, block, target = [_raw_platform()], None, 0
     else:
         platforms = [_raw_platform() for _ in range(3)]
@@ -547,7 +571,14 @@ def test_raw_im_upset_inside_a_cached_run_executes_the_new_word(lane):
         target = lane
     upset, clean = _raw_platform(scalar=True), _raw_platform(scalar=True)
     try:
-        _rounds(platforms, block, count=3)  # warm views and run memos
+        _rounds(platforms, block, count=2)  # warm views and run memos
+        if lane is None:
+            body = platforms[0]._fast_engine._blocks[2]
+            assert (body.n, body.run is not None) == (5, True)
+            calls = _spy(body)
+        _rounds(platforms, block, count=1)
+        if lane is None:
+            assert len(calls) == 1  # the compiled body ran
         _rounds([upset, clean], None, count=3)
         for platform in (upset, platforms[target]):
             # Address 2 fetches clean (a forced no-op), 3 is upset.
@@ -561,3 +592,353 @@ def test_raw_im_upset_inside_a_cached_run_executes_the_new_word(lane):
     assert upset.cpu.state.registers != clean.cpu.state.registers
     for index, platform in enumerate(platforms):
         _assert_same(upset if index == target else clean, platform)
+    if lane is None:
+        variant = platforms[0]._fast_engine._blocks[2]
+        assert variant.entries[1] == predecode(upset.im.peek(3))
+        assert variant.run is None
+        assert len(calls) == 1  # the old body never ran after the upset
+
+
+# ---------------------------------------------------------------------------
+# Compiled blocks: budgets, early exits, invalidation and profiling
+# ---------------------------------------------------------------------------
+def _spy(block):
+    """Record the return value of every call of ``block``'s compiled
+    function (blocks are shared, so every engine's calls are seen)."""
+    returns = []
+    run = block.run
+
+    def spy(*args):
+        result = run(*args)
+        returns.append(result)
+        return result
+
+    block.run = spy
+    return returns
+
+
+def _see_blocks(make):
+    """Drain a throwaway platform from ``make()``: each block its run
+    derives has then been seen once, and the next engine that derives
+    it compiles it."""
+    platform = make()
+    try:
+        _drain(platform)
+    except SystemFailure:
+        pass
+
+
+def _set_gap(memory, accesses):
+    """Schedule ``memory``'s next fault after ``accesses`` clean ones
+    (the fault engine's pending geometric gap)."""
+    memory.faults._gap = accesses
+
+
+# After the yield (address 1), one 11-instruction block at address 2:
+# three loads, ALU work and a store, closed by the loop branch.
+_BODY_LOOP = assemble("""
+    addi r2, r0, 6
+loop:
+    yield
+    lw   r3, r0, 8
+    lw   r5, r0, 9
+    add  r4, r4, r3
+    xor  r6, r4, r5
+    slli r7, r6, 3
+    sub  r8, r7, r2
+    lw   r9, r0, 10
+    add  r4, r4, r9
+    sw   r4, r0, 11
+    addi r2, r2, -1
+    bne  r2, r0, loop
+    halt
+""")
+_BODY_DATA = [0] * 8 + [0x1111, 0x2222, 0x3333]
+
+
+def _body_pair():
+    """A warm SECDED pair on ``_BODY_LOOP``: the fast lane's body block
+    compiled, and both platforms one iteration in (the SP gap drawn).
+    At 0.35 V faults are possible but the drawn gaps are astronomical,
+    so only the gaps a test schedules fault."""
+    def make(scalar=False):
+        platform = _build(scheme="secded", vdd=0.35, scalar=scalar)
+        _load(platform, _BODY_LOOP)
+        platform.load_data(_BODY_DATA)
+        return platform
+
+    _see_blocks(make)
+    reference, fast = make(scalar=True), make()
+    for platform in (reference, fast):
+        for _ in range(2):
+            assert platform.run_until_stop() is StopReason.YIELD
+    body = fast._fast_engine._blocks[2]
+    assert (body.n, body.run is not None) == (11, True)
+    return reference, fast, body
+
+
+def test_im_budget_ending_mid_block_runs_it_per_instruction():
+    """A fault scheduled on the 5th fetch of the body: the compiled
+    block does not run, the loop commits four instructions, the slow
+    step takes the faulty fetch, and the next iteration runs compiled
+    again — all bit-exact with the interpreter."""
+    reference, fast, body = _body_pair()
+    calls = _spy(body)
+    for platform in (reference, fast):
+        _set_gap(platform.im, 4)
+        assert platform.run_until_stop() is StopReason.YIELD
+    assert calls == []
+    assert fast.im.faults.injected_events == 1
+    # The pc after the slow step (address 7) is mid-run, not a leader.
+    assert fast._fast_engine._blocks[7] is None
+    for platform in (reference, fast):
+        _drain(platform)
+    assert calls == [1, 1, 1, 13]  # the last iteration falls through
+    _assert_same(reference, fast)
+
+
+def test_sp_budget_short_of_a_blocks_accesses_runs_it_per_instruction():
+    """The body samples four SP accesses; with a fault due on the
+    second, the block does not run and the fault lands on the second
+    load, exactly where per-access sampling puts it."""
+    reference, fast, body = _body_pair()
+    calls = _spy(body)
+    for platform in (reference, fast):
+        _set_gap(platform.sp, 1)
+        assert platform.run_until_stop() is StopReason.YIELD
+    assert calls == []
+    assert fast.sp.faults.injected_events == 1
+    for platform in (reference, fast):
+        _drain(platform)
+    assert calls == [1, 1, 1, 13]  # the last iteration falls through
+    _assert_same(reference, fast)
+
+
+def test_non_clean_sp_word_exits_a_compiled_block_early():
+    """A corrupted codeword at SP address 9: the compiled body commits
+    its first load and exits at the second, whose slow step corrects
+    and scrubs the word; later iterations run compiled again."""
+    reference, fast, body = _body_pair()
+    calls = _spy(body)
+    for platform in (reference, fast):
+        platform.sp.poke(9, platform.sp.peek(9) ^ (1 << 5))
+        _drain(platform)
+    assert calls == [EARLY_EXIT + 1, 1, 1, 1, 13]
+    assert fast.result().corrected_words >= 1
+    _assert_same(reference, fast)
+
+
+# r2 walks up from 61 past the scratchpad's last word (63): the fourth
+# iteration's access at address 64 is a wild access.
+_WALK = """
+    addi r2, r0, 61
+loop:
+    yield
+    addi r3, r3, 1
+    {access} r5, r2, 0
+    add  r5, r5, r3
+    addi r2, r2, 1
+    bne  r2, r0, loop
+    halt
+"""
+
+
+@pytest.mark.parametrize("access", ["lw", "sw"])
+def test_out_of_range_access_exits_a_compiled_block_early(access):
+    """The compiled body commits its first instruction and exits at
+    the wild access; the slow step raises it, and the failure, pc and
+    counters match the interpreter's."""
+    words = assemble(_WALK.format(access=access))
+
+    def make(scalar=False):
+        platform = _build(scalar=scalar)
+        _load(platform, words)
+        return platform
+
+    _see_blocks(make)
+    failures = []
+    for platform in (make(scalar=True), make()):
+        with pytest.raises(SystemFailure) as excinfo:
+            for _ in range(3):
+                platform.run_until_stop()
+            if platform._fast_engine is not None:
+                calls = _spy(platform._fast_engine._blocks[2])
+            _drain(platform)
+        failures.append((str(excinfo.value), _state_tuple(platform)))
+    assert "wild-access" in failures[0][0]
+    assert failures[1] == failures[0]
+    assert calls == [1, EARLY_EXIT + 1]
+
+
+def test_branch_below_zero_from_a_compiled_block_is_a_next_pc():
+    """A compiled block whose taken branch names pc -26 returns that
+    pc — never mistaken for an early exit — and the fetch there fails
+    as the interpreter's does."""
+    words = assemble("""
+        addi r2, r0, 3
+    loop:
+        yield
+        addi r2, r2, -1
+        add  r4, r4, r2
+        beq  r2, r0, -30
+        jal  r0, loop
+    """)
+
+    def make(scalar=False):
+        platform = _build(scalar=scalar)
+        _load(platform, words)
+        return platform
+
+    _see_blocks(make)
+    failures = []
+    for platform in (make(scalar=True), make()):
+        with pytest.raises(SystemFailure) as excinfo:
+            for _ in range(2):
+                platform.run_until_stop()
+            if platform._fast_engine is not None:
+                calls = _spy(platform._fast_engine._blocks[2])
+            _drain(platform)
+        failures.append((str(excinfo.value), _state_tuple(platform)))
+    assert "wild-access" in failures[0][0]
+    assert failures[1] == failures[0]
+    assert calls == [5, -26]
+
+
+def test_scrubbed_im_upset_keeps_every_compiled_block():
+    """An auto-scrubbed SECDED upset rewrites the word it corrects:
+    the cell re-derives to the same entry, so every block — the one
+    covering the word included — stays, compiled."""
+    _see_blocks(lambda: _counting_platform()[0])
+    fast, _, _ = _counting_platform()
+    reference, _, _ = _counting_platform(scalar=True)
+    for platform in (fast, reference):
+        for _ in range(2):
+            assert platform.run_until_stop() is StopReason.YIELD
+    engine = fast._fast_engine
+    blocks, spans = list(engine._blocks), dict(engine._spans)
+    covering = engine._blocks[6]  # addi r2, r2, -1; bne: addresses 6-7
+    assert covering.run is not None
+    calls = _spy(covering)
+    _upset(fast.im, 6, 1 << 3, fast.run_until_stop)
+    reference.im.faults.force_next(1 << 3)
+    reference.run_until_stop()
+    assert engine._blocks == blocks and engine._spans == spans
+    for platform in (fast, reference):
+        _drain(platform)
+    assert len(calls) == 10  # every later iteration ran it compiled
+    _assert_same(reference, fast)
+
+
+def test_profiling_with_compiled_blocks_is_bit_exact():
+    """Profiling on runs the same compiled blocks as profiling off:
+    identical outcomes and RNG positions, each block run expanded into
+    the per-pc tally (fault-free, the opcode and pc histograms equal
+    the interpreter's), and the compiled share counted."""
+    program = build_fft_program(16)
+
+    def run(runner_cls, model, vdd, profiled):
+        runner = runner_cls(model, seed=5)
+        registry = MetricsRegistry()
+        if profiled:
+            with scoped_metrics(registry), scoped_profiling():
+                outcome = runner.run(program.workload, vdd, 25e6)
+        else:
+            outcome = runner.run(program.workload, vdd, 25e6)
+        platform = runner.last_platform
+        rng = [m.faults.rng.bit_generator.state for m in (platform.im, platform.sp)]
+        return outcome, rng, registry.snapshot()
+
+    for model, vdd in ((_MODEL, 0.7), (ACCESS_CELL_BASED_40NM, 0.44)):
+        run(SecdedRunner, model, vdd, profiled=False)  # blocks seen once
+        off = run(SecdedRunner, model, vdd, profiled=False)
+        on = run(SecdedRunner, model, vdd, profiled=True)
+        assert on[:2] == off[:2]
+        counters, histograms = on[2].counters, on[2].histograms
+        assert counters[names.PROFILE_BLOCK_INSTRUCTIONS] > 0
+        assert sum(histograms[names.PROFILE_PC].values()) == (
+            counters[names.PROFILE_FAST_INSTRUCTIONS]
+        )
+    scalar = run(_scalar_runner(SecdedRunner), _MODEL, 0.7, profiled=True)
+    fast = run(SecdedRunner, _MODEL, 0.7, profiled=True)
+    for name in (names.PROFILE_OPCODE, names.PROFILE_PC):
+        assert fast[2].histograms[name] == scalar[2].histograms[name]
+
+
+def test_every_handler_opcode_has_a_template():
+    """The block templates cover every opcode a block may contain."""
+    compilable = set(_HANDLERS) - {Opcode.HALT, Opcode.YIELD}
+    assert set(TEMPLATES) == compilable
+
+
+def test_blocks_compile_on_their_second_sighting():
+    """The first derivation of a block only records it; the second,
+    from any engine, compiles it, and both hold the same block."""
+    entries = tuple(
+        predecode(word)
+        for word in assemble("addi r1, r1, 1\nbne r1, r0, -1")
+    )
+    first = cached_block(7, entries)
+    assert first.run is None
+    assert cached_block(7, entries) is first
+    assert first.run is not None
+
+
+def test_shared_block_cache_under_threads(monkeypatch):
+    """``repro serve`` runs jobs on threads that share the block cache.
+    More threads than cores, each running FFTs on its own platforms
+    with a tiny switch interval, under a cache bound smaller than the
+    blocks in play: every outcome equals the ``Cpu.run`` oracle, and
+    the cache never holds more than its bound."""
+    limit = 40
+    monkeypatch.setattr(fastlane, "_BLOCK_CACHE_LIMIT", limit)
+    cases = [
+        (runner_cls, build_fft_program(points).workload, vdd, seed)
+        for runner_cls, vdd in ((SecdedRunner, 0.44), (NoMitigationRunner, 0.5))
+        for points in (16, 64)
+        for seed in (1, 2)
+    ]
+
+    def run(case, scalar=False):
+        runner_cls, workload, vdd, seed = case
+        if scalar:
+            runner_cls = _scalar_runner(runner_cls)
+        runner = runner_cls(ACCESS_CELL_BASED_40NM, seed=seed)
+        return runner.run(workload, vdd, 25e6)
+
+    oracle = [run(case, scalar=True) for case in cases]
+    results, errors, peak = {}, [], [0]
+    done = threading.Event()
+
+    def worker(index):
+        try:
+            for offset in range(len(cases)):
+                case = (index + offset) % len(cases)
+                results[index, case] = run(cases[case])
+        except Exception as exc:  # reported below, with its thread
+            errors.append((index, exc))
+
+    def watch():
+        while not done.wait(0.0001):
+            peak[0] = max(peak[0], len(fastlane._BLOCK_CACHE))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    watcher = threading.Thread(target=watch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        watcher.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [watcher])
+    assert errors == []
+    assert len(results) == len(threads) * len(cases)
+    for (_, case), outcome in results.items():
+        assert outcome == oracle[case]
+    assert peak[0] == limit  # reached, so threads evicted concurrently
+    assert any(b.run is not None for b in fastlane._BLOCK_CACHE.values())

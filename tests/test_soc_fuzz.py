@@ -211,24 +211,38 @@ def test_opcode_enum_is_stable():
 # same counters, same fault statistics, and — the strongest claim —
 # the same RNG stream consumption, so every later fault lands on the
 # same access in both worlds.  Hypothesis generates random programs
-# (ALU, loads/stores, branches, yields) and random supply voltages;
-# the same platform is built twice with identically seeded fault
-# engines, run once per lane, and fingerprinted.
+# (ALU, loads/stores, branches, jumps, yields) and random supply
+# voltages; the same platform is built with identically seeded fault
+# engines, run once per engine, and fingerprinted.  The fast lane runs
+# twice on fresh platforms: the first run sees each straight-line block
+# for the first time, and the second runs the blocks compiled.
 
 _IM_WORDS = 64
 _SP_WORDS = 64
 _BRANCH_OPS = ["beq", "bne", "blt", "bge"]
+#: Longest generated program: it and its closing HALT fit the IM.
+_MAX_PROGRAM = _IM_WORDS - 1
+
+
+def _offsets():
+    """Branch and jump offsets: mostly short, with targets that leave
+    the instruction memory on both sides."""
+    return st.one_of(
+        st.integers(-3, 4),
+        st.integers(-2 * _IM_WORDS, 2 * _IM_WORDS),
+    )
 
 
 @st.composite
 def soc_programs(draw):
     """Random programs with memory traffic and control flow.
 
-    Register seeds are biased toward small values so loads and stores
-    mostly hit the scratchpad, with full-range outliers to exercise
-    wild-access parity.  Branch offsets are mostly forward; runaway
-    loops are fine — both lanes must then agree on the runaway
-    failure, instruction for instruction.
+    A program is a few straight-line runs (ALU and LUI, with or without
+    LW/SW; up to 30 long), each closed by a branch, JAL, JALR or YIELD.
+    Register seeds are biased toward small values so loads, stores and
+    JALR targets mostly stay in range, with full-range outliers to
+    exercise wild-access parity.  Runaway loops are fine — both engines
+    must then agree on the runaway failure, instruction for instruction.
     """
     seed_regs = [0] + [
         draw(
@@ -239,42 +253,48 @@ def soc_programs(draw):
         )
         for _ in range(15)
     ]
-    length = draw(st.integers(min_value=1, max_value=20))
     lines = []
-    for _ in range(length):
-        kind = draw(
-            st.sampled_from(
-                ["r", "i", "lui", "lw", "sw", "branch", "yield"]
-            )
-        )
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        # Half the runs make no data access, so their blocks need no
+        # SP budget and can run compiled even at a run's first leader.
+        kinds = ["r", "i", "lui"]
+        if draw(st.booleans()):
+            kinds += ["lw", "sw"]
+        for _ in range(draw(st.integers(min_value=0, max_value=30))):
+            kind = draw(st.sampled_from(kinds))
+            a = draw(st.integers(0, 15))
+            b = draw(st.integers(0, 15))
+            if kind == "r":
+                op = draw(st.sampled_from(_R_OPS))
+                c = draw(st.integers(0, 15))
+                lines.append(f"{op} r{a}, r{b}, r{c}")
+            elif kind == "i":
+                op = draw(st.sampled_from(_I_OPS))
+                imm = draw(st.integers(-(1 << 13), (1 << 13) - 1))
+                if op in ("slli", "srli", "srai"):
+                    imm = draw(st.integers(0, 31))
+                lines.append(f"{op} r{a}, r{b}, {imm}")
+            elif kind == "lui":
+                lines.append(
+                    f"lui r{a}, {draw(st.integers(0, (1 << 21) - 1))}"
+                )
+            else:
+                base = draw(st.sampled_from([0, b]))
+                imm = draw(st.integers(0, _SP_WORDS - 1))
+                lines.append(f"{kind} r{a}, r{base}, {imm}")
+        end = draw(st.sampled_from(["branch", "jal", "jalr", "yield"]))
         a = draw(st.integers(0, 15))
         b = draw(st.integers(0, 15))
-        if kind == "r":
-            op = draw(st.sampled_from(_R_OPS))
-            c = draw(st.integers(0, 15))
-            lines.append(f"{op} r{a}, r{b}, r{c}")
-        elif kind == "i":
-            op = draw(st.sampled_from(_I_OPS))
-            imm = draw(st.integers(-(1 << 13), (1 << 13) - 1))
-            if op in ("slli", "srli", "srai"):
-                imm = draw(st.integers(0, 31))
-            lines.append(f"{op} r{a}, r{b}, {imm}")
-        elif kind == "lui":
-            lines.append(f"lui r{a}, {draw(st.integers(0, (1 << 21) - 1))}")
-        elif kind == "lw":
-            base = draw(st.sampled_from([0, b]))
-            imm = draw(st.integers(0, _SP_WORDS - 1))
-            lines.append(f"lw r{a}, r{base}, {imm}")
-        elif kind == "sw":
-            base = draw(st.sampled_from([0, b]))
-            imm = draw(st.integers(0, _SP_WORDS - 1))
-            lines.append(f"sw r{a}, r{base}, {imm}")
-        elif kind == "branch":
+        if end == "branch":
             op = draw(st.sampled_from(_BRANCH_OPS))
-            offset = draw(st.integers(-2, 3))
-            lines.append(f"{op} r{a}, r{b}, {offset}")
+            lines.append(f"{op} r{a}, r{b}, {draw(_offsets())}")
+        elif end == "jal":
+            lines.append(f"jal r{a}, {draw(_offsets())}")
+        elif end == "jalr":
+            lines.append(f"jalr r{a}, r{b}, {draw(_offsets())}")
         else:
             lines.append("yield")
+    lines = lines[:_MAX_PROGRAM]
     lines.append("halt")
     data = [draw(st.integers(0, _MASK32)) for _ in range(8)]
     return "\n".join(lines), seed_regs, data
@@ -327,7 +347,11 @@ def _scalar_runner(runner_cls):
 
 
 def _run_soc(platform, source, seed_regs, data, max_instructions=300):
-    """Run to completion/failure; return a comparable outcome trace."""
+    """Run to completion/failure; return a comparable outcome trace.
+
+    ``max_instructions`` bounds each ``run_until_stop``; the fast-lane
+    fuzzers draw it per example, so some runs end mid-block.
+    """
     platform.load_program(assemble(source))
     platform.load_data(data)
     platform.cpu.state.registers = list(seed_regs)
@@ -384,22 +408,32 @@ def soc_scenarios(draw):
     vdd = draw(st.sampled_from([0.55, 0.45, 0.40, 0.35, 0.30]))
     scheme = draw(st.sampled_from(["raw", "secded", "detect"]))
     seed = draw(st.integers(0, 1 << 16))
-    return program, vdd, scheme, seed
+    limit = draw(st.integers(1, 400))
+    return program, vdd, scheme, seed, limit
+
+
+def _fast_runs(scheme, vdd, seed, program, limit):
+    """Run the fast lane twice on fresh platforms: block first
+    sightings, then compiled blocks.  Returns both (outcome, platform)."""
+    runs = []
+    for _ in range(2):
+        fast = _build_soc(scheme, vdd, seed, scalar=False)
+        runs.append((_run_soc(fast, *program, limit), fast))
+    return runs
 
 
 @given(scenario=soc_scenarios())
 @settings(max_examples=120, deadline=None)
 def test_fast_lane_is_bit_exact(scenario):
-    (source, seed_regs, data), vdd, scheme, seed = scenario
+    program, vdd, scheme, seed, limit = scenario
     reference = _build_soc(scheme, vdd, seed, scalar=True)
-    fast = _build_soc(scheme, vdd, seed, scalar=False)
-    ref_outcome = _run_soc(reference, source, seed_regs, data)
-    fast_outcome = _run_soc(fast, source, seed_regs, data)
-    assert fast_outcome == ref_outcome
-    assert _fingerprint(fast) == _fingerprint(reference)
-    # SimulationResult is derived from the fingerprint, but it is the
-    # object every experiment consumes — pin it directly too.
-    assert fast.result() == reference.result()
+    ref_outcome = _run_soc(reference, *program, limit)
+    for fast_outcome, fast in _fast_runs(scheme, vdd, seed, program, limit):
+        assert fast_outcome == ref_outcome
+        assert _fingerprint(fast) == _fingerprint(reference)
+        # SimulationResult is derived from the fingerprint, but it is
+        # the object every experiment consumes — pin it directly too.
+        assert fast.result() == reference.result()
 
 
 @given(scenario=soc_scenarios())
@@ -410,24 +444,22 @@ def test_fast_lane_bit_exact_with_profiling(scenario):
     Outcomes, architectural fingerprints (including fault statistics
     and RNG bit-generator positions) must match the unprofiled runs
     exactly, while the ``profile.*`` instruments actually populate.
+    The profiled fast lane runs blocks the unprofiled runs compiled.
     """
     from repro.obs import MetricsRegistry, names, scoped_metrics
     from repro.obs.profile import scoped_profiling
 
-    (source, seed_regs, data), vdd, scheme, seed = scenario
+    program, vdd, scheme, seed, limit = scenario
     reference = _build_soc(scheme, vdd, seed, scalar=True)
-    fast = _build_soc(scheme, vdd, seed, scalar=False)
-    ref_outcome = _run_soc(reference, source, seed_regs, data)
-    fast_outcome = _run_soc(fast, source, seed_regs, data)
+    ref_outcome = _run_soc(reference, *program, limit)
+    (fast_outcome, fast), _ = _fast_runs(scheme, vdd, seed, program, limit)
 
     prof_reference = _build_soc(scheme, vdd, seed, scalar=True)
     prof_fast = _build_soc(scheme, vdd, seed, scalar=False)
     registry = MetricsRegistry()
     with scoped_metrics(registry), scoped_profiling():
-        prof_ref_outcome = _run_soc(
-            prof_reference, source, seed_regs, data
-        )
-        prof_fast_outcome = _run_soc(prof_fast, source, seed_regs, data)
+        prof_ref_outcome = _run_soc(prof_reference, *program, limit)
+        prof_fast_outcome = _run_soc(prof_fast, *program, limit)
 
     assert prof_ref_outcome == ref_outcome
     assert prof_fast_outcome == fast_outcome

@@ -54,6 +54,25 @@ class TestVoltageFaultModel:
         with pytest.raises(ValueError):
             engine.force_next(1 << 8)
 
+    def test_drawn_clean_run_length_never_draws(self):
+        """It reports the pending gap only once an access drew it, and
+        reads the RNG never."""
+        engine = VoltageFaultModel(
+            ACCESS_CELL_BASED_40NM, 32, vdd=0.34,
+            rng=np.random.default_rng(2),
+        )
+        state = engine.rng.bit_generator.state
+        assert engine.drawn_clean_run_length() is None
+        assert engine.rng.bit_generator.state == state
+        gap = engine.clean_run_length()  # the lazy draw
+        state = engine.rng.bit_generator.state
+        assert engine.drawn_clean_run_length() == gap
+        assert engine.rng.bit_generator.state == state
+        engine.force_next(0b1)
+        assert engine.drawn_clean_run_length() == 0
+        clean = VoltageFaultModel(ACCESS_CELL_BASED_40NM, 32, vdd=1.0)
+        assert clean.drawn_clean_run_length() == VoltageFaultModel.UNBOUNDED
+
 
 class TestFaultyMemory:
     def test_ideal_round_trip(self):

@@ -55,7 +55,8 @@ def _fig1_text() -> str:
     )
 
 
-def _table1_text() -> str:
+def table1_text(title: str | None = None) -> str:
+    """Table 1 as a text table."""
     rows = table1_comparison()
     return format_table(
         ("design", "dyn pJ", "leak uW", "area mm2", "ret V", "fmax MHz"),
@@ -70,6 +71,7 @@ def _table1_text() -> str:
             )
             for r in rows
         ],
+        title=title,
     )
 
 
@@ -83,7 +85,8 @@ def _fig4_text() -> str:
     return "\n".join(lines)
 
 
-def _table2_text() -> str:
+def table2_text(title: str | None = None) -> str:
+    """Table 2 as a text table."""
     rows = table2_minimum_voltages()
     return format_table(
         ("frequency MHz", "scheme", "V model", "V paper", "binding"),
@@ -97,10 +100,12 @@ def _table2_text() -> str:
             )
             for r in rows
         ],
+        title=title,
     )
 
 
-def _power_text(study, label: str) -> str:
+def power_text(study, label: str) -> str:
+    """A Figure 8/9 power study as a text table and its savings line."""
     table = format_table(
         ("scheme", "V", "total uW", "correct"),
         [
@@ -117,7 +122,7 @@ def _power_text(study, label: str) -> str:
     return (
         f"{table}\n"
         f"OCEAN vs none: {study.savings('OCEAN', 'none') * 100:.0f}% | "
-        f"OCEAN vs ECC: {study.savings('OCEAN', 'SECDED') * 100:.0f}%\n"
+        f"OCEAN vs ECC: {study.savings('OCEAN', 'SECDED') * 100:.0f}%"
     )
 
 
@@ -152,6 +157,18 @@ def _fig10_text() -> str:
     return f"{chart}\n{table}"
 
 
+def claims_text(claims) -> str:
+    """The headline claims next to the paper's values."""
+    return (
+        f"power vs no mitigation: {claims.power_ratio_vs_none:.2f}x "
+        "(paper: up to 3x)\n"
+        f"power vs ECC: {claims.power_ratio_vs_ecc:.2f}x "
+        "(paper: up to 2x)\n"
+        "dynamic power beyond error-free limit: "
+        f"{claims.dynamic_power_ratio_beyond_limit:.2f}x (paper: 3.3x)"
+    )
+
+
 def full_report(fft_points: int = 64, seed: int = 1) -> str:
     """Regenerate everything and return the report text.
 
@@ -164,30 +181,25 @@ def full_report(fft_points: int = 64, seed: int = 1) -> str:
         _section("Figure 1: energy per cycle vs supply"),
         _fig1_text(),
         _section("Table 1: memory implementations"),
-        _table1_text(),
+        table1_text(),
         _section("Figure 4: retention statistics (9 dies, Eq. 4 refit)"),
         _fig4_text(),
         _section("Table 2: minimum voltage per scheme (FIT 1e-15)"),
-        _table2_text(),
+        table2_text(),
         _section("Figures 8/9: power under mitigation (simulated FFT)"),
-        _power_text(
+        power_text(
             fig8_power_breakdown(fft_points=fft_points, seed=seed),
             "290 kHz, cell-based platform",
         ),
-        _power_text(
+        "",
+        power_text(
             fig9_power_breakdown(fft_points=fft_points, seed=seed),
             "11 MHz, commercial memory",
         ),
+        "",
         _section("Figure 10: finFET inverter delay"),
         _fig10_text(),
         _section("Headline claims"),
-        (
-            f"power vs no mitigation: {claims.power_ratio_vs_none:.2f}x "
-            "(paper: up to 3x)\n"
-            f"power vs ECC: {claims.power_ratio_vs_ecc:.2f}x "
-            "(paper: up to 2x)\n"
-            "dynamic power beyond error-free limit: "
-            f"{claims.dynamic_power_ratio_beyond_limit:.2f}x (paper: 3.3x)"
-        ),
+        claims_text(claims),
     ]
     return "\n".join(parts)

@@ -62,73 +62,16 @@ from repro.analysis.experiments import (
     table1_comparison,
     table2_minimum_voltages,
 )
-from repro.analysis.report import full_report
-from repro.analysis.tables import format_table
+from repro.analysis.report import (
+    claims_text,
+    full_report,
+    power_text,
+    table1_text,
+    table2_text,
+)
+from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import names
 from repro.obs.manifest import _json_default
-
-
-def _render_table1() -> str:
-    rows = table1_comparison()
-    return format_table(
-        ("design", "dyn pJ", "leak uW", "area mm2", "retention V",
-         "fmax MHz"),
-        [
-            (
-                r["name"], r["dyn_energy_pj"], r["leakage_uw"],
-                r["area_mm2"], r["retention_v"], r["max_freq_mhz"],
-            )
-            for r in rows
-        ],
-        title="Table 1 (model values; paper anchors in EXPERIMENTS.md)",
-    )
-
-
-def _render_table2() -> str:
-    rows = table2_minimum_voltages()
-    return format_table(
-        ("frequency MHz", "scheme", "V model", "V paper", "binding"),
-        [
-            (
-                f"{r['frequency_hz'] / 1e6:.2f}", r["scheme"],
-                f"{r['vdd_model']:.3f}", f"{r['vdd_paper']:.2f}",
-                r["binding"],
-            )
-            for r in rows
-        ],
-        title="Table 2: minimum voltage per scheme (FIT 1e-15)",
-    )
-
-
-def _render_power(study, label: str) -> str:
-    table = format_table(
-        ("scheme", "V", "total uW", "correct"),
-        [
-            (
-                bar.scheme, f"{bar.vdd:.2f}", bar.total_w * 1e6,
-                "yes" if bar.correct else "NO",
-            )
-            for bar in study.bars
-        ],
-        title=label,
-    )
-    savings = (
-        f"OCEAN vs none: {study.savings('OCEAN', 'none') * 100:.0f}%  |  "
-        f"OCEAN vs ECC: {study.savings('OCEAN', 'SECDED') * 100:.0f}%"
-    )
-    return f"{table}\n{savings}"
-
-
-def _render_claims(fft_points: int) -> str:
-    claims = headline_claims(fft_points=fft_points)
-    return (
-        f"power vs no mitigation: {claims.power_ratio_vs_none:.2f}x "
-        "(paper: up to 3x)\n"
-        f"power vs ECC: {claims.power_ratio_vs_ecc:.2f}x "
-        "(paper: up to 2x)\n"
-        "dynamic power beyond the error-free limit: "
-        f"{claims.dynamic_power_ratio_beyond_limit:.2f}x (paper: 3.3x)"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -206,19 +149,9 @@ def _campaign_result(args):
     """Run one resilient failure-rate campaign from CLI arguments."""
     from repro.analysis.campaign import run_campaign
     from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
-    from repro.mitigation import (
-        NoMitigationRunner,
-        OceanRunner,
-        SecdedRunner,
-    )
     from repro.workloads.fft import build_fft_program
 
-    schemes = {
-        "none": NoMitigationRunner,
-        "secded": SecdedRunner,
-        "ocean": OceanRunner,
-    }
-    runner_cls = schemes[args.scheme]
+    runner_cls = SCHEME_RUNNERS[args.scheme]
     program = build_fft_program(args.fft)
     golden = program.expected_output(list(program.data_words[: args.fft]))
     progress = _campaign_progress(args)
@@ -329,20 +262,22 @@ def _text_payload(exhibit: str, fft_points: int) -> str:
     if exhibit == "report":
         return full_report(fft_points=fft_points)
     if exhibit == "table1":
-        return _render_table1()
+        return table1_text(
+            "Table 1 (model values; paper anchors in EXPERIMENTS.md)"
+        )
     if exhibit == "table2":
-        return _render_table2()
+        return table2_text("Table 2: minimum voltage per scheme (FIT 1e-15)")
     if exhibit == "fig8":
-        return _render_power(
+        return power_text(
             fig8_power_breakdown(fft_points=fft_points),
             "Figure 8: power at 290 kHz (cell-based platform)",
         )
     if exhibit == "fig9":
-        return _render_power(
+        return power_text(
             fig9_power_breakdown(fft_points=fft_points),
             "Figure 9: power at 11 MHz (commercial memory)",
         )
-    return _render_claims(fft_points)
+    return claims_text(headline_claims(fft_points=fft_points))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--scheme",
-        choices=["none", "secded", "ocean"],
+        choices=list(SCHEME_RUNNERS),
         default="secded",
         help="mitigation scheme under test (default secded)",
     )

@@ -22,7 +22,16 @@ from repro.mitigation.ocean import (
     optimize_checkpoint_granularity,
 )
 
+#: Runner class of each scheme name that ``repro campaign --scheme`` and
+#: ``repro serve`` job specs accept.
+SCHEME_RUNNERS = {
+    "none": NoMitigationRunner,
+    "secded": SecdedRunner,
+    "ocean": OceanRunner,
+}
+
 __all__ = [
+    "SCHEME_RUNNERS",
     "RunOutcome",
     "SchemeRunner",
     "NoMitigationRunner",

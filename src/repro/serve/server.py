@@ -58,9 +58,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import active_metrics, active_tracer, names
 from repro.obs.report import JournalLiveness
 from repro.serve.durability import (
@@ -87,8 +88,6 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
-
-_SCHEMES = ("none", "secded", "ocean")
 
 _MAX_HEADERS = 100
 
@@ -126,9 +125,10 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
     scheme = spec.get("scheme", "secded")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEME_RUNNERS:
         raise ValueError(
-            f"unknown scheme {scheme!r}; expected one of {_SCHEMES}"
+            f"unknown scheme {scheme!r}; expected one of "
+            f"{tuple(SCHEME_RUNNERS)}"
         )
     if "vdds" in spec:
         vdds = [float(v) for v in spec["vdds"]]
@@ -781,19 +781,9 @@ class CampaignJobServer:
     # ------------------------------------------------------------------
     def _plan(self, spec: Dict[str, Any]) -> Tuple[Any, Any, Any, Any]:
         from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
-        from repro.mitigation import (
-            NoMitigationRunner,
-            OceanRunner,
-            SecdedRunner,
-        )
         from repro.workloads.fft import build_fft_program
 
-        runners = {
-            "none": NoMitigationRunner,
-            "secded": SecdedRunner,
-            "ocean": OceanRunner,
-        }
-        runner_cls = runners[spec["scheme"]]
+        runner_cls = SCHEME_RUNNERS[spec["scheme"]]
         with self._lock:
             program = self._programs.get(spec["fft"])
         if program is None:
@@ -1002,7 +992,6 @@ class CampaignJobServer:
         return stats
 
 
-@dataclass
 class ServerThread:
     """Run a :class:`CampaignJobServer` on a background event loop.
 
@@ -1011,50 +1000,31 @@ class ServerThread:
         with ServerThread(store) as handle:
             urllib.request.urlopen(handle.url + "/healthz")
 
-    ``startup_timeout_s`` / ``shutdown_timeout_s`` bound how long
-    entering and leaving the context may take; a startup that blows
-    the budget raises a descriptive error instead of a bare
-    ``TimeoutError``.  Exit performs a graceful drain by default.
+    Keyword arguments other than the three below go to
+    :class:`CampaignJobServer`.  ``startup_timeout_s`` /
+    ``shutdown_timeout_s`` bound how long entering and leaving the
+    context may take; a startup that blows the budget raises a
+    descriptive error instead of a bare ``TimeoutError``.  Exit
+    performs a graceful drain unless ``drain`` is false.
     """
 
-    store: Any
-    host: str = "127.0.0.1"
-    port: int = 0
-    workers: int = 2
-    journal: Optional[Any] = None
-    job_deadline_s: Optional[float] = None
-    progress_stale_s: Optional[float] = None
-    max_inflight_jobs: Optional[int] = None
-    max_queue_depth: Optional[int] = None
-    max_body_bytes: int = 1 << 20
-    retry_after_s: float = 1.0
-    drain_deadline_s: float = 30.0
-    fail_after_points: Optional[int] = None
-    chaos_hold: Optional[threading.Event] = None
-    startup_timeout_s: float = 10.0
-    shutdown_timeout_s: float = 30.0
-    drain: bool = True
-    server: CampaignJobServer = field(init=False)
-    _loop: asyncio.AbstractEventLoop = field(init=False)
-    _thread: threading.Thread = field(init=False)
+    def __init__(
+        self,
+        store: Any,
+        *,
+        startup_timeout_s: float = 10.0,
+        shutdown_timeout_s: float = 30.0,
+        drain: bool = True,
+        **server_kwargs: Any,
+    ) -> None:
+        self.store = store
+        self.startup_timeout_s = startup_timeout_s
+        self.shutdown_timeout_s = shutdown_timeout_s
+        self.drain = drain
+        self.server_kwargs = server_kwargs
 
     def __enter__(self) -> "ServerThread":
-        self.server = CampaignJobServer(
-            self.store,
-            host=self.host,
-            port=self.port,
-            workers=self.workers,
-            journal=self.journal,
-            job_deadline_s=self.job_deadline_s,
-            progress_stale_s=self.progress_stale_s,
-            max_inflight_jobs=self.max_inflight_jobs,
-            max_queue_depth=self.max_queue_depth,
-            max_body_bytes=self.max_body_bytes,
-            retry_after_s=self.retry_after_s,
-            drain_deadline_s=self.drain_deadline_s,
-            fail_after_points=self.fail_after_points,
-            chaos_hold=self.chaos_hold,
-        )
+        self.server = CampaignJobServer(self.store, **self.server_kwargs)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,
@@ -1073,9 +1043,9 @@ class ServerThread:
             self._thread.join(timeout=5)
             raise RuntimeError(
                 f"repro serve: server did not start within "
-                f"{self.startup_timeout_s:g}s (host={self.host}, "
-                f"port={self.port}); raise startup_timeout_s or check "
-                f"that the address is bindable"
+                f"{self.startup_timeout_s:g}s (host={self.server.host}, "
+                f"port={self.server.port}); raise startup_timeout_s or "
+                f"check that the address is bindable"
             ) from None
         except Exception:
             self._loop.call_soon_threadsafe(self._loop.stop)

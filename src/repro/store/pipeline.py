@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.campaign import CampaignResult
 from repro.core.errors import validate_vdd
-from repro.obs import active_metrics, names
 from repro.store.keys import PointKey, scheme_campaign_key
 
 
@@ -97,35 +96,6 @@ def campaign_point_key(
         seed_base=seed_base,
         runner_kwargs=runner_kwargs,
     )
-
-
-def publish_cached_campaign_metrics(result: CampaignResult) -> None:
-    """Re-emit the campaign-level counters for a store-served result.
-
-    Warm answers skip the engines entirely, so layer counters
-    (``faults.*``, ``platform.*``) and per-run trace points do not
-    reappear — but the campaign totals do, keeping dashboards that sum
-    ``campaign.*`` counters consistent whether a result was computed
-    or served.
-    """
-    metrics = active_metrics()
-    metrics.counter(names.CAMPAIGN_RUNS).inc(result.runs)
-    metrics.counter(names.CAMPAIGN_CORRECT).inc(result.correct)
-    metrics.counter(names.CAMPAIGN_SILENT_CORRUPTION).inc(
-        result.silent_corruption
-    )
-    metrics.counter(names.CAMPAIGN_DETECTED_FAILURE).inc(
-        result.detected_failure
-    )
-    metrics.counter(names.CAMPAIGN_INJECTED_BITS).inc(
-        result.total_injected_bits
-    )
-    metrics.counter(names.CAMPAIGN_CORRECTED_WORDS).inc(result.total_corrected)
-    metrics.counter(names.CAMPAIGN_ROLLBACKS).inc(result.total_rollbacks)
-    if result.quarantined:
-        metrics.counter(names.CAMPAIGN_QUARANTINED_RUNS).inc(
-            result.quarantined
-        )
 
 
 @dataclass
@@ -208,6 +178,5 @@ __all__ = [
     "campaign_point_key",
     "decode_campaign_result",
     "encode_campaign_result",
-    "publish_cached_campaign_metrics",
     "scheme_failure_grid",
 ]

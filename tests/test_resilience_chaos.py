@@ -135,7 +135,7 @@ class TestCampaignChaos:
         record (with the resumed head start pre-counted) and per-task
         records that drive the ETA, and a torn final line — the
         abnormal-exit case — never hides the complete records."""
-        from repro.obs.report import read_ndjson
+        from repro.obs.report import CampaignProgress, read_ndjson
 
         program, golden = fft_fixture
         kwargs = _campaign_kwargs(program, golden)
@@ -145,10 +145,11 @@ class TestCampaignChaos:
         resume_beat = tmp_path / "hb_resume.ndjson"
 
         half = dict(kwargs, runs=2)
-        run_campaign(
-            SecdedRunner, store=store, heartbeat=str(first_beat),
-            **half,
-        )
+        progress = CampaignProgress(heartbeat=first_beat)
+        try:
+            run_campaign(SecdedRunner, store=store, progress=progress, **half)
+        finally:
+            progress.close()
         first = read_ndjson(first_beat)
         assert first[0]["kind"] == "start"
         assert first[0]["total"] == 2
@@ -158,10 +159,14 @@ class TestCampaignChaos:
         # Resume under chaos: a killed worker must not corrupt either
         # the store or the heartbeat stream.
         chaos = ChaosPolicy(kill=[("run-102", 1)])
-        resumed = run_campaign(
-            SecdedRunner, store=store, heartbeat=str(resume_beat),
-            processes=2, chaos=chaos, **kwargs,
-        )
+        progress = CampaignProgress(heartbeat=resume_beat)
+        try:
+            resumed = run_campaign(
+                SecdedRunner, store=store, progress=progress,
+                processes=2, chaos=chaos, **kwargs,
+            )
+        finally:
+            progress.close()
         _assert_identical(resumed, baseline)
         assert resumed.resilience.resumed == 2
 

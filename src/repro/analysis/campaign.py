@@ -109,8 +109,7 @@ def _campaign_run_one(args) -> tuple:
     are identical whether runs execute serially or fanned out.  Returns
     the per-seed statistics plus the snapshot of the private metrics
     registry the runs executed under (exact cross-process metric
-    merging) — the one task shape :func:`_campaign_run_lane_block`
-    shares.
+    merging).  Every seed block runs here, whatever its width.
     """
     (
         runner_cls, workload, golden, access_model,
@@ -129,33 +128,10 @@ def _campaign_run_one(args) -> tuple:
     )
 
 
-def _campaign_run_lane_block(args) -> tuple:
-    """Execute a task's seeds as one lockstep lane block.
-
-    Same arguments and result shape as :func:`_campaign_run_one`.  The
-    lockstep engine is bit-exact with the scalar engine per lane
-    (differentially fuzzed), so the per-seed statistics are identical;
-    the snapshot additionally carries the engine's own ``simd.*``
-    counters.
-    """
-    from repro.soc.simd import run_lane_block
-
-    (
-        runner_cls, workload, golden, access_model,
-        vdd, frequency, first_seed, count, runner_kwargs,
-    ) = args
-    with scoped_metrics() as registry:
-        runners = [
-            runner_cls(access_model, seed=seed, **runner_kwargs)
-            for seed in range(first_seed, first_seed + count)
-        ]
-        outcomes = run_lane_block(
-            runners, workload, vdd=vdd, frequency=frequency
-        )
-    return (
-        [_run_stats(outcome, golden) for outcome in outcomes],
-        registry.snapshot(),
-    )
+# Kept under its old name because the benchmark's tracer
+# (``perfbench/tracing.py``) wraps it by name; it goes when the tracer
+# drops that target.
+_campaign_run_lane_block = _campaign_run_one
 
 
 def _encode_outcome(outcome) -> dict:
@@ -220,19 +196,16 @@ def run_campaign(
     With ``processes`` > 1 the runs fan out across a process pool; per
     run seeding keeps the classification identical to the serial path.
 
-    With ``lanes`` > 1 the seed axis is sharded into consecutive blocks
-    of that width *before* the fan-out, and each block executes on the
-    lockstep SIMD engine (:func:`repro.soc.simd.run_lane_block`) — one
-    task per block instead of one per seed.  Both kinds of task take a
-    ``(first_seed, count)`` seed block and return per-seed statistics
-    plus one metrics snapshot, stored through one codec.  The lockstep
-    engine is bit-exact with the scalar engine, so the classification,
+    ``lanes`` is the number of seeds per task: the seed axis is sharded
+    into consecutive blocks of that width *before* the fan-out, one
+    executor task (and, with ``store``, one task row) per block.  A
+    block runs its seeds one after another through the runner's own
+    ``run`` (the fast lane on stock platforms), so the classification,
     the per-run ``campaign.outcome`` trace records and the merged
-    metrics (modulo the engine's own ``simd.*`` counters) are identical
-    to ``lanes=1``; only the task granularity changes (a quarantined
-    block retires all of its member runs).  Lane width is therefore an
-    execution knob of the campaign, not provenance: it is not part of
-    the campaign's store key.
+    metrics are identical to ``lanes=1``; only the task granularity
+    changes (a quarantined block retires all of its member runs).
+    ``lanes`` is therefore an execution knob of the campaign, not
+    provenance: it is not part of the campaign's store key.
 
     Execution is resilient (:class:`~repro.resilience.ResilientExecutor`):
     worker death, per-task deadline overruns (``task_timeout`` seconds)
@@ -252,18 +225,16 @@ def run_campaign(
     how callers tell warm from fresh), a miss computes cold, publishes,
     and returns the fresh result.  Identical concurrent misses in one
     process collapse onto a single computation (in-flight
-    deduplication).  On a miss every run (or lane block) is itself a
-    store row (:func:`repro.store.keys.campaign_task_key`), published
-    as it completes, so a killed or partly quarantined campaign resumes
-    from its completed runs when rerun against the same store — the
-    resumed :class:`CampaignResult` is bit-identical to an
-    uninterrupted one, and an extended campaign (more ``runs``) reuses
-    the runs it shares with an earlier one.  Execution knobs
+    deduplication).  On a miss every task (a block of ``lanes`` seeds)
+    is itself a store row (:func:`repro.store.keys.campaign_task_key`),
+    published as it completes, so a killed or partly quarantined
+    campaign resumes from its completed tasks when rerun against the
+    same store — the resumed :class:`CampaignResult` is bit-identical to
+    an uninterrupted one, and an extended campaign (more ``runs``)
+    reuses the blocks it shares with an earlier one.  Execution knobs
     (``processes``, ``lanes``, retries, timeouts, chaos, progress) are
-    not part of the campaign key — the engines are bit-exact across all
-    of them, so a campaign stored at one lane width answers every
-    other.  Task keys do carry ``lanes``, because a lane-block task's
-    snapshot also holds the ``simd.*`` counters.
+    not part of the campaign key — results are bit-exact across all of
+    them, so a campaign stored at one task width answers every other.
     """
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
@@ -343,7 +314,7 @@ def _execute_campaign(
         from repro.store.keys import campaign_task_key
 
         store_keys = [
-            campaign_task_key(campaign_key, first_seed, count, lanes)
+            campaign_task_key(campaign_key, first_seed, count)
             for first_seed, count in blocks
         ]
     tasks = [
@@ -362,9 +333,8 @@ def _execute_campaign(
         )
         for (first_seed, count), store_key in zip(blocks, store_keys)
     ]
-    fn = _campaign_run_lane_block if lanes > 1 else _campaign_run_one
     executor = ResilientExecutor(
-        fn,
+        _campaign_run_one,
         processes=processes,
         max_retries=max_retries,
         task_timeout=task_timeout,

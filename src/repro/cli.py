@@ -21,9 +21,9 @@ Observability flags (any exhibit):
   the output (under a ``metrics`` key in JSON mode).
 * ``--profile`` — enable the deterministic engine profiler
   (:mod:`repro.obs.profile`) and append its rendered report (opcode
-  mix, fast/slow-path residency, SIMD lane histograms) to the output
-  (under a ``profile`` key in JSON mode).  Bit-exactness-neutral: the
-  exhibit's numbers are identical with or without it.
+  mix, fast/slow-path residency) to the output (under a ``profile``
+  key in JSON mode).  Bit-exactness-neutral: the exhibit's numbers are
+  identical with or without it.
 
 ``perf-compare`` (a subcommand, not an exhibit) diffs the newest
 ``BENCH_history.ndjson`` entry against recent history — see
@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="enable the deterministic engine profiler and append its "
-        "report (opcode mix, fast/slow-path residency, SIMD lane "
-        "histograms); bit-exactness-neutral",
+        "report (opcode mix, fast/slow-path residency); "
+        "bit-exactness-neutral",
     )
     parser.add_argument(
         "--store",
@@ -381,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run seeds in lockstep SIMD blocks of N lanes (default 1 "
-        "= one run at a time on the fast lane); bit-identical "
-        "classification either way",
+        help="seeds per task and store row (default 1); every run "
+        "executes on the fast lane, with bit-identical classification "
+        "at any N",
     )
     campaign.add_argument(
         "--progress",

@@ -190,7 +190,14 @@ def build_submit_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--runs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--lanes", type=int, default=1)
+    parser.add_argument(
+        "--lanes",
+        type=int,
+        default=1,
+        metavar="N",
+        help="seeds per task and store row (default 1); every run "
+        "executes on the fast lane",
+    )
     parser.add_argument("--fft", type=int, default=64)
     parser.add_argument(
         "--no-wait",

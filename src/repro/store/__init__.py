@@ -2,7 +2,7 @@
 
 ``repro.store`` turns the deterministic Monte-Carlo exhibits into a
 compute-once, serve-many system: every campaign point (one (scheme,
-vdd) platform campaign, one seeded run or lane block inside it, one
+vdd) platform campaign, one block of seeded runs inside it, one
 Fig. 5 grid point, one Fig. 4 die) is keyed by the SHA-256 of its
 provenance (:mod:`repro.store.keys`), persisted append-safely in
 SQLite with an NDJSON sidecar for recovery and interchange

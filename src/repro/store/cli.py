@@ -51,8 +51,7 @@ def _describe(entry: Dict[str, Any]) -> str:
             f"scheme={provenance.get('scheme')} "
             f"vdd={provenance.get('vdd')} "
             f"first_seed={provenance.get('first_seed')} "
-            f"count={provenance.get('count')} "
-            f"lanes={provenance.get('lanes')}"
+            f"count={provenance.get('count')}"
         )
     elif kind == "fig5-point":
         detail = (

@@ -1,9 +1,9 @@
 """Content-addressed campaign point keys.
 
 A *campaign point* is an independently reproducible unit of
-Monte-Carlo work: one (scheme, voltage) platform campaign, one seeded
-run (or lane block) inside it, one Fig. 5 voltage grid point, one
-Fig. 4 die.  Its key is the SHA-256 of the canonical JSON of its
+Monte-Carlo work: one (scheme, voltage) platform campaign, one block
+of seeded runs inside it, one Fig. 5 voltage grid point, one Fig. 4
+die.  Its key is the SHA-256 of the canonical JSON of its
 **provenance** — exactly the fields that determine the result
 bit-for-bit (codec/scheme, fault model, vdd, seed range, workload)
 and nothing else.  Key kinds: ``scheme-campaign``,
@@ -25,14 +25,15 @@ the build if key construction in this package ever touches such a
 source, because one impure field silently turns every lookup into a
 miss.
 
-Lane width is *not* part of the scheme-campaign key either.  Lockstep
-execution is bit-exact, and a campaign is only stored when none of its
-runs was quarantined — the one case where lane width shows (a
-quarantined lane block retires all of its runs) — so a stored answer
-is the same at every lane width.  It *is* part of the campaign-task
-key, because a lane-block task's payload carries the engine's own
-``simd.*`` counters in its metrics snapshot.  Chunk size is not part
-of the Fig. 5 point key: the child stream draws its doubles in C order
+A campaign's ``lanes`` (seeds per task) is *not* part of any key
+either.  Every run executes on the fast lane, and a campaign is only
+stored when none of its runs was quarantined — the one case where task
+width shows (a quarantined task retires all of its runs) — so a stored
+answer is the same at every width.  A campaign-task key holds the
+task's seed block (``first_seed``, ``count``) and nothing about the
+engine: its payload is the same per-seed statistics and metrics
+snapshot whichever width produced it.  Chunk size is not part of the
+Fig. 5 point key: the child stream draws its doubles in C order
 regardless of how the Bernoulli matrix is split into row blocks.
 """
 
@@ -183,24 +184,21 @@ def scheme_campaign_key(
 
 
 def campaign_task_key(
-    campaign: PointKey, first_seed: int, count: int, lanes: int
+    campaign: PointKey, first_seed: int, count: int
 ) -> PointKey:
-    """Key of one task of a scheme campaign: a seeded run or a lane block.
+    """Key of one task of a scheme campaign: a block of seeded runs.
 
     The task covers seeds ``first_seed .. first_seed + count - 1``.  Its
     provenance is the ``campaign`` key's minus ``runs`` and
     ``seed_base``, so a task keeps its key when the campaign around it
-    grows: an extended campaign reuses every run an earlier one
-    completed.  ``lanes`` is added, because the payload's metrics
-    snapshot carries the lockstep engine's ``simd.*`` counters when
-    ``lanes`` > 1.
+    grows: an extended campaign reuses every block an earlier one
+    completed.
     """
     provenance = campaign.provenance()
     for field in ("kind", "schema", "runs", "seed_base"):
         del provenance[field]
     provenance["first_seed"] = int(first_seed)
     provenance["count"] = int(count)
-    provenance["lanes"] = int(lanes)
     return PointKey.from_provenance("campaign-task", provenance)
 
 

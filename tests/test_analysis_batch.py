@@ -1,4 +1,4 @@
-"""BatchCampaign: grid evaluation, RNG contracts and process fan-out."""
+"""BatchCampaign grids, RNG contracts, and campaign fan-out and task width."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,10 @@ from repro.core.access import (
 from repro.core.retention import RETENTION_COMMERCIAL_40NM
 from repro.memdev.die import DiePopulation
 from repro.mitigation import SecdedRunner
+from repro.obs import MetricsRegistry
 from repro.workloads.fft import build_fft_program
+
+from tests.test_soc_fuzz import _scalar_runner
 
 VOLTAGES = np.linspace(0.30, 0.50, 7)
 
@@ -121,3 +124,61 @@ class TestCampaignFanout:
         assert serial.total_injected_bits == fanned.total_injected_bits
         assert serial.total_rollbacks == fanned.total_rollbacks
         assert serial.failures_by_kind == fanned.failures_by_kind
+
+
+class TestCampaignLanes:
+    """``lanes`` sets the seeds per task; every run uses the fast lane."""
+
+    def _kwargs(self, runs):
+        program = build_fft_program(16)
+        golden = program.expected_output(list(program.data_words[:16]))
+        return dict(
+            workload=program.workload,
+            golden=golden,
+            access_model=ACCESS_CELL_BASED_40NM,
+            vdd=0.38,
+            runs=runs,
+            seed_base=500,
+        )
+
+    def test_lanes_not_dividing_runs_matches_scalar(self):
+        """runs=5, lanes=2 → blocks of 2+2+1; classification, counts
+        and failure kinds identical to the scalar campaign."""
+        kwargs = self._kwargs(runs=5)
+        scalar = run_campaign(_scalar_runner(SecdedRunner), **kwargs)
+        laned = run_campaign(SecdedRunner, lanes=2, **kwargs)
+        assert laned.correct == scalar.correct
+        assert laned.silent_corruption == scalar.silent_corruption
+        assert laned.detected_failure == scalar.detected_failure
+        assert laned.total_injected_bits == scalar.total_injected_bits
+        assert laned.total_corrected == scalar.total_corrected
+        assert laned.total_rollbacks == scalar.total_rollbacks
+        assert laned.failures_by_kind == scalar.failures_by_kind
+
+    def test_lanes_wider_than_runs(self):
+        """lanes > runs degenerates to one short block."""
+        kwargs = self._kwargs(runs=3)
+        scalar = run_campaign(_scalar_runner(SecdedRunner), **kwargs)
+        laned = run_campaign(SecdedRunner, lanes=8, **kwargs)
+        assert laned.correct == scalar.correct
+        assert laned.failures_by_kind == scalar.failures_by_kind
+        assert laned.total_injected_bits == scalar.total_injected_bits
+
+    def test_merged_metrics_do_not_depend_on_lanes(self):
+        """The task snapshots a campaign merges add up to the same
+        metrics at every width: no engine-specific counters."""
+
+        def merged(lanes):
+            result = run_campaign(
+                SecdedRunner, lanes=lanes, **self._kwargs(runs=5)
+            )
+            registry = MetricsRegistry()
+            for _, snapshot in result.resilience.results.values():
+                registry.merge(snapshot)
+            return result, registry.snapshot().as_dict()
+
+        scalar, scalar_metrics = merged(1)
+        laned, laned_metrics = merged(4)
+        assert laned == scalar
+        assert scalar_metrics["counters"]["platform.runs"] == 5
+        assert laned_metrics == scalar_metrics

@@ -127,6 +127,21 @@ class TestSpec:
         with pytest.raises(ValueError):
             normalize_spec({"scheme": "parity", "vdd": 0.5})
 
+    def test_normalize_rejects_zero_lanes(self):
+        with pytest.raises(ValueError, match="lanes must be positive"):
+            normalize_spec({**SPEC, "lanes": 0})
+
+    def test_lanes16_fingerprint_is_pinned(self):
+        """Journals written with ``lanes`` keep deduplicating and
+        replaying only while this literal holds."""
+        spec = normalize_spec({
+            "scheme": "ocean", "vdds": [0.26, 0.29], "runs": 16,
+            "seed": 1234, "lanes": 16, "fft": 64,
+        })
+        assert spec_fingerprint(spec) == (
+            "a8654638e9001ad236b5153f18d64fb383707a1319e0823a82b756672dc3b8f4"
+        )
+
 
 class TestEndpoints:
     def test_submit_status_result_and_warm_curve(self, tmp_path):
@@ -191,6 +206,33 @@ class TestEndpoints:
             assert _request(
                 handle.url + "/submit", payload={"scheme": "bogus"}
             )[0] == 400
+
+    def test_lanes16_grid_runs_without_a_lane_block(
+        self, tmp_path, monkeypatch
+    ):
+        """``lanes`` only sizes tasks: a ``lanes=16`` grid never builds
+        the lockstep engine and answers byte-identically to ``lanes=1``."""
+        from repro.soc.simd import LaneBlock
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a served grid built a LaneBlock")
+
+        monkeypatch.setattr(LaneBlock, "__init__", refuse)
+        spec = {**SPEC, "runs": 5}
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            status, submitted = _request(
+                handle.url + "/submit", payload={**spec, "lanes": 16}
+            )
+            assert status == 202
+            done = _wait(handle.url, submitted["job"])
+            assert (done["state"], done["error"]) == ("done", None)
+            status, result = _request(
+                f"{handle.url}/result/{submitted['job']}"
+            )
+            assert status == 200
+        assert json.dumps(result["results"], sort_keys=True) == json.dumps(
+            _reference_results(tmp_path, spec=spec), sort_keys=True
+        )
 
 
 class TestDedup:

@@ -14,6 +14,9 @@ threads:
    with results byte-identical to an uninterrupted cold run;
 4. ``SIGTERM`` drains cleanly (exit 0, ``clean=True``).
 
+The kill runs at ``lanes`` 1 and 16 (the benchmark's ``serve`` client
+sends 16); both must match the same uninterrupted ``lanes=1`` grid.
+
 Slower than the in-process suites (two server processes plus a
 reference grid) but the only place the kill crosses a real process
 boundary.
@@ -27,6 +30,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.mitigation import SecdedRunner
@@ -104,7 +109,8 @@ def _await_first_stored_point(store_path, deadline_s=DEADLINE_S):
 
 
 def _reference_results(tmp_path):
-    """The same grid, cold, straight into a fresh store — no server."""
+    """The ``lanes=1`` grid, cold, straight into a fresh store — no
+    server."""
     spec = normalize_spec(dict(SPEC))
     program = build_fft_program(spec["fft"])
     golden = program.expected_output(list(program.data_words[: spec["fft"]]))
@@ -120,16 +126,18 @@ def _reference_results(tmp_path):
 
 
 class TestServeChaos:
+    @pytest.mark.parametrize("lanes", [1, 16])
     def test_sigkill_midjob_then_restart_completes_bit_identical(
-        self, tmp_path
+        self, tmp_path, lanes
     ):
+        spec = {**SPEC, "lanes": lanes}
         store_path = tmp_path / "chaos.sqlite"
         journal_path = tmp_path / "jobs.ndjson"
 
         # Phase 1: submit, let >= 1 point land, then kill -9.
         proc, url, _ = _spawn_server(store_path, journal_path)
         try:
-            submitted = ServeClient(url).submit(SPEC)
+            submitted = ServeClient(url).submit(spec)
             assert submitted["deduplicated"] is False
             job_id = submitted["job"]
             _await_first_stored_point(store_path)
@@ -165,12 +173,12 @@ class TestServeChaos:
             assert stats["store"]["hits"] >= 1
 
             # Resubmitting after recovery joins the completed job.
-            joined = client.submit(SPEC)
+            joined = client.submit(spec)
             assert joined["deduplicated"] is True
             assert joined["job"] == job_id
 
             # /curve is now all-warm.
-            status, curve = client.curve(**SPEC)
+            status, curve = client.curve(**spec)
             assert (status, curve["warm"]) == (200, True)
         finally:
             proc.terminate()

@@ -281,6 +281,24 @@ class TestJournalRecovery:
             reference, sort_keys=True
         )
 
+    def test_recovered_lanes16_job_matches_a_lanes1_grid(self, tmp_path):
+        """A job journaled with ``lanes=16`` recovers under its id and
+        computes the same bytes as an uninterrupted ``lanes=1`` grid."""
+        store_path = tmp_path / "s.sqlite"
+        journal = tmp_path / "jobs.ndjson"
+        job_id, _ = _write_incomplete_job(journal, spec={**SPEC, "lanes": 16})
+
+        with ServerThread(ResultStore(store_path), journal=journal) as handle:
+            done = _wait(handle.url, job_id)
+            assert (done["state"], done["recovered"]) == ("done", True)
+            assert done["executed_points"] == len(SPEC["vdds"])
+            status, result = _request(f"{handle.url}/result/{job_id}")
+            assert status == 200
+        reference = _grid_into(ResultStore(tmp_path / "reference.sqlite"))
+        assert json.dumps(result["results"], sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
     def test_done_jobs_rehydrate_results_from_the_store(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
         journal = tmp_path / "jobs.ndjson"

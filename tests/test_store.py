@@ -90,6 +90,18 @@ class TestKeys:
         # and only campaigns without quarantined runs are stored.
         assert fp(lanes=4) == fp()
 
+    def test_scheme_campaign_fingerprint_is_pinned(self):
+        """Stored campaigns stay warm only while this literal holds: a
+        change to the key layout turns every stored point into a miss,
+        and needs a ``KEY_SCHEMA`` bump."""
+        key = scheme_campaign_key(
+            "SECDED", build_fft_program(16), [1, 2, 3],
+            ACCESS_CELL_BASED_40NM, 0.44, 290e3, 4, 100, {},
+        )
+        assert key.fingerprint() == (
+            "efc24e74ab8353bff0fc01b93822125461220a8e5f967c249eb61fc46c97ea07"
+        )
+
     def test_key_rejects_invalid_vdd(self):
         with pytest.raises(InvalidVoltageError):
             fig5_point_key(

@@ -259,34 +259,30 @@ def run_campaign(
             vdd=vdd, frequency=frequency, runs=runs, seed_base=seed_base,
             runner_kwargs=runner_kwargs,
         )
-        fingerprint = key.fingerprint()
-        while True:
-            payload = store.get(key)
-            if payload is not None:
-                result = decode_campaign_result(payload)
-                # Warm answers skip the engines, so layer counters and
-                # per-run trace points do not reappear; the campaign
-                # totals do, computed or served alike.
-                _publish_campaign_metrics(result)
-                return result
-            owner, event = store.begin_compute(fingerprint)
-            if owner:
-                break
-            store.note_inflight_wait()
-            event.wait()
-        try:
+        fresh = []
+
+        def compute():
             result = _execute_campaign(
                 runner_cls, workload, golden, access_model, vdd,
                 store=store, campaign_key=key, **execute,
             )
-            if result.quarantined == 0:
-                # Quarantined campaigns are environment-shaped (retry
-                # budgets, worker death), not provenance-shaped; never
-                # serve one as the canonical answer for this key.  Their
-                # completed runs are already stored as task rows.
-                store.put(key, encode_campaign_result(result))
-        finally:
-            store.end_compute(fingerprint)
+            fresh.append(result)
+            # Quarantined campaigns are environment-shaped (retry
+            # budgets, worker death), not provenance-shaped; never
+            # serve one as the canonical answer for this key.  Their
+            # completed runs are already stored as task rows.
+            if result.quarantined:
+                return None
+            return encode_campaign_result(result)
+
+        payload, cached = store.fetch_or_compute(key, compute)
+        if not cached:
+            return fresh[0]
+        result = decode_campaign_result(payload)
+        # Warm answers skip the engines, so layer counters and per-run
+        # trace points do not reappear; the campaign totals do,
+        # computed or served alike.
+        _publish_campaign_metrics(result)
         return result
     return _execute_campaign(
         runner_cls, workload, golden, access_model, vdd, **execute

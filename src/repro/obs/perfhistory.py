@@ -9,11 +9,13 @@ revision, wall-clock stamp — and :func:`compare` (exposed as the
 of the previous K comparable entries, failing on configurable
 regression thresholds.
 
-Metric direction is encoded in the name: keys ending in ``_s`` are
-wall times (lower is better); everything else (speedups, throughput)
-is higher-is-better.  Entries are only compared against entries with
-the same ``quick`` flag — CI smoke sizes and full-size runs are
-different workloads, not each other's baselines.
+Every tracked metric carries an explicit direction in
+``_SCALAR_FIELDS`` / ``_ENTRY_FIELDS`` (``"lower"`` or ``"higher"`` is
+better); a metric with no row there is not compared.  Correctness
+counts the harness already gates (``store.hit_ratio``,
+``serve.recovered_jobs``) have no row.  Entries are only compared
+against entries with the same ``quick`` flag — CI smoke sizes and
+full-size runs are different workloads, not each other's baselines.
 
 The soft-gate convention for CI: with fewer than ``--min-entries``
 comparable history entries (default 3) the comparison warns and exits
@@ -26,7 +28,7 @@ import argparse
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.manifest import git_revision
 from repro.obs.report import read_ndjson
@@ -36,37 +38,50 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 HISTORY_FILENAME = "BENCH_history.ndjson"
 
-#: ``(section, field)`` scalars lifted from the BENCH_perf.json report.
+#: ``(section, field, better)`` scalars lifted from the BENCH_perf.json
+#: report; ``better`` is the direction that counts as an improvement.
 _SCALAR_FIELDS = (
-    ("secded", "encode_speedup"),
-    ("secded", "decode_speedup"),
-    ("secded", "encode_batch_s"),
-    ("secded", "decode_batch_s"),
-    ("bch", "encode_speedup"),
-    ("bch", "decode_speedup"),
-    ("bch", "encode_batch_s"),
-    ("bch", "decode_batch_s"),
-    ("faults", "speedup"),
-    ("faults", "batch_s"),
-    ("fig5_campaign", "speedup"),
-    ("fig5_campaign", "batch_s"),
-    ("store", "cold_s"),
-    ("store", "warm_s"),
-    ("store", "warm_speedup"),
-    ("store", "hit_ratio"),
-    ("store", "campaign_cold_s"),
-    ("store", "campaign_warm_s"),
-    ("store", "campaign_warm_speedup"),
-    ("resilience", "baseline_s"),
-    ("serve", "cold_s"),
-    ("serve", "warm_s"),
-    ("serve", "warm_speedup"),
-    ("serve", "recovered_s"),
-    ("serve", "recovered_jobs"),
-    ("profile", "overhead_pct"),
-    ("profile", "profiled_s"),
-    ("profile", "unprofiled_s"),
+    ("secded", "encode_speedup", "higher"),
+    ("secded", "decode_speedup", "higher"),
+    ("secded", "encode_batch_s", "lower"),
+    ("secded", "decode_batch_s", "lower"),
+    ("bch", "encode_speedup", "higher"),
+    ("bch", "decode_speedup", "higher"),
+    ("bch", "encode_batch_s", "lower"),
+    ("bch", "decode_batch_s", "lower"),
+    ("faults", "speedup", "higher"),
+    ("faults", "batch_s", "lower"),
+    ("fig5_campaign", "speedup", "higher"),
+    ("fig5_campaign", "batch_s", "lower"),
+    ("store", "cold_s", "lower"),
+    ("store", "warm_s", "lower"),
+    ("store", "warm_speedup", "higher"),
+    ("store", "campaign_cold_s", "lower"),
+    ("store", "campaign_warm_s", "lower"),
+    ("store", "campaign_warm_speedup", "higher"),
+    ("resilience", "baseline_s", "lower"),
+    ("serve", "cold_s", "lower"),
+    ("serve", "warm_s", "lower"),
+    ("serve", "warm_speedup", "higher"),
+    ("serve", "recovered_s", "lower"),
+    ("profile", "overhead_pct", "lower"),
+    ("profile", "profiled_s", "lower"),
+    ("profile", "unprofiled_s", "lower"),
 )
+
+#: ``(section, field, better)`` rows generated per scheme and per lane
+#: count, as ``platform.<scheme>.<field>`` and ``simd.N<lanes>.<field>``.
+_ENTRY_FIELDS = (
+    ("platform", "speedup", "higher"),
+    ("platform", "fast_lane_s", "lower"),
+    ("simd", "speedup_vs_scalar", "higher"),
+    ("simd", "lockstep_s", "lower"),
+)
+
+_BETTER = {
+    (section, field): better
+    for section, field, better in _SCALAR_FIELDS + _ENTRY_FIELDS
+}
 
 
 def _put(sections: Dict[str, float], name: str, value: Any) -> None:
@@ -78,43 +93,28 @@ def _put(sections: Dict[str, float], name: str, value: Any) -> None:
 def flatten_report(report: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a BENCH_perf.json report into ``section.metric`` scalars."""
     sections: Dict[str, float] = {}
-    for section, field in _SCALAR_FIELDS:
+    for section, field, _ in _SCALAR_FIELDS:
         body = report.get(section)
         if isinstance(body, dict):
             _put(sections, f"{section}.{field}", body.get(field))
-    platform = report.get("platform")
-    if isinstance(platform, dict):
-        schemes = platform.get("schemes")
-        if isinstance(schemes, dict):
-            for name, scheme in schemes.items():
-                if isinstance(scheme, dict):
-                    _put(
-                        sections,
-                        f"platform.{name}.speedup",
-                        scheme.get("speedup"),
-                    )
-                    _put(
-                        sections,
-                        f"platform.{name}.fast_lane_s",
-                        scheme.get("fast_lane_s"),
-                    )
-    simd = report.get("simd")
-    if isinstance(simd, dict):
-        configs = simd.get("configs")
-        if isinstance(configs, list):
-            for config in configs:
-                if isinstance(config, dict):
-                    lanes = config.get("lanes")
-                    _put(
-                        sections,
-                        f"simd.N{lanes}.speedup_vs_scalar",
-                        config.get("speedup_vs_scalar"),
-                    )
-                    _put(
-                        sections,
-                        f"simd.N{lanes}.lockstep_s",
-                        config.get("lockstep_s"),
-                    )
+    platform, simd = report.get("platform"), report.get("simd")
+    entries: List[Tuple[str, str, Any]] = []
+    if isinstance(platform, dict) and isinstance(platform.get("schemes"), dict):
+        entries += [
+            ("platform", name, body)
+            for name, body in platform["schemes"].items()
+            if isinstance(body, dict)
+        ]
+    if isinstance(simd, dict) and isinstance(simd.get("configs"), list):
+        entries += [
+            ("simd", f"N{body.get('lanes')}", body)
+            for body in simd["configs"]
+            if isinstance(body, dict)
+        ]
+    for section, entry, body in entries:
+        for owner, field, _ in _ENTRY_FIELDS:
+            if owner == section:
+                _put(sections, f"{section}.{entry}.{field}", body.get(field))
     return sections
 
 
@@ -175,8 +175,13 @@ def _median(values: List[float]) -> float:
     return (ordered[middle - 1] + ordered[middle]) / 2.0
 
 
-def lower_is_better(metric: str) -> bool:
-    return metric.endswith("_s")
+def lower_is_better(metric: str) -> Optional[bool]:
+    """Whether ``metric`` improves downwards; None if it is not tracked."""
+    section, _, field = metric.partition(".")
+    if section in ("platform", "simd"):
+        field = field.partition(".")[2]
+    better = _BETTER.get((section, field))
+    return None if better is None else better == "lower"
 
 
 def compare(
@@ -212,6 +217,9 @@ def compare(
     baseline_sections = [_numeric_sections(e) for e in baseline_pool]
     latest_sections = _numeric_sections(latest)
     for metric in sorted(latest_sections):
+        lower = lower_is_better(metric)
+        if lower is None:
+            continue
         value = latest_sections[metric]
         history = [
             sections[metric]
@@ -224,7 +232,6 @@ def compare(
         if baseline == 0:
             continue
         delta = (value - baseline) / baseline
-        lower = lower_is_better(metric)
         regressed = delta > max_regression if lower else (
             delta < -max_regression
         )

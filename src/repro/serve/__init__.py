@@ -1,10 +1,11 @@
 """Campaign-as-a-service: crash-safe asyncio job server + client.
 
 See :mod:`repro.serve.server` for the HTTP surface,
-:mod:`repro.serve.durability` for the job journal and cross-process
-claims that make restarts lossless, :mod:`repro.serve.client` for the
-retrying client, and :mod:`repro.store` for the content-addressed
-store everything is served from.
+:mod:`repro.serve.durability` for the job records, the journal and the
+cross-process claims that make restarts lossless,
+:mod:`repro.serve.client` for the retrying client, and
+:mod:`repro.store` for the content-addressed store everything is
+served from.
 """
 
 from repro.serve.client import (
@@ -14,14 +15,13 @@ from repro.serve.client import (
     ServerUnavailableError,
 )
 from repro.serve.durability import (
+    Job,
     JobClaims,
     JobJournal,
-    JournaledJob,
     replay_jobs,
 )
 from repro.serve.server import (
     CampaignJobServer,
-    Job,
     RequestError,
     ServerThread,
     normalize_spec,
@@ -34,7 +34,6 @@ __all__ = [
     "JobClaims",
     "JobFailedError",
     "JobJournal",
-    "JournaledJob",
     "RequestError",
     "ServeClient",
     "ServeClientError",

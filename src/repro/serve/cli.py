@@ -21,6 +21,7 @@ import json
 import signal
 from typing import List, Optional
 
+from repro.mitigation import SCHEME_RUNNERS
 from repro.serve.client import JobFailedError, ServeClient
 from repro.serve.server import CampaignJobServer
 from repro.store import ResultStore
@@ -180,7 +181,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scheme",
         default="secded",
-        choices=("none", "secded", "ocean"),
+        choices=tuple(SCHEME_RUNNERS),
     )
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--vdd", type=float, help="single grid point")

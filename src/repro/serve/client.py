@@ -22,7 +22,8 @@ over plain ``urllib`` that every caller would otherwise reimplement:
 
 ``wait()`` polls ``/status`` until the job settles, then fetches
 ``/result``; a job that settles ``failed`` or ``timed-out`` raises
-:class:`JobFailedError` with the server's error string.
+:class:`JobFailedError` with the server's error string — also when
+``/status`` said ``done`` but ``/result`` found the answer gone.
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ class ServeClient:
         """Poll until the job settles; returns the full result payload.
 
         Raises :class:`JobFailedError` when the job settles failed or
-        timed-out, and :class:`ServeClientError` when ``deadline_s``
-        elapses first.
+        timed-out (on ``/status`` or on ``/result``), and
+        :class:`ServeClientError` when ``deadline_s`` elapses first.
         """
         deadline = (
             clock() + deadline_s if deadline_s is not None else None
@@ -246,12 +247,15 @@ class ServeClient:
             state = status.get("state")
             if state == "done":
                 code, body = self.result(job_id)
-                if code != 200:
-                    raise ServeClientError(
-                        f"/result/{job_id} answered {code}: "
-                        f"{body.get('error')}"
-                    )
-                return body
+                if code == 200:
+                    return body
+                if body.get("state") in ("failed", "timed-out"):
+                    # A restarted server found the answer gone.
+                    raise JobFailedError(body)
+                raise ServeClientError(
+                    f"/result/{job_id} answered {code}: "
+                    f"{body.get('error')}"
+                )
             if state in ("failed", "timed-out"):
                 raise JobFailedError(status)
             if deadline is not None and clock() >= deadline:

@@ -1,13 +1,17 @@
-"""Durable job journal and cross-process claims for ``repro serve``.
+"""Job records, durable job journal and cross-process claims.
 
 The job server's in-memory job table is a cache, not the truth: every
 job-state transition (submitted → started → point progress → done /
-failed / timed-out) is appended to an NDJSON **job journal**, so a
-server killed with ``SIGKILL`` reconstructs its job table on restart
-by replaying the file and resumes incomplete jobs — warm, because the
+failed / timed-out) is appended to an NDJSON **job journal**, and
+:func:`replay_jobs` rebuilds the server's own :class:`Job` records from
+it.  A server killed with ``SIGKILL`` therefore reconstructs its job
+table on restart and resumes incomplete jobs — warm, because the
 completed points (and the completed runs of a half-finished point)
 already live in the content-addressed store.  The journal holds the
-job table, not completed work: that record is the store.
+job table, not completed work: that record is the store.  A ``done``
+job is only as good as the store behind it, so a ``failed`` record may
+follow a ``done`` one (a restarted server found the answer gone);
+replay keeps the last terminal record.
 
 The file has *multiple* writers across restarts — and, transiently,
 across concurrently restarted servers — so it appends through the
@@ -18,14 +22,19 @@ Replay reads through the shared :func:`~repro.obs.report.read_ndjson`,
 which drops a half-written final line (the transition simply
 re-derives on the next replay).
 
-:class:`JobClaims` mirrors the store's in-flight dedup across
-*processes*: before a restarted server re-runs a journaled job it must
-claim the job's provenance fingerprint by exclusively creating
-``<journal>.claims/<fingerprint>``.  A second server replaying the
-same journal loses the ``O_EXCL`` race and leaves the job to the
-winner.  Claim files carry the owning PID; a claim whose owner is dead
-(the ``kill -9`` case) is stolen, so a crash never wedges a
-fingerprint.
+Two claims keep work from running twice, and both must exist.  The
+store's in-process point claim
+(:meth:`~repro.store.ResultStore.fetch_or_compute`) collapses
+concurrent computations of one point, but :mod:`repro.store` must stay
+identity-free (rule ``REP103`` forbids ``os.getpid`` there), so it
+cannot cross a process.  :class:`JobClaims` claims a whole job across
+processes by exclusively creating ``<journal>.claims/<fingerprint>``
+holding the owner's PID, which tells an owner killed with ``SIGKILL``
+(its claim is stolen, so a crash never wedges a fingerprint) from a
+live one (which keeps its job when a second server replays the
+journal).  A server claims a job when it queues it, on submit and on
+recovery, and releases the claim when the job settles or the server
+drains; a submit whose claim a live sibling holds still runs.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.report import read_ndjson
 from repro.obs.trace import NdjsonFileSink
@@ -52,9 +61,20 @@ class JobJournalError(RuntimeError):
     """A job journal file could not be used."""
 
 
+#: Fields of a normalized spec that determine the answer bit-for-bit.
+#: Execution knobs (processes) are deliberately not here — same rule
+#: as the store keys (REP103): provenance only.  ``lanes`` stays even
+#: though the store keys dropped it, so job journals written with it
+#: keep replaying and deduplicating as before.
+_PROVENANCE_FIELDS = (
+    "scheme", "vdds", "runs", "seed", "lanes", "fft", "frequency",
+    "macro_style",
+)
+
+
 @dataclass
-class JournaledJob:
-    """One job's state as reconstructed from the journal."""
+class Job:
+    """One grid request's lifecycle: a row of the server's job table."""
 
     id: str
     fingerprint: str
@@ -62,14 +82,38 @@ class JournaledJob:
     state: str = "queued"
     points_done: int = 0
     points_total: int = 0
+    tasks_done: int = 0
+    tasks_total: int = 0
     hits: int = 0
     executed_points: int = 0
     error: Optional[str] = None
+    results: Optional[List[Dict[str, Any]]] = None
+    recovered: bool = False
+    started_at: Optional[float] = None
+    last_progress_at: Optional[float] = None
+    cancelled: threading.Event = field(default_factory=threading.Event)
 
     @property
     def incomplete(self) -> bool:
-        """True when the job still owes work after a replay."""
+        """True while the job still owes work."""
         return self.state not in TERMINAL_STATES
+
+    def status(self) -> Dict[str, Any]:
+        return {
+            "job": self.id,
+            "state": self.state,
+            "spec": {
+                name: self.spec[name] for name in _PROVENANCE_FIELDS
+            },
+            "points_done": self.points_done,
+            "points_total": self.points_total,
+            "tasks_done": self.tasks_done,
+            "tasks_total": self.tasks_total,
+            "hits": self.hits,
+            "executed_points": self.executed_points,
+            "recovered": self.recovered,
+            "error": self.error,
+        }
 
 
 class JobJournal:
@@ -150,10 +194,6 @@ class JobJournal:
             {"kind": "drain", "in_flight": in_flight, "clean": clean}
         )
 
-    def flush(self) -> None:
-        with self._lock:
-            self._sink.flush()
-
     def close(self) -> None:
         with self._lock:
             self._sink.close()
@@ -166,7 +206,7 @@ class JobJournal:
         return False
 
 
-def replay_jobs(path: PathLike) -> Dict[str, JournaledJob]:
+def replay_jobs(path: PathLike) -> Dict[str, Job]:
     """Reconstruct the job table from a journal (id → job, in order).
 
     A missing or empty file replays to an empty table.  Torn final
@@ -174,7 +214,7 @@ def replay_jobs(path: PathLike) -> Dict[str, JournaledJob]:
     jobs whose ``submitted`` line was lost to a tear are skipped (the
     spec is gone, so the job cannot be re-run anyway).
     """
-    jobs: Dict[str, JournaledJob] = {}
+    jobs: Dict[str, Job] = {}
     records = read_ndjson(path)
     if not records:
         return jobs
@@ -184,8 +224,6 @@ def replay_jobs(path: PathLike) -> Dict[str, JournaledJob]:
         )
     for record in records[1:]:
         kind = record.get("kind")
-        if kind == "drain":
-            continue
         job_id = record.get("job")
         if not isinstance(job_id, str):
             continue
@@ -196,7 +234,7 @@ def replay_jobs(path: PathLike) -> Dict[str, JournaledJob]:
                 fingerprint, str
             ):
                 continue
-            jobs[job_id] = JournaledJob(
+            jobs[job_id] = Job(
                 id=job_id,
                 fingerprint=fingerprint,
                 spec=spec,
@@ -235,8 +273,7 @@ class JobClaims:
     ``claim`` exclusively creates ``<dir>/<fingerprint>`` containing
     the claimant's PID.  Losing the race means another live server
     owns the job; a claim owned by a dead process (``kill -9``) is
-    stolen.  Claims are advisory and scoped to job *execution* — the
-    store's own in-flight dedup still guards individual points.
+    stolen.
     """
 
     directory: Path
@@ -320,9 +357,9 @@ class JobClaims:
 __all__ = [
     "JOB_JOURNAL_VERSION",
     "TERMINAL_STATES",
+    "Job",
     "JobClaims",
     "JobJournal",
     "JobJournalError",
-    "JournaledJob",
     "replay_jobs",
 ]

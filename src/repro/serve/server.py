@@ -15,8 +15,16 @@ The server survives the same fault class it simulates:
   an NDJSON journal (:mod:`repro.serve.durability`).  A server killed
   with ``SIGKILL`` replays the journal on restart, reconstructs its
   job table, and resumes incomplete jobs — warm, because completed
-  points already live in the store.  Cross-process claims keep two
-  servers replaying the same journal from double-running a job.
+  points already live in the store.  A cross-process claim, taken when
+  a job is queued (on submit and on recovery), keeps a second server
+  on the same journal from re-running a job whose owner is alive.
+* **One end path, one answer path** — every job settles ``done``,
+  ``failed`` or ``timed-out`` in :meth:`CampaignJobServer._finish`, and
+  every answer (fresh, journal-recovered or ``/curve``) is read from
+  the store by :meth:`CampaignJobServer._probe_all`.  A job is ``done``
+  exactly when the store holds its every point: a grid with
+  quarantined runs, or a recovered job whose points were evicted,
+  settles ``failed`` and gives up its fingerprint to a resubmit.
 * **Watchdog** — per-job deadlines and a progress-staleness probe move
   stuck jobs to ``timed-out``, evict their fingerprint so resubmits
   get a fresh job, and cooperatively cancel the worker at the next
@@ -57,7 +65,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -65,7 +72,8 @@ from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import active_metrics, active_tracer, names
 from repro.obs.report import JournalLiveness
 from repro.serve.durability import (
-    TERMINAL_STATES,
+    _PROVENANCE_FIELDS,
+    Job,
     JobClaims,
     JobJournal,
     replay_jobs,
@@ -91,15 +99,7 @@ _REASONS = {
 
 _MAX_HEADERS = 100
 
-#: Fields of a normalized spec that determine the answer bit-for-bit.
-#: Execution knobs (processes) are deliberately not here — same rule
-#: as the store keys (REP103): provenance only.  ``lanes`` stays even
-#: though the store keys dropped it, so job journals written with it
-#: keep replaying and deduplicating as before.
-_PROVENANCE_FIELDS = (
-    "scheme", "vdds", "runs", "seed", "lanes", "fft", "frequency",
-    "macro_style",
-)
+_LOST_ANSWER = "results no longer in the store (evicted?); resubmit"
 
 
 class RequestError(Exception):
@@ -165,55 +165,16 @@ def spec_fingerprint(spec: Dict[str, Any]) -> str:
     return fingerprint_payload(payload)
 
 
-@dataclass
-class Job:
-    """One grid request's lifecycle (queued → running → done/failed)."""
-
-    id: str
-    fingerprint: str
-    spec: Dict[str, Any]
-    state: str = "queued"
-    points_done: int = 0
-    points_total: int = 0
-    tasks_done: int = 0
-    tasks_total: int = 0
-    hits: int = 0
-    executed_points: int = 0
-    error: Optional[str] = None
-    results: Optional[List[Dict[str, Any]]] = None
-    recovered: bool = False
-    started_at: Optional[float] = None
-    last_progress_at: Optional[float] = None
-    cancelled: threading.Event = field(default_factory=threading.Event)
-
-    def status(self) -> Dict[str, Any]:
-        return {
-            "job": self.id,
-            "state": self.state,
-            "spec": {
-                name: self.spec[name] for name in _PROVENANCE_FIELDS
-            },
-            "points_done": self.points_done,
-            "points_total": self.points_total,
-            "tasks_done": self.tasks_done,
-            "tasks_total": self.tasks_total,
-            "hits": self.hits,
-            "executed_points": self.executed_points,
-            "recovered": self.recovered,
-            "error": self.error,
-        }
-
-
 class CampaignJobServer:
     """Asyncio HTTP front end over a store-backed campaign worker pool.
 
     Parameters beyond PR 8's:
 
     journal:
-        Path of the durable job journal.  With a journal, ``start()``
-        replays prior transitions, rebuilds the job table, and
-        requeues incomplete jobs it can claim
-        (:class:`~repro.serve.durability.JobClaims`).
+        Path of the durable job journal.  With a journal, every queued
+        job is claimed (:class:`~repro.serve.durability.JobClaims`),
+        and ``start()`` replays prior transitions, rebuilds the job
+        table, and requeues the incomplete jobs it can claim.
     job_deadline_s / progress_stale_s:
         Watchdog knobs: wall-clock budget per running job, and the
         maximum silence between progress updates, before a job is
@@ -311,32 +272,21 @@ class CampaignJobServer:
             )
             self._watchdog_thread.start()
 
-    def _recover(self, journaled: Dict[str, Any]) -> None:
-        """Rebuild the job table from a replayed journal.
+    def _recover(self, jobs: Dict[str, Job]) -> None:
+        """Adopt a replayed journal's jobs into the job table.
 
-        Terminal jobs become visible again (done jobs rehydrate their
-        results lazily from the store); incomplete jobs are requeued
-        iff this server wins the cross-process fingerprint claim — a
-        concurrently restarted sibling replaying the same journal
-        leaves them to the winner.
+        Done jobs read their answer back from the store, and settle
+        ``failed`` when it is gone; failed and timed-out jobs stay
+        evicted.  Incomplete jobs are requeued iff this server wins
+        the cross-process fingerprint claim — a live sibling that
+        submitted or recovered the job keeps it.
         """
         assert self._claims is not None
-        for journaled_job in journaled.values():
+        for job in jobs.values():
             try:
-                seq = int(journaled_job.id.split("-")[1])
+                seq = int(job.id.split("-")[1])
             except (IndexError, ValueError):
                 seq = 0
-            job = Job(
-                id=journaled_job.id,
-                fingerprint=journaled_job.fingerprint,
-                spec=journaled_job.spec,
-                state=journaled_job.state,
-                points_done=journaled_job.points_done,
-                points_total=journaled_job.points_total,
-                hits=journaled_job.hits,
-                executed_points=journaled_job.executed_points,
-                error=journaled_job.error,
-            )
             # The watchdog thread may already be running from an
             # earlier start(); every job-table touch takes the lock.
             with self._lock:
@@ -345,12 +295,14 @@ class CampaignJobServer:
                 if job.state == "done":
                     self._by_fingerprint[job.fingerprint] = job.id
             if job.state == "done":
+                job.results = self._probe_all(job.spec)
+                if job.results is None:
+                    self._finish(job, "failed", _LOST_ANSWER)
                 continue
-            if job.state in TERMINAL_STATES:
-                continue  # failed/timed-out: fingerprint stays evicted
-            if not self._claims.claim(job.fingerprint):
-                # A live sibling server owns this job; keep it visible
-                # but do not run (and do not absorb resubmissions).
+            if not job.incomplete or not self._claims.claim(job.fingerprint):
+                # Failed or timed out, or a live sibling server owns
+                # it: keep it visible, but do not run it (and do not
+                # let it absorb resubmissions).
                 continue
             job.state = "queued"
             job.recovered = True
@@ -388,11 +340,7 @@ class CampaignJobServer:
 
     def _in_flight(self) -> List[Job]:
         with self._lock:
-            return [
-                job
-                for job in self._jobs.values()
-                if job.state in ("queued", "running")
-            ]
+            return [job for job in self._jobs.values() if job.incomplete]
 
     def _drain(self, drain: bool) -> Dict[str, Any]:
         deadline = time.monotonic() + (
@@ -477,14 +425,13 @@ class CampaignJobServer:
             if reason == "deadline"
             else self.progress_stale_s
         )
-        with self._lock:
-            if job.state != "running":
-                return False
-            job.state = "timed-out"
-            job.error = f"{reason}: exceeded {budget:g}s"
-            # Evict the fingerprint so a resubmit gets a fresh job.
-            if self._by_fingerprint.get(job.fingerprint) == job.id:
-                del self._by_fingerprint[job.fingerprint]
+        if not self._finish(
+            job,
+            "timed-out",
+            f"{reason}: exceeded {budget:g}s",
+            deadline_s=float(budget or 0.0),
+        ):
+            return False
         job.cancelled.set()
         active_metrics().counter(names.SERVE_DEADLINE_KILLS).inc()
         active_tracer().point(
@@ -492,8 +439,52 @@ class CampaignJobServer:
             job=job.id,
             reason=reason,
         )
+        return True
+
+    def _finish(
+        self,
+        job: Job,
+        state: str,
+        error: Optional[str] = None,
+        deadline_s: float = 0.0,
+    ) -> bool:
+        """The one end path: settle ``job`` done, failed or timed-out.
+
+        Journals the terminal record, evicts the fingerprint of a job
+        that cannot answer and releases the claim.  A job settles at
+        most once, except that a ``done`` job with no answer (recovered
+        from the journal, its points evicted) may become ``failed``.
+        ``deadline_s`` is the budget a timed-out job overran.  Returns
+        whether this call settled the job.
+        """
+        with self._lock:
+            lost_answer = (
+                job.state == "done" and job.results is None
+                and state == "failed"
+            )
+            if not job.incomplete and not lost_answer:
+                return False
+            job.state = state
+            job.error = error
+            if (
+                state != "done"
+                and self._by_fingerprint.get(job.fingerprint) == job.id
+            ):
+                del self._by_fingerprint[job.fingerprint]
+        if state == "failed":
+            active_metrics().counter(names.SERVE_ERRORS).inc()
+            active_tracer().point(
+                names.POINT_SERVE_JOB_FAILED, job=job.id, error=error
+            )
         if self._journal is not None:
-            self._journal.record_timed_out(job.id, float(budget or 0.0))
+            if state == "done":
+                self._journal.record_done(
+                    job.id, job.hits, job.executed_points
+                )
+            elif state == "failed":
+                self._journal.record_failed(job.id, str(error))
+            else:
+                self._journal.record_timed_out(job.id, deadline_s)
         if self._claims is not None:
             self._claims.release(job.fingerprint)
         return True
@@ -672,14 +663,12 @@ class CampaignJobServer:
         with self._lock:
             existing_id = self._by_fingerprint.get(fingerprint)
             if existing_id is not None:
-                job = self._jobs[existing_id]
-                if job.state not in ("failed", "timed-out"):
-                    active_metrics().counter(
-                        names.SERVE_JOBS_DEDUPED
-                    ).inc()
-                    status = job.status()
-                    status["deduplicated"] = True
-                    return 202, status
+                # Only a job that can still answer keeps its
+                # fingerprint (``_finish`` evicts the rest).
+                active_metrics().counter(names.SERVE_JOBS_DEDUPED).inc()
+                status = self._jobs[existing_id].status()
+                status["deduplicated"] = True
+                return 202, status
             census = self._admission_overflow()
             if census is not None:
                 active_metrics().counter(names.SERVE_SHEDS).inc()
@@ -706,6 +695,10 @@ class CampaignJobServer:
             self._journal.record_submitted(
                 job.id, fingerprint, spec, len(spec["vdds"])
             )
+        if self._claims is not None:
+            # A sibling replaying the journal leaves a claimed job to
+            # us; a claim the sibling holds does not stop the submit.
+            self._claims.claim(fingerprint)
         asyncio.get_running_loop().run_in_executor(
             self._pool, self._run_job, job
         )
@@ -725,22 +718,11 @@ class CampaignJobServer:
             job = self._jobs.get(job_id)
         if job is None:
             return 404, {"error": f"no such job: {job_id}"}
-        if job.state in ("failed", "timed-out"):
-            return 500, job.status()
-        if job.state != "done":
-            return 202, job.status()
-        if job.results is None:
-            # A journal-recovered done job: the journal records the
-            # transition, the store holds the points — rehydrate.
-            warm = self._probe_all(job.spec)
-            if warm is None:
-                status = job.status()
-                status["error"] = (
-                    "results no longer in the store (evicted?); resubmit"
-                )
-                return 500, status
-            job.results = warm
         status = job.status()
+        if job.incomplete:
+            return 202, status
+        if job.state != "done":
+            return 500, status
         status["results"] = job.results
         return 200, status
 
@@ -806,10 +788,14 @@ class CampaignJobServer:
         )
 
     def _probe_all(
-        self, spec: Dict[str, Any]
+        self, spec: Dict[str, Any], plan: Optional[Tuple[Any, ...]] = None
     ) -> Optional[List[Dict[str, Any]]]:
-        """All-points-warm probe; None unless every point is cached."""
-        runner_cls, workload, golden, access_model = self._plan(spec)
+        """All-points-warm probe; None unless every point is cached.
+
+        Every answer is read here; ``plan`` reuses the caller's
+        :meth:`_plan`.
+        """
+        runner_cls, workload, golden, access_model = plan or self._plan(spec)
         results = []
         for vdd in spec["vdds"]:
             key = campaign_point_key(
@@ -850,7 +836,8 @@ class CampaignJobServer:
             self._journal.record_started(job.id)
         try:
             self._hold_for_chaos(job)
-            runner_cls, workload, golden, access_model = self._plan(spec)
+            plan = self._plan(spec)
+            runner_cls, workload, golden, access_model = plan
 
             def on_point(index: int, total: int, result: Any) -> None:
                 job.points_done = index + 1
@@ -901,9 +888,6 @@ class CampaignJobServer:
                     on_point=on_point,
                     progress_factory=progress_factory,
                 )
-            job.results = [
-                encode_campaign_result(result) for result in grid.results
-            ]
             job.hits = grid.hits
             job.executed_points = grid.executed_points
             active_metrics().counter(names.SERVE_WARM_POINTS).inc(
@@ -912,20 +896,29 @@ class CampaignJobServer:
             active_metrics().counter(names.SERVE_EXECUTED_POINTS).inc(
                 grid.executed_points
             )
-            job.state = "done"
-            if self._journal is not None:
-                self._journal.record_done(
-                    job.id, grid.hits, grid.executed_points
-                )
+            # Answer from the store, like a recovered job: a point it
+            # does not hold (a quarantined campaign is never published)
+            # leaves the job unable to answer.
+            job.results = self._probe_all(spec, plan)
+            quarantined = ", ".join(
+                f"{result.vdd:.3f} V {result.quarantined}/{spec['runs']}"
+                for result in grid.results
+                if result.quarantined
+            )
+            if job.results is not None:
+                self._finish(job, "done")
+            elif quarantined:
+                self._finish(job, "failed", f"quarantined runs: {quarantined}")
+            else:
+                self._finish(job, "failed", _LOST_ANSWER)
         except _JobCancelled:
-            # Timed out (watchdog already journaled and evicted) or
-            # cancelled by an unclean drain: the job reverts to queued
-            # so a journal replay on the next start re-runs it.
-            requeued = False
+            # Timed out (already settled) or cancelled by an unclean
+            # drain: a drained job reverts to queued, so a journal
+            # replay on the next start re-runs it.
             with self._lock:
-                if job.state == "running":
+                requeued = job.state == "running"
+                if requeued:
                     job.state = "queued"
-                    requeued = True
             if requeued:
                 tracer.point(
                     names.POINT_SERVE_JOB_REQUEUED,
@@ -934,26 +927,7 @@ class CampaignJobServer:
                     points_done=job.points_done,
                 )
         except Exception as exc:
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = "failed"
-            active_metrics().counter(names.SERVE_ERRORS).inc()
-            tracer.point(
-                names.POINT_SERVE_JOB_FAILED,
-                job=job.id,
-                error=job.error,
-            )
-            if self._journal is not None:
-                self._journal.record_failed(job.id, job.error)
-            with self._lock:
-                # A failed job must not absorb future identical
-                # submissions — evict it from the dedup table so a
-                # resubmit gets a fresh job (which resumes warm from
-                # whatever points the store already holds).
-                if self._by_fingerprint.get(job.fingerprint) == job.id:
-                    del self._by_fingerprint[job.fingerprint]
-        finally:
-            if self._claims is not None:
-                self._claims.release(job.fingerprint)
+            self._finish(job, "failed", f"{type(exc).__name__}: {exc}")
 
     def _stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -149,16 +149,13 @@ class ResultStore:
     # ------------------------------------------------------------------
     def get(self, key: PointKey) -> Optional[Dict[str, Any]]:
         """Return the stored payload for ``key``, or ``None`` on miss."""
-        return self._get(key.fingerprint())
-
-    def _get(self, fingerprint: str, count: bool = True) -> Optional[Dict[str, Any]]:
+        fingerprint = key.fingerprint()
         with self._lock:
             payload = self._lru.get(fingerprint)
             if payload is not None:
                 self._lru.move_to_end(fingerprint)
-                if count:
-                    self._count("hits", 1)
-                    self._count("front_hits", 1)
+                self._count("hits", 1)
+                self._count("front_hits", 1)
                 return payload
         conn = self._connect()
         try:
@@ -168,8 +165,7 @@ class ResultStore:
                 (fingerprint,),
             ).fetchone()
             if row is None:
-                if count:
-                    self._count("misses", 1)
+                self._count("misses", 1)
                 return None
             provenance = json.loads(row[0])
             if fingerprint_provenance(provenance) != fingerprint:
@@ -181,8 +177,7 @@ class ResultStore:
                 )
                 conn.commit()
                 self._count("corrupt_entries", 1)
-                if count:
-                    self._count("misses", 1)
+                self._count("misses", 1)
                 return None
             payload = json.loads(row[1])
         finally:
@@ -190,8 +185,7 @@ class ResultStore:
         assert isinstance(payload, dict)
         with self._lock:
             self._lru_insert(fingerprint, payload)
-        if count:
-            self._count("hits", 1)
+        self._count("hits", 1)
         return payload
 
     def put(self, key: PointKey, payload: Dict[str, Any]) -> str:
@@ -244,60 +238,40 @@ class ResultStore:
     # ------------------------------------------------------------------
     # In-flight deduplication
     # ------------------------------------------------------------------
-    def begin_compute(self, fingerprint: str) -> Tuple[bool, threading.Event]:
-        """Claim ``fingerprint`` for computation.
-
-        Returns ``(owner, event)``: the first caller becomes the owner
-        and must call :meth:`end_compute` when done (success *or*
-        failure); later callers get ``owner=False`` and should wait on
-        the event, then re-probe.
-        """
-        with self._lock:
-            event = self._inflight.get(fingerprint)
-            if event is None:
-                event = threading.Event()
-                self._inflight[fingerprint] = event
-                return True, event
-            return False, event
-
-    def note_inflight_wait(self) -> None:
-        """Record that a caller blocked behind an in-flight compute."""
-        self._count("inflight_waits", 1)
-
-    def end_compute(self, fingerprint: str) -> None:
-        """Release an in-flight claim and wake all waiters."""
-        with self._lock:
-            event = self._inflight.pop(fingerprint, None)
-        if event is not None:
-            event.set()
-
     def fetch_or_compute(
         self,
         key: PointKey,
-        compute: Callable[[], Dict[str, Any]],
-    ) -> Tuple[Dict[str, Any], bool]:
+        compute: Callable[[], Optional[Dict[str, Any]]],
+    ) -> Tuple[Optional[Dict[str, Any]], bool]:
         """Return ``(payload, was_cached)``, computing at most once.
 
         Identical concurrent calls in one process collapse onto a
-        single computation: the first caller computes and publishes,
-        the rest block on its in-flight event and read the stored
-        result.  If the owner fails, one waiter takes over.
+        single computation: the first caller claims the key, computes
+        and publishes; the rest block on its in-flight event and
+        re-probe.  ``compute`` may return ``None`` to publish nothing
+        (this caller then gets ``(None, False)``); if it does, or if
+        the owner fails, one waiter takes over.
         """
         fingerprint = key.fingerprint()
         while True:
-            payload = self._get(fingerprint)
+            payload = self.get(key)
             if payload is not None:
                 return payload, True
-            owner, event = self.begin_compute(fingerprint)
-            if owner:
-                break
-            self.note_inflight_wait()
+            with self._lock:
+                event = self._inflight.get(fingerprint)
+                if event is None:
+                    event = self._inflight[fingerprint] = threading.Event()
+                    break
+            self._count("inflight_waits", 1)
             event.wait()
         try:
             payload = compute()
-            self.put(key, payload)
+            if payload is not None:
+                self.put(key, payload)
         finally:
-            self.end_compute(fingerprint)
+            with self._lock:
+                del self._inflight[fingerprint]
+            event.set()
         return payload, False
 
     # ------------------------------------------------------------------

@@ -759,7 +759,7 @@ class TestPerfHistory:
         assert lower_is_better("secded.encode_batch_s")
         assert lower_is_better("simd.N4.lockstep_s")
         assert not lower_is_better("secded.encode_speedup")
-        assert not lower_is_better("profile.overhead_pct")
+        assert lower_is_better("profile.overhead_pct")
 
     def _entries(self, *reports):
         return [
@@ -786,6 +786,21 @@ class TestPerfHistory:
         assert "secded.encode_batch_s" in result["regressions"]
         # the improvement directions never fire
         assert "secded.encode_speedup" not in result["regressions"]
+
+    def test_overhead_rise_is_a_regression(self):
+        """Overhead is lower-better, and gated correctness counts are not
+        in the regression table at all."""
+        reports = [_report(), _report(), _report()]
+        reports[-1]["profile"]["overhead_pct"] = 2.0
+        entries = self._entries(*reports)
+        for entry, hit_ratio in zip(entries, (1.0, 1.0, 0.5)):
+            entry["sections"]["store.hit_ratio"] = hit_ratio
+        result = compare(entries, max_regression=0.25)
+        assert result["regressions"] == ["profile.overhead_pct"]
+        assert "store.hit_ratio" not in {d["metric"] for d in result["deltas"]}
+        assert "serve.recovered_jobs" not in flatten_report(
+            {"serve": {"recovered_jobs": 1, "cold_s": 0.5}}
+        )
 
     def test_improvements_are_not_regressions(self):
         entries = self._entries(

@@ -23,9 +23,16 @@ import urllib.request
 
 import pytest
 
+import repro.analysis.campaign as campaign
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.mitigation import SecdedRunner
-from repro.serve import ServerThread, normalize_spec, spec_fingerprint
+from repro.serve import (
+    ServerThread,
+    normalize_spec,
+    replay_jobs,
+    spec_fingerprint,
+)
+from repro.serve.cli import submit_main
 from repro.serve.server import CampaignJobServer
 from repro.store import (
     ResultStore,
@@ -312,6 +319,47 @@ class TestChaos:
 
         # Bit-identity with a cold run on a fresh store.
         assert result["results"] == _reference_results(tmp_path)
+
+
+class TestSettle:
+    def test_quarantined_grid_fails_and_a_resubmit_recomputes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A grid whose runs were quarantined has no stored answer: the
+        job settles ``failed`` (``repro submit`` exits 1), is journaled
+        so, and gives up its fingerprint to a resubmit."""
+        def broken(*args, **kwargs):
+            raise RuntimeError("chaos: campaign worker fault")
+
+        monkeypatch.setattr(campaign, "_campaign_run_one", broken)
+        journal = tmp_path / "jobs.ndjson"
+        store = ResultStore(tmp_path / "s.sqlite")
+        with ServerThread(store, journal=journal) as handle:
+            code = submit_main([
+                "--url", handle.url, "--vdds", "0.44,0.46",
+                "--runs", "2", "--seed", "100",
+            ])
+            failed = json.loads(capsys.readouterr().out)
+            assert code == 1
+            assert (failed["state"], failed["error"]) == (
+                "failed", "quarantined runs: 0.440 V 2/2, 0.460 V 2/2"
+            )
+
+            monkeypatch.undo()  # the fault is gone
+            status, resubmitted = _request(
+                handle.url + "/submit", payload=SPEC
+            )
+            assert (status, resubmitted["deduplicated"]) == (202, False)
+            assert resubmitted["job"] != failed["job"]
+            assert _wait(handle.url, resubmitted["job"])["state"] == "done"
+            status, result = _request(
+                f"{handle.url}/result/{resubmitted['job']}"
+            )
+            assert status == 200
+        assert replay_jobs(journal)[failed["job"]].state == "failed"
+        assert json.dumps(result["results"], sort_keys=True) == json.dumps(
+            _reference_results(tmp_path), sort_keys=True
+        )
 
 
 class TestHardening:

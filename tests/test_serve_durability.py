@@ -316,13 +316,108 @@ class TestJournalRecovery:
             _, stats = _request(handle.url + "/stats")
             assert stats["recovered_jobs"] == 0
             assert stats["jobs"] == {"done": 1}
-            # ... and /result rehydrates lazily from the store.
+            # ... and /result answers from the store, read back at start.
             status, result = _request(handle.url + "/result/job-0001-done")
             assert status == 200
             assert len(result["results"]) == len(SPEC["vdds"])
             # The done fingerprint still absorbs resubmissions.
             status, joined = _request(handle.url + "/submit", payload=SPEC)
             assert (status, joined["deduplicated"]) == (202, True)
+
+    def _finish_then_evict(self, tmp_path):
+        """A journaled server answers SPEC; then ``gc(0)`` empties the
+        store behind the journal's ``done`` record."""
+        store_path = tmp_path / "s.sqlite"
+        journal = tmp_path / "jobs.ndjson"
+        with ServerThread(ResultStore(store_path), journal=journal) as handle:
+            _, submitted = _request(handle.url + "/submit", payload=SPEC)
+            assert _wait(handle.url, submitted["job"])["state"] == "done"
+        ResultStore(store_path).gc(0)
+        return store_path, journal, submitted["job"]
+
+    def test_done_job_whose_answer_was_evicted_fails_on_restart(
+        self, tmp_path
+    ):
+        store_path, journal, job_id = self._finish_then_evict(tmp_path)
+        with ServerThread(ResultStore(store_path), journal=journal) as handle:
+            status, lost = _request(f"{handle.url}/result/{job_id}")
+            assert (status, lost["state"]) == (500, "failed")
+            assert "no longer in the store" in lost["error"]
+            # The fingerprint went with the answer: a fresh job.
+            status, resubmitted = _request(
+                handle.url + "/submit", payload=SPEC
+            )
+            assert (status, resubmitted["deduplicated"]) == (202, False)
+            assert resubmitted["job"] != job_id
+            assert _wait(handle.url, resubmitted["job"])["state"] == "done"
+            status, result = _request(
+                f"{handle.url}/result/{resubmitted['job']}"
+            )
+            assert status == 200
+            status, curve = _request(
+                handle.url
+                + "/curve?scheme=secded&vdds=0.44,0.46&runs=2&seed=100"
+            )
+            assert (status, curve["warm"]) == (200, True)
+        reference = _grid_into(ResultStore(tmp_path / "reference.sqlite"))
+        assert json.dumps(result["results"], sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
+    def test_a_failed_record_after_done_wins_on_replay(self, tmp_path):
+        store_path, journal, job_id = self._finish_then_evict(tmp_path)
+        with ServerThread(ResultStore(store_path), journal=journal):
+            pass  # the restart finds the answer gone and journals it
+        replayed = replay_jobs(journal)[job_id]
+        assert (replayed.state, replayed.incomplete) == ("failed", False)
+
+        with ServerThread(ResultStore(store_path), journal=journal) as handle:
+            assert job_id not in handle.server._by_fingerprint.values()
+            status, resubmitted = _request(
+                handle.url + "/submit", payload=SPEC
+            )
+            assert (status, resubmitted["deduplicated"]) == (202, False)
+            assert _wait(handle.url, resubmitted["job"])["state"] == "done"
+        kinds = [
+            record["kind"]
+            for record in read_ndjson(journal)
+            if record.get("job") == job_id
+        ]
+        assert kinds == ["submitted", "started", "point", "point", "done",
+                         "failed"]
+
+    def test_a_live_servers_job_is_not_recovered_by_a_sibling(
+        self, tmp_path
+    ):
+        """Claims are taken on submit, not only on recovery: a second
+        server on the same journal (and store file) leaves a job that a
+        live server is running to it."""
+        store_path = tmp_path / "s.sqlite"
+        journal = tmp_path / "jobs.ndjson"
+        spec = {**SPEC, "vdds": [0.44]}
+        hold = threading.Event()
+        with ServerThread(
+            ResultStore(store_path), journal=journal, chaos_hold=hold
+        ) as owner:
+            _, submitted = _request(owner.url + "/submit", payload=spec)
+            job_id = submitted["job"]
+            _wait(owner.url, job_id, states=("running",))
+            sibling_store = ResultStore(store_path)
+            try:
+                with ServerThread(
+                    sibling_store, journal=journal, drain=False
+                ) as sibling:
+                    _, seen = _request(f"{sibling.url}/status/{job_id}")
+                    assert seen["recovered"] is False
+                    _, stats = _request(sibling.url + "/stats")
+                    assert stats["recovered_jobs"] == 0
+            finally:
+                hold.set()
+            assert _wait(owner.url, job_id)["state"] == "done"
+            _, stats = _request(owner.url + "/stats")
+        # The owner computed every row; the sibling computed none.
+        assert stats["store"]["puts"] == stats["store"]["rows"]
+        assert sibling_store.stats()["puts"] == 0
 
     def test_two_servers_on_one_journal_never_double_run(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
@@ -513,6 +608,23 @@ class TestServeClient:
             )
             with pytest.raises(JobFailedError, match=state):
                 client.wait("job-1")
+
+    def test_wait_raises_when_result_finds_the_job_failed(self):
+        """``/status`` said done, then a restarted server found the
+        answer gone: ``/result`` answers 500 with state failed."""
+        lost = {"job": "job-1", "state": "failed", "error": "evicted"}
+        transport = _ScriptedTransport(
+            [
+                (200, {"job": "job-1", "state": "done"}, {}),
+                (500, lost, {}),
+            ]
+        )
+        client = ServeClient(
+            "http://test", sleep=lambda _s: None, transport=transport
+        )
+        with pytest.raises(JobFailedError, match="failed") as raised:
+            client.wait("job-1")
+        assert raised.value.status == lost
 
     def test_wait_deadline_uses_injected_clock(self):
         ticks = iter(range(100))

@@ -436,6 +436,38 @@ class TestCampaignStore:
         assert store.stats()["hits"] == hits + 1
         assert len(store) == 6  # five run rows and the campaign row
 
+    def test_concurrent_campaigns_compute_once(self, tmp_path, monkeypatch):
+        """Two threads run one campaign: the first computes under the
+        store's claim, the second waits on it and is served."""
+        import repro.analysis.campaign as campaign
+
+        store = ResultStore(tmp_path / "s.sqlite")
+        execute = campaign._execute_campaign
+
+        def held(*args, **kwargs):
+            deadline = time.monotonic() + 60
+            while store.stats()["inflight_waits"] < 1:
+                assert time.monotonic() < deadline, "no caller waited"
+                time.sleep(0.01)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_execute_campaign", held)
+        results = []
+
+        def run():
+            results.append(run_campaign(SecdedRunner, **self._kwargs(store)))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert len(results) == 2
+        assert sorted(r.resilience is None for r in results) == [False, True]
+        assert results[0] == results[1]
+        assert store.stats()["inflight_waits"] >= 1
+
     def test_payload_codec_roundtrips_exactly(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
         cold = run_campaign(SecdedRunner, **self._kwargs(store))

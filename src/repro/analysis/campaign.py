@@ -19,17 +19,28 @@ Each worker executes under its own scoped metrics registry; the
 snapshots travel back with the outcome tuples and merge exactly into
 the caller's registry, so layer-level counters (``faults.*``,
 ``platform.*``) survive the process-pool boundary.
+
+Fault-free runs are answered from one *golden run* per campaign point
+(:class:`GoldenRun`): near threshold most runs see no fault, and a run
+is fault-free exactly when each fault model's first geometric gap
+covers the accesses that model samples in the fault-free run.  The
+task checks that gap per seed and simulates only the runs it fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.access import AccessErrorModel
 from repro.core.errors import validate_vdd
 from repro.core.multibit import prob_at_least
+from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import MetricsSnapshot, active_metrics, active_tracer, names, scoped_metrics
+from repro.obs.profile import active_profiler
 from repro.resilience import ChaosPolicy, ResilientExecutor, TaskSpec
 from repro.workloads.streaming import StreamingWorkload
 
@@ -101,6 +112,50 @@ def _run_stats(outcome, golden) -> tuple:
     )
 
 
+@dataclass(frozen=True)
+class GoldenRun:
+    """The fault-free run of one campaign point, shared by its seeds.
+
+    ``stats`` (:func:`_run_stats`) and ``snapshot`` (its metrics) are
+    what every fault-free seed's run yields.  ``accesses`` holds, per
+    memory of :func:`_faulty_memories`, how many accesses the run
+    samples a fault mask for: its reads, plus its writes when
+    ``fault_on_write`` is set.
+    """
+
+    stats: tuple
+    snapshot: MetricsSnapshot
+    accesses: tuple[int, ...]
+
+
+def _faulty_memories(platform) -> list:
+    """The platform's memories that carry a fault model, in a fixed order."""
+    return [
+        memory
+        for memory in (platform.im, platform.sp, platform.pm)
+        if memory is not None and memory.faults is not None
+    ]
+
+
+def _fault_free(runner, vdd: float, golden_run: GoldenRun) -> bool:
+    """Whether ``runner``'s run at ``vdd`` sees no fault at all.
+
+    Builds the seed's platform and reads each fault model's
+    ``clean_run_length()``: the same first ``geometric(p_any)`` draw
+    the run makes at that memory's first access.  The run stays on the
+    golden path exactly while every gap covers the accesses the golden
+    run samples there.  A memory the golden run never samples draws
+    nothing.
+    """
+    platform = runner.build_platform(vdd)
+    return all(
+        accesses == 0 or memory.faults.clean_run_length() >= accesses
+        for memory, accesses in zip(
+            _faulty_memories(platform), golden_run.accesses
+        )
+    )
+
+
 def _campaign_run_one(args) -> tuple:
     """Execute a task's seeds one run at a time.
 
@@ -110,28 +165,105 @@ def _campaign_run_one(args) -> tuple:
     the per-seed statistics plus the snapshot of the private metrics
     registry the runs executed under (exact cross-process metric
     merging).  Every seed block runs here, whatever its width.
+
+    With a :class:`GoldenRun` (the last argument), a seed whose run
+    :func:`_fault_free` proves fault-free takes the golden statistics
+    and merges the golden snapshot instead of simulating; every other
+    seed runs through ``runner.run`` as usual.
     """
     (
         runner_cls, workload, golden, access_model,
-        vdd, frequency, first_seed, count, runner_kwargs,
+        vdd, frequency, first_seed, count, runner_kwargs, golden_run,
     ) = args
+    per_seed = []
     with scoped_metrics() as registry:
-        outcomes = [
-            runner_cls(access_model, seed=seed, **runner_kwargs).run(
-                workload, vdd=vdd, frequency=frequency
-            )
-            for seed in range(first_seed, first_seed + count)
-        ]
-    return (
-        [_run_stats(outcome, golden) for outcome in outcomes],
-        registry.snapshot(),
-    )
+        for seed in range(first_seed, first_seed + count):
+            runner = runner_cls(access_model, seed=seed, **runner_kwargs)
+            if golden_run is not None and _fault_free(
+                runner, vdd, golden_run
+            ):
+                per_seed.append(golden_run.stats)
+                registry.merge(golden_run.snapshot)
+            else:
+                outcome = runner.run(workload, vdd=vdd, frequency=frequency)
+                per_seed.append(_run_stats(outcome, golden))
+    return per_seed, registry.snapshot()
 
 
 # Kept under its old name because the benchmark's tracer
 # (``perfbench/tracing.py``) wraps it by name; it goes when the tracer
 # drops that target.
 _campaign_run_lane_block = _campaign_run_one
+
+
+#: Golden runs one process keeps (:func:`_golden_run`); the least
+#: recently used goes first.
+GOLDEN_RUNS_KEPT = 64
+
+_golden_runs: OrderedDict = OrderedDict()
+_golden_runs_lock = threading.Lock()
+
+
+def _golden_run(
+    runner_cls, workload, golden, access_model, vdd, frequency,
+    runner_kwargs,
+) -> GoldenRun | None:
+    """The campaign point's :class:`GoldenRun`, or None to simulate all.
+
+    The golden run is the same runner at the same ``vdd`` with the
+    access model's onset moved to ``vdd``, so ``p_bit`` is exactly 0.
+    It is computed once per process and point and kept in a bounded
+    LRU memo.  None when a seed's run may differ from it, or must be
+    seen:
+
+    * ``runner_cls`` is not one of :data:`SCHEME_RUNNERS`, the
+      controllers whose fault-free runs the differential tests prove
+      deterministic;
+    * the engine profiler is on: its per-run tallies count every run;
+    * ``vdd`` is 0, where no onset can sit;
+    * the fault-free run does not complete: its failure trace records
+      belong to each run.
+    """
+    if (
+        runner_cls not in SCHEME_RUNNERS.values()
+        or active_profiler().enabled
+        or vdd <= 0.0
+    ):
+        return None
+    from repro.store.keys import scheme_campaign_key
+
+    # Keyed like the point's store row; every seed shares the run, so
+    # the seed range is fixed.
+    key = runner_cls, scheme_campaign_key(
+        runner_cls.name, workload, golden, access_model, vdd, frequency,
+        runs=1, seed_base=0, runner_kwargs=runner_kwargs,
+    ).provenance_json
+    with _golden_runs_lock:
+        run = _golden_runs.get(key)
+        if run is not None:
+            _golden_runs.move_to_end(key)
+            return run
+    runner = runner_cls(
+        dataclasses.replace(access_model, v_onset=vdd), **runner_kwargs
+    )
+    with scoped_metrics() as registry:
+        outcome = runner.run(workload, vdd=vdd, frequency=frequency)
+    if not outcome.completed:
+        return None
+    run = GoldenRun(
+        stats=_run_stats(outcome, golden),
+        snapshot=registry.snapshot(),
+        accesses=tuple(
+            memory.counters.reads
+            + (memory.counters.writes if memory.fault_on_write else 0)
+            for memory in _faulty_memories(runner.last_platform)
+        ),
+    )
+    with _golden_runs_lock:
+        _golden_runs[key] = run
+        while len(_golden_runs) > GOLDEN_RUNS_KEPT:
+            _golden_runs.popitem(last=False)
+    return run
 
 
 def _encode_outcome(outcome) -> dict:
@@ -200,9 +332,11 @@ def run_campaign(
     into consecutive blocks of that width *before* the fan-out, one
     executor task (and, with ``store``, one task row) per block.  A
     block runs its seeds one after another through the runner's own
-    ``run`` (the fast lane on stock platforms), so the classification,
-    the per-run ``campaign.outcome`` trace records and the merged
-    metrics are identical to ``lanes=1``; only the task granularity
+    ``run`` (the fast lane on stock platforms), and answers the seeds
+    that see no fault from the point's golden run (exactly, see
+    :class:`GoldenRun`), so the classification, the per-run
+    ``campaign.outcome`` trace records and the merged metrics are
+    identical to ``lanes=1``; only the task granularity
     changes (a quarantined block retires all of its member runs).
     ``lanes`` is therefore an execution knob of the campaign, not
     provenance: it is not part of the campaign's store key.
@@ -296,7 +430,8 @@ def _execute_campaign(
 ) -> CampaignResult:
     """Fan a campaign's runs out through the resilient executor.
 
-    With ``store``, each task carries the
+    Every task carries the point's :func:`_golden_run`.  With
+    ``store``, each task carries the
     :func:`~repro.store.keys.campaign_task_key` derived from
     ``campaign_key``, so the executor resumes stored runs and publishes
     fresh ones.
@@ -313,6 +448,10 @@ def _execute_campaign(
             campaign_task_key(campaign_key, first_seed, count)
             for first_seed, count in blocks
         ]
+    golden_run = _golden_run(
+        runner_cls, workload, golden, access_model, vdd, frequency,
+        runner_kwargs,
+    )
     tasks = [
         TaskSpec(
             key=(
@@ -321,8 +460,8 @@ def _execute_campaign(
             ),
             args=(
                 (
-                    runner_cls, workload, golden, access_model,
-                    vdd, frequency, first_seed, count, runner_kwargs,
+                    runner_cls, workload, golden, access_model, vdd,
+                    frequency, first_seed, count, runner_kwargs, golden_run,
                 ),
             ),
             store_key=store_key,

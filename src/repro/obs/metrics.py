@@ -26,7 +26,8 @@ writes to::
 
 It defaults to the no-op registry; :func:`enable_metrics` swaps in a
 real one, and :func:`scoped_metrics` swaps one in for a ``with`` block
-(used by process-pool workers to capture their own snapshot).
+on the calling thread (used by process-pool workers to capture their
+own snapshot).
 """
 
 from __future__ import annotations
@@ -393,9 +394,26 @@ NULL_METRICS = NullMetrics()
 _active: MetricsRegistry | NullMetrics = NULL_METRICS
 
 
+class _ThreadScope(threading.local):
+    """The registry :func:`scoped_metrics` installed on each thread.
+
+    The class default keeps :func:`active_metrics` a plain attribute
+    read on threads that never entered a scope: ``getattr`` with a
+    default raises and catches inside, about 0.8 µs a call.
+    """
+
+    registry: MetricsRegistry | None = None
+
+
+_scope = _ThreadScope()
+
+
 def active_metrics() -> MetricsRegistry | NullMetrics:
-    """The registry instrumented library code currently writes to."""
-    return _active
+    """The registry instrumented library code currently writes to: the
+    calling thread's :func:`scoped_metrics` registry, else the
+    process-wide one."""
+    scoped = _scope.registry
+    return _active if scoped is None else scoped
 
 
 def enable_metrics(
@@ -419,18 +437,20 @@ def disable_metrics() -> None:
 def scoped_metrics(
     registry: MetricsRegistry | None = None,
 ) -> Iterator[MetricsRegistry]:
-    """Swap ``registry`` in as the active one for the block.
+    """Make ``registry`` the calling thread's active one for the block.
 
     Process-pool workers wrap their unit of work in this so the
     instrumented layers below them write into a private registry whose
-    snapshot travels back to the parent for an exact merge.
+    snapshot travels back to the parent for an exact merge.  The swap
+    is per thread: while a server's job thread runs a campaign under
+    its own registry, the request threads keep writing to the
+    process-wide one, so the snapshot holds that unit of work alone.
     """
-    global _active
     if registry is None:
         registry = MetricsRegistry()
-    previous = _active
-    _active = registry
+    previous = _scope.registry
+    _scope.registry = registry
     try:
         yield registry
     finally:
-        _active = previous
+        _scope.registry = previous

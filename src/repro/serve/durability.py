@@ -180,12 +180,16 @@ class JobJournal:
     def record_failed(self, job_id: str, error: str) -> None:
         self._append({"kind": "failed", "job": job_id, "error": error})
 
-    def record_timed_out(self, job_id: str, deadline_s: float) -> None:
+    def record_timed_out(
+        self, job_id: str, deadline_s: float, error: Optional[str] = None
+    ) -> None:
+        """Journal a watchdog kill: the overrun budget and its reason."""
         self._append(
             {
                 "kind": "timed-out",
                 "job": job_id,
                 "deadline_s": deadline_s,
+                "error": error,
             }
         )
 
@@ -260,8 +264,11 @@ def replay_jobs(path: PathLike) -> Dict[str, Job]:
             job.error = str(record.get("error", ""))
         elif kind == "timed-out":
             job.state = "timed-out"
-            job.error = (
-                f"deadline exceeded ({record.get('deadline_s')}s)"
+            # Records written before the reason was journaled carry
+            # only the budget.
+            job.error = str(
+                record.get("error")
+                or f"deadline exceeded ({record.get('deadline_s')}s)"
             )
     return jobs
 

@@ -238,7 +238,8 @@ class CampaignJobServer:
             max_workers=workers, thread_name_prefix="repro-serve"
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._programs: Dict[int, Any] = {}
+        #: ``fft`` -> (program, golden output), built once each.
+        self._programs: Dict[int, Tuple[Any, List[int]]] = {}
         self._journal: Optional[JobJournal] = None
         self._claims: Optional[JobClaims] = None
         self._recovered_jobs = 0
@@ -484,7 +485,9 @@ class CampaignJobServer:
             elif state == "failed":
                 self._journal.record_failed(job.id, str(error))
             else:
-                self._journal.record_timed_out(job.id, deadline_s)
+                self._journal.record_timed_out(
+                    job.id, deadline_s, str(error)
+                )
         if self._claims is not None:
             self._claims.release(job.fingerprint)
         return True
@@ -767,19 +770,20 @@ class CampaignJobServer:
 
         runner_cls = SCHEME_RUNNERS[spec["scheme"]]
         with self._lock:
-            program = self._programs.get(spec["fft"])
-        if program is None:
-            # Build outside the lock (FFT program construction is the
-            # expensive part); publish under it.  A racing builder just
-            # loses to whoever published first.
+            built = self._programs.get(spec["fft"])
+        if built is None:
+            # Build the program and its golden output outside the lock
+            # (both are expensive); publish under it.  A racing builder
+            # just loses to whoever published first.
             program = build_fft_program(spec["fft"])
+            golden = program.expected_output(
+                list(program.data_words[: spec["fft"]])
+            )
             with self._lock:
-                program = self._programs.setdefault(
-                    spec["fft"], program
+                built = self._programs.setdefault(
+                    spec["fft"], (program, golden)
                 )
-        golden = program.expected_output(
-            list(program.data_words[: spec["fft"]])
-        )
+        program, golden = built
         return (
             runner_cls,
             program.workload,

@@ -12,6 +12,7 @@ Covers the contracts the instrumented layers rely on:
 """
 
 import json
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -136,6 +137,28 @@ class TestMetricsRegistry:
         assert active_metrics() is outer
         assert inner.snapshot().counters["c"] == 1
         assert "c" not in outer.snapshot().counters
+
+    def test_scoped_metrics_capture_only_the_calling_thread(self):
+        """A server's request thread keeps writing to the process-wide
+        registry while a job thread runs under its own scope."""
+        outer = obs.enable_metrics()
+        scoped, written = threading.Event(), threading.Event()
+
+        def request_thread():
+            assert scoped.wait(10)
+            active_metrics().counter("serve.requests").inc()
+            written.set()
+
+        thread = threading.Thread(target=request_thread)
+        thread.start()
+        with scoped_metrics() as inner:
+            scoped.set()
+            assert written.wait(10)
+            active_metrics().counter("platform.runs").inc()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert inner.snapshot().counters == {"platform.runs": 1}
+        assert outer.snapshot().counters == {"serve.requests": 1}
 
 
 def _pool_worker(n: int) -> "obs.MetricsSnapshot":

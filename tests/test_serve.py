@@ -204,6 +204,31 @@ class TestEndpoints:
             done = _wait(handle.url, body["job"])
             assert done["state"] == "done"
 
+    def test_golden_output_is_computed_once_per_fft(
+        self, tmp_path, monkeypatch
+    ):
+        """Cold and warm curves reuse the one golden output the server
+        computed for each FFT size."""
+        from repro.workloads.fft import FftProgram
+
+        computed = []
+        expected_output = FftProgram.expected_output
+
+        def counted(self, input_words):
+            computed.append(self.n)
+            return expected_output(self, input_words)
+
+        monkeypatch.setattr(FftProgram, "expected_output", counted)
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            for fft in (16, 16, 32, 16, 32):
+                status, body = _request(
+                    handle.url + "/curve?scheme=secded&vdd=0.44&runs=1"
+                    f"&seed=100&fft={fft}"
+                )
+                if not body["warm"]:
+                    assert _wait(handle.url, body["job"])["state"] == "done"
+        assert sorted(computed) == [16, 32]
+
     def test_unknown_routes_and_methods(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
         with ServerThread(store) as handle:

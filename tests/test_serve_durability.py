@@ -386,6 +386,37 @@ class TestJournalRecovery:
         assert kinds == ["submitted", "started", "point", "point", "done",
                          "failed"]
 
+    def test_a_timed_out_jobs_reason_survives_a_restart(self, tmp_path):
+        """The journal keeps the watchdog's own reason: a progress
+        stall replays as a stall, not as a deadline."""
+        store_path = tmp_path / "s.sqlite"
+        journal = tmp_path / "jobs.ndjson"
+        hold = threading.Event()  # never released: the job stalls
+        with ServerThread(
+            ResultStore(store_path), journal=journal,
+            progress_stale_s=0.2, chaos_hold=hold,
+        ) as handle:
+            _, submitted = _request(handle.url + "/submit", payload=SPEC)
+            live = _wait(handle.url, submitted["job"], states=("timed-out",))
+            assert live["error"] == "progress-stall: exceeded 0.2s"
+        assert replay_jobs(journal)[submitted["job"]].error == live["error"]
+
+        with ServerThread(ResultStore(store_path), journal=journal) as handle:
+            status, body = _request(
+                f"{handle.url}/status/{submitted['job']}"
+            )
+            assert (status, body["state"]) == (200, "timed-out")
+            assert body["error"] == "progress-stall: exceeded 0.2s"
+
+    def test_a_timed_out_record_without_a_reason_replays_the_budget(
+        self, tmp_path
+    ):
+        path = tmp_path / "jobs.ndjson"
+        with JobJournal(path) as journal:
+            journal.record_submitted("job-1", "fp-1", {"scheme": "none"}, 1)
+            journal.record_timed_out("job-1", 0.2)
+        assert replay_jobs(path)["job-1"].error == "deadline exceeded (0.2s)"
+
     def test_a_live_servers_job_is_not_recovered_by_a_sibling(
         self, tmp_path
     ):

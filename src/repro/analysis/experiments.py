@@ -54,7 +54,7 @@ from repro.tech.node import (
     NODE_14NM_FINFET,
     NODE_40NM_LP,
 )
-from repro.workloads.fft import build_fft_program
+from repro.workloads.fft import fft_program_and_golden
 
 #: The two Table 2 application frequencies plus Section V.B's 11 MHz.
 FREQ_LOW = 290e3
@@ -448,8 +448,7 @@ def _mitigation_study(
     fft_points: int,
     seed: int,
 ) -> MitigationStudy:
-    program = build_fft_program(fft_points)
-    golden = program.expected_output(list(program.data_words[:fft_points]))
+    program, golden = fft_program_and_golden(fft_points)
     # Size the platform to the workload: the paper's 1K-point FFT
     # carries 1.5K data words (points + twiddles), which must fit the
     # scratchpad and OCEAN's checkpoint buffer.  Smaller workloads keep

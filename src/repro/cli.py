@@ -149,11 +149,10 @@ def _campaign_result(args):
     """Run one resilient failure-rate campaign from CLI arguments."""
     from repro.analysis.campaign import run_campaign
     from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
-    from repro.workloads.fft import build_fft_program
+    from repro.workloads.fft import fft_program_and_golden
 
     runner_cls = SCHEME_RUNNERS[args.scheme]
-    program = build_fft_program(args.fft)
-    golden = program.expected_output(list(program.data_words[: args.fft]))
+    program, golden = fft_program_and_golden(args.fft)
     progress = _campaign_progress(args)
     store = _open_store(args)
     try:

@@ -78,6 +78,7 @@ from repro.serve.durability import (
     JobJournal,
     replay_jobs,
 )
+from repro.soc.platform import PlatformConfig
 from repro.store.keys import fingerprint_payload
 from repro.store.pipeline import (
     campaign_point_key,
@@ -155,7 +156,28 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError("runs must be positive")
     if normalized["lanes"] < 1:
         raise ValueError("lanes must be positive")
+    _check_fft(normalized["fft"], scheme)
     return normalized
+
+
+def _check_fft(n: int, scheme: str) -> None:
+    """Reject an FFT size the stock platform cannot run, before a build.
+
+    Its n samples and n/2 twiddles load into the scratchpad, and OCEAN
+    also checkpoints all of them into its protected buffer.
+    """
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"fft must be a power of two >= 4, got {n}")
+    config = PlatformConfig()
+    capacity = config.sp_words
+    if scheme == "ocean":
+        capacity = min(capacity, config.pm_words)
+    if n + n // 2 > capacity:
+        largest = 1 << ((2 * capacity // 3).bit_length() - 1)
+        raise ValueError(
+            f"fft={n} needs {n + n // 2} data words but the {scheme} "
+            f"platform holds {capacity}: the largest fft is {largest}"
+        )
 
 
 def spec_fingerprint(spec: Dict[str, Any]) -> str:
@@ -238,8 +260,6 @@ class CampaignJobServer:
             max_workers=workers, thread_name_prefix="repro-serve"
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        #: ``fft`` -> (program, golden output), built once each.
-        self._programs: Dict[int, Tuple[Any, List[int]]] = {}
         self._journal: Optional[JobJournal] = None
         self._claims: Optional[JobClaims] = None
         self._recovered_jobs = 0
@@ -766,24 +786,10 @@ class CampaignJobServer:
     # ------------------------------------------------------------------
     def _plan(self, spec: Dict[str, Any]) -> Tuple[Any, Any, Any, Any]:
         from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
-        from repro.workloads.fft import build_fft_program
+        from repro.workloads.fft import fft_program_and_golden
 
         runner_cls = SCHEME_RUNNERS[spec["scheme"]]
-        with self._lock:
-            built = self._programs.get(spec["fft"])
-        if built is None:
-            # Build the program and its golden output outside the lock
-            # (both are expensive); publish under it.  A racing builder
-            # just loses to whoever published first.
-            program = build_fft_program(spec["fft"])
-            golden = program.expected_output(
-                list(program.data_words[: spec["fft"]])
-            )
-            with self._lock:
-                built = self._programs.setdefault(
-                    spec["fft"], (program, golden)
-                )
-        program, golden = built
+        program, golden = fft_program_and_golden(spec["fft"])
         return (
             runner_cls,
             program.workload,

@@ -10,7 +10,9 @@ polynomially above threshold and exponentially below — the behaviour
 Figure 10 plots for the 14 nm and 10 nm devices.  The Monte-Carlo
 variant resamples the device threshold per trial and returns the mean
 and sigma of the delay distribution, reproducing both series of the
-figure (mean delay and sigma spread).
+figure (mean delay and sigma spread).  It evaluates every trial in one
+array expression (:func:`inverter_delays`); the scalar
+:func:`inverter_delay` is that expression's oracle.
 
 The same delay model also provides the *performance floor* of the
 mitigation study: Table 2's 1.96 MHz row forces OCEAN up from 0.33 V to
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import validate_vdd
-from repro.tech.device import drive_current
+from repro.tech.device import drive_current, drive_currents
 from repro.tech.mismatch import sigma_vth
 from repro.tech.node import TechnologyNode
 
@@ -40,6 +42,31 @@ _FO4_LOAD_FACTOR = 5.0
 _DRIVER_WIDTH_UM = 1.0
 
 
+def _switching_vdd(vdd: float) -> float:
+    """``vdd`` validated for a gate that must switch (both delay forms)."""
+    vdd = validate_vdd(vdd, context="inverter_delay")
+    if vdd == 0.0:
+        raise ValueError("vdd must be positive: a 0 V inverter never switches")
+    return vdd
+
+
+def _fo4_delay(node: TechnologyNode, vdd: float, nmos_current, pmos_current):
+    """FO4 delay from the two drive currents (floats or arrays alike)."""
+    load_ff = node.gate_cap_ff_per_um * _FO4_LOAD_FACTOR * _DRIVER_WIDTH_UM
+    # NMOS and PMOS alternate in a logic chain; use the slower average.
+    i_on = 2.0 / (1.0 / nmos_current + 1.0 / pmos_current)
+    return _DELAY_FIT * load_ff * 1e-15 * vdd / i_on
+
+
+def _no_drive(vth_shift: float, vdd: float) -> ValueError:
+    """A threshold offset whose drive current underflows (to 0, or so
+    close that its reciprocal overflows): the delay is unbounded."""
+    return ValueError(
+        f"vth shift {float(vth_shift)!r} V leaves no drive current at "
+        f"{vdd!r} V"
+    )
+
+
 def inverter_delay(
     node: TechnologyNode,
     vdd: float,
@@ -49,24 +76,52 @@ def inverter_delay(
     """Return the FO4 inverter delay in seconds at supply ``vdd``.
 
     ``vth_shift`` adds a local threshold offset (in volts) to the
-    switching device, which is how Monte-Carlo mismatch enters.
+    switching device, which is how Monte-Carlo mismatch enters.  An
+    offset that leaves a threshold at or below 0 V, or no drive
+    current, raises ``ValueError``.
     """
-    vdd = validate_vdd(vdd, context="inverter_delay")
-    if vdd == 0.0:
-        raise ValueError("vdd must be positive: a 0 V inverter never switches")
-    load_ff = node.gate_cap_ff_per_um * _FO4_LOAD_FACTOR * _DRIVER_WIDTH_UM
-    # NMOS and PMOS alternate in a logic chain; use the slower average.
-    currents = []
-    for device in (node.nmos, node.pmos):
-        shifted = device.with_vth_shift(vth_shift)
-        currents.append(
-            drive_current(
-                shifted, vdd, vdd, width_um=_DRIVER_WIDTH_UM,
-                temperature_c=temperature_c,
-            )
+    vdd = _switching_vdd(vdd)
+    nmos, pmos = (
+        drive_current(
+            device.with_vth_shift(vth_shift), vdd, vdd,
+            width_um=_DRIVER_WIDTH_UM, temperature_c=temperature_c,
         )
-    i_on = 2.0 / (1.0 / currents[0] + 1.0 / currents[1])
-    return _DELAY_FIT * load_ff * 1e-15 * vdd / i_on
+        for device in (node.nmos, node.pmos)
+    )
+    try:
+        return _fo4_delay(node, vdd, nmos, pmos)
+    except ZeroDivisionError:
+        raise _no_drive(vth_shift, vdd) from None
+
+
+def inverter_delays(
+    node: TechnologyNode,
+    vdd: float,
+    vth_shifts: np.ndarray,
+    temperature_c: float = 25.0,
+) -> np.ndarray:
+    """Array form of :func:`inverter_delay` over threshold offsets.
+
+    Entry ``i`` is ``inverter_delay(node, vdd, temperature_c,
+    vth_shift=vth_shifts[i])`` to the rounding of numpy's ``exp``; the
+    scalar function is the oracle.  A non-physical offset raises the
+    scalar's ``ValueError`` instead of returning ``inf`` or ``nan``.
+    """
+    vdd = _switching_vdd(vdd)
+    shifts = np.asarray(vth_shifts, dtype=float)
+    nmos, pmos = (
+        drive_currents(
+            device, shifts, vdd, vdd,
+            width_um=_DRIVER_WIDTH_UM, temperature_c=temperature_c,
+        )
+        for device in (node.nmos, node.pmos)
+    )
+    with np.errstate(divide="ignore", over="ignore"):
+        delays = _fo4_delay(node, vdd, nmos, pmos)
+    unbounded = ~np.isfinite(delays)
+    if unbounded.any():
+        raise _no_drive(float(shifts[unbounded.argmax()]), vdd)
+    return delays
 
 
 @dataclass(frozen=True)
@@ -98,19 +153,16 @@ def monte_carlo_inverter_delay(
 
     ``width_um`` / ``length_um`` set the mismatch area of the sampled
     device (minimum-size logic devices by default, which is the
-    pessimistic case the paper cares about).
+    pessimistic case the paper cares about).  The threshold offsets are
+    one ``rng.normal`` draw of ``samples`` values, all evaluated by one
+    :func:`inverter_delays` call.
     """
     if samples <= 1:
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[REP101] mismatch sweeps are exploratory; callers pass a seeded rng for reproducible figures
     sigma = sigma_vth(node.nmos.avt_mv_um, width_um, length_um)
     shifts = rng.normal(0.0, sigma, size=samples)
-    delays = np.array(
-        [
-            inverter_delay(node, vdd, temperature_c, vth_shift=float(shift))
-            for shift in shifts
-        ]
-    )
+    delays = inverter_delays(node, vdd, shifts, temperature_c)
     return InverterDelayResult(
         vdd=vdd,
         mean=float(delays.mean()),

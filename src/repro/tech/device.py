@@ -12,12 +12,18 @@ exponential law deep in sub-threshold and to the square law in strong
 inversion.  That behaviour is exactly what near-threshold delay and
 leakage modelling needs, so it is the single current expression used by
 every higher layer (delay, leakage, memory timing).
+
+:func:`drive_current` evaluates it at one bias point;
+:func:`drive_currents` is its array form over threshold offsets, for
+Monte-Carlo mismatch samples, with the scalar function as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 #: Boltzmann constant expressed in eV/K so that ``k*T`` is directly a voltage.
 BOLTZMANN_EV = 8.617333262e-5
@@ -66,7 +72,7 @@ class DeviceParameters:
     avt_mv_um: float
 
     def __post_init__(self) -> None:
-        if self.vth <= 0.0:
+        if not self.vth > 0.0:
             raise ValueError(f"vth must be positive, got {self.vth}")
         min_slope = 1000.0 * thermal_voltage(25.0) * _LN10
         if self.subthreshold_slope_mv < min_slope:
@@ -147,3 +153,39 @@ def drive_current(
         raise ValueError(f"width_um must be positive, got {width_um}")
     ic = inversion_coefficient(device, vgs, vds, temperature_c)
     return ic * device.i_spec_ua_per_um * 1e-6 * width_um
+
+
+def drive_currents(
+    device: DeviceParameters,
+    vth_shifts: np.ndarray,
+    vgs: float,
+    vds: float | None = None,
+    width_um: float = 1.0,
+    temperature_c: float = 25.0,
+) -> np.ndarray:
+    """Array form of :func:`drive_current` over threshold offsets.
+
+    Entry ``i`` is ``drive_current(device.with_vth_shift(vth_shifts[i]),
+    vgs, vds, width_um, temperature_c)``, computed in the same order of
+    operations, so the two agree to the rounding of numpy's ``exp`` and
+    ``log1p``.  A shifted threshold that is not positive raises the
+    ``ValueError`` :meth:`DeviceParameters.with_vth_shift` would.
+    """
+    if width_um <= 0.0:
+        raise ValueError(f"width_um must be positive, got {width_um}")
+    if vds is None:
+        vds = vgs
+    vth = device.vth + np.asarray(vth_shifts, dtype=float)
+    bad = ~(vth > 0.0)
+    if bad.any():
+        raise ValueError(
+            f"vth must be positive, got {float(vth[bad.argmax()])}"
+        )
+    n = device.slope_factor()
+    ut = thermal_voltage(temperature_c)
+    overdrive = vgs - vth + 1e-3 * device.dibl_mv_per_v * vds
+    x = overdrive / (2.0 * n * ut)
+    # The scalar law's x > 40 branch; the clip keeps exp from overflowing
+    # in the lanes that branch discards.
+    soft = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
+    return soft * soft * device.i_spec_ua_per_um * 1e-6 * width_um

@@ -15,6 +15,7 @@ provides:
 from repro.workloads.fft import (
     FftProgram,
     build_fft_program,
+    fft_program_and_golden,
     fixed_point_fft_reference,
     generate_input,
     pack_complex,
@@ -32,6 +33,7 @@ from repro.workloads.streaming import Phase, StreamingWorkload
 __all__ = [
     "FftProgram",
     "build_fft_program",
+    "fft_program_and_golden",
     "fixed_point_fft_reference",
     "generate_input",
     "pack_complex",

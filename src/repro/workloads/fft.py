@@ -21,6 +21,7 @@ butterfly stage — log2(n) + 1 phases total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -336,3 +337,22 @@ def build_fft_program(
         result_words=n,
     )
     return FftProgram(n=n, workload=workload, source=source)
+
+
+#: FFT sizes whose program and golden output one process keeps
+#: (:func:`fft_program_and_golden`); the least recently used goes first.
+FFT_BUILDS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=FFT_BUILDS_KEPT)
+def fft_program_and_golden(n: int) -> tuple[FftProgram, tuple[int, ...]]:
+    """The n-point FFT on the default stimulus and its golden output.
+
+    Built once per size and process, then shared: callers must not
+    mutate what it returns.  The golden output is a tuple, which
+    fingerprints like the list :meth:`FftProgram.expected_output`
+    returns (:func:`repro.store.keys.golden_fingerprint`).
+    """
+    program = build_fft_program(n)
+    golden = program.expected_output(list(program.data_words[:n]))
+    return program, tuple(golden)

@@ -138,6 +138,26 @@ class TestSpec:
         with pytest.raises(ValueError, match="lanes must be positive"):
             normalize_spec({**SPEC, "lanes": 0})
 
+    @pytest.mark.parametrize("scheme, fft", [
+        ("secded", 0), ("secded", 3), ("secded", 48), ("none", 2),
+        ("secded", 2048), ("none", 262144), ("ocean", 1024),
+    ])
+    def test_normalize_rejects_ffts_the_platform_cannot_run(
+        self, scheme, fft
+    ):
+        """A power of two >= 4 whose samples and twiddles fit the stock
+        scratchpad, and for OCEAN also its checkpoint buffer."""
+        with pytest.raises(ValueError, match="fft"):
+            normalize_spec({**SPEC, "scheme": scheme, "fft": fft})
+
+    @pytest.mark.parametrize("scheme, fft", [
+        ("none", 4), ("secded", 1024), ("none", 1024), ("ocean", 512),
+    ])
+    def test_normalize_accepts_the_largest_runnable_ffts(self, scheme, fft):
+        assert normalize_spec({**SPEC, "scheme": scheme, "fft": fft})[
+            "fft"
+        ] == fft
+
     def test_lanes16_fingerprint_is_pinned(self):
         """Journals written with ``lanes`` keep deduplicating and
         replaying only while this literal holds."""
@@ -207,10 +227,12 @@ class TestEndpoints:
     def test_golden_output_is_computed_once_per_fft(
         self, tmp_path, monkeypatch
     ):
-        """Cold and warm curves reuse the one golden output the server
+        """Cold and warm curves reuse the one golden output the process
         computed for each FFT size."""
-        from repro.workloads.fft import FftProgram
+        from repro.workloads.fft import FftProgram, fft_program_and_golden
 
+        # Earlier tests may have filled the process-wide memo.
+        fft_program_and_golden.cache_clear()
         computed = []
         expected_output = FftProgram.expected_output
 
@@ -228,6 +250,38 @@ class TestEndpoints:
                 if not body["warm"]:
                     assert _wait(handle.url, body["job"])["state"] == "done"
         assert sorted(computed) == [16, 32]
+
+    def test_unrunnable_fft_is_refused_before_any_build(
+        self, tmp_path, monkeypatch
+    ):
+        """``/curve`` and ``/submit`` answer 400 for an FFT the stock
+        platform cannot hold, without building it or journaling a job."""
+        import repro.workloads.fft as fft_module
+
+        def no_build(n, input_words=None):
+            raise AssertionError(f"built an unrunnable {n}-point FFT")
+
+        monkeypatch.setattr(fft_module, "build_fft_program", no_build)
+        fft_module.fft_program_and_golden.cache_clear()
+        journal = tmp_path / "jobs.ndjson"
+        with ServerThread(
+            ResultStore(tmp_path / "s.sqlite"), journal=journal
+        ) as handle:
+            status, body = _request(
+                handle.url + "/curve?scheme=secded&vdd=0.44&fft=262144"
+            )
+            assert status == 400
+            assert "largest fft is 1024" in body["error"]
+            for spec in (
+                {**SPEC, "fft": 2048},
+                {**SPEC, "fft": 96},
+                {**SPEC, "scheme": "ocean", "fft": 1024},
+            ):
+                status, body = _request(handle.url + "/submit", payload=spec)
+                assert status == 400, spec
+                assert "fft" in body["error"]
+            assert _request(handle.url + "/healthz")[1]["jobs"] == 0
+        assert replay_jobs(journal) == {}
 
     def test_unknown_routes_and_methods(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")

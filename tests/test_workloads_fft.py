@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.workloads.fft as fft_module
+from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
+from repro.mitigation import SecdedRunner
 from repro.soc.cpu import StopReason
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform
 from repro.soc.ports import RawPort
+from repro.store.keys import golden_fingerprint
+from repro.store.pipeline import campaign_point_key
 from repro.workloads.fft import (
+    FFT_BUILDS_KEPT,
     build_fft_program,
+    fft_program_and_golden,
     fixed_point_fft_reference,
     float_fft_of_packed,
     generate_input,
@@ -190,3 +197,64 @@ class TestStreamingWorkload:
                 name="w", program_words=(1,), phases=(bad_phase,),
                 data_words=(0,), data_base=0, result_base=0, result_words=1,
             )
+
+
+class TestProgramAndGoldenMemo:
+    """``fft_program_and_golden``: one build and golden output per size."""
+
+    def test_matches_a_fresh_build(self):
+        fft_program_and_golden.cache_clear()
+        program, golden = fft_program_and_golden(16)
+        fresh = build_fft_program(16)
+        assert program.workload == fresh.workload
+        assert golden == tuple(
+            fresh.expected_output(list(fresh.data_words[:16]))
+        )
+
+    def test_builds_once_per_size_through_the_module_names(
+        self, monkeypatch
+    ):
+        """It reaches ``build_fft_program`` and ``expected_output`` where
+        a profiler wraps them, so a traced run still sees first builds."""
+        built, computed = [], []
+        build = fft_module.build_fft_program
+        expected_output = fft_module.FftProgram.expected_output
+
+        def counted_build(n):
+            built.append(n)
+            return build(n)
+
+        def counted_output(self, input_words):
+            computed.append(self.n)
+            return expected_output(self, input_words)
+
+        monkeypatch.setattr(fft_module, "build_fft_program", counted_build)
+        monkeypatch.setattr(
+            fft_module.FftProgram, "expected_output", counted_output
+        )
+        fft_program_and_golden.cache_clear()
+        first = fft_program_and_golden(16)
+        assert fft_program_and_golden(16) is first
+        fft_program_and_golden(32)
+        assert built == computed == [16, 32]
+
+    def test_memo_is_bounded(self):
+        assert fft_program_and_golden.cache_info().maxsize == FFT_BUILDS_KEPT
+
+    def test_tuple_golden_keeps_the_store_keys(self):
+        """The memo's tuple fingerprints like the list golden every
+        stored campaign point was keyed with (literals: FFT-64)."""
+        program, golden = fft_program_and_golden(64)
+        assert isinstance(golden, tuple)
+        assert golden_fingerprint(golden) == golden_fingerprint(list(golden))
+        assert golden_fingerprint(golden) == (
+            "ae4f44bbf0f0b5737d5f1a1669047d70cf58b39ad5794d758b900ae8df98d183"
+        )
+        key = campaign_point_key(
+            SecdedRunner, program.workload, golden,
+            ACCESS_CELL_BASED_40NM_TYPICAL, vdd=0.44, frequency=290e3,
+            runs=20, seed_base=100, runner_kwargs={"macro_style": "cell-based"},
+        )
+        assert key.fingerprint() == (
+            "6d704ca38111016b9f50527b5e893325d017ac4fed0ec37ee8413cf3e14fad95"
+        )

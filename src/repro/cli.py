@@ -72,6 +72,7 @@ from repro.analysis.report import (
 from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import names
 from repro.obs.manifest import _json_default
+from repro.workloads.fft import check_fft_fits, check_fft_size
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +436,15 @@ def _finish_text(text: str, args, registry) -> str:
 def run(argv: list[str] | None = None) -> str:
     """Parse arguments and return the rendered exhibit text."""
     args = build_parser().parse_args(argv)
-    if args.fft < 4 or args.fft & (args.fft - 1):
-        raise SystemExit("--fft must be a power of two >= 4")
+    # A campaign runs on the stock platform; the other exhibits size
+    # their platform to the FFT.
+    try:
+        if args.exhibit == "campaign":
+            check_fft_fits(args.fft, args.scheme)
+        else:
+            check_fft_size(args.fft)
+    except ValueError as error:
+        raise SystemExit(f"repro {args.exhibit}: {error}") from None
 
     # The profiler publishes through the metrics registry, so --profile
     # implies a live registry even without --metrics.

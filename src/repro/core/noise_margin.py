@@ -22,21 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from repro.core.errors import validate_vdd
 
 
-def _phi(z: float) -> float:
-    """Standard normal CDF, accurate deep in the tails."""
-    return 0.5 * special.erfc(-z / math.sqrt(2.0))
+def phi(z: float) -> float:
+    """Standard normal CDF, accurate deep in the lower tail (erfc)."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _phi_inv(p: float) -> float:
-    """Inverse standard normal CDF."""
-    return float(-special.erfcinv(2.0 * p) * math.sqrt(2.0))
+def phi_inv(p: float) -> float:
+    """Inverse standard normal CDF for ``p`` in (0, 1)."""
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ class NoiseMarginModel:
         P(NM <= 0) at supply ``vdd`` — the paper's Eq. 4.
         """
         vdd = validate_vdd(vdd, "NoiseMarginModel.bit_error_probability")
-        return _phi(-self.mean_margin(vdd) / self.sigma)
+        return phi(-self.mean_margin(vdd) / self.sigma)
 
     def vdd_for_bit_error(self, p_target: float) -> float:
         """Return the supply at which the bit-error probability is
         ``p_target`` (inverse of :meth:`bit_error_probability`)."""
         if not 0.0 < p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {p_target}")
-        z = _phi_inv(p_target)
+        z = phi_inv(p_target)
         # -mean/sigma = z  =>  mean = -z*sigma  =>  vdd = (-z*sigma - c1)/c0
         return (-z * self.sigma - self.c1) / self.c0
 
@@ -185,7 +185,7 @@ class NoiseMarginModel:
         if mask.sum() < 2:
             raise ValueError("need at least two BER points strictly in (0,1)")
         v = voltages[mask]
-        z = np.array([_phi_inv(float(p)) for p in rates[mask]])
+        z = np.array([phi_inv(float(p)) for p in rates[mask]])
         slope, intercept = np.polyfit(v, z, 1)
         if slope >= 0.0:
             raise ValueError(

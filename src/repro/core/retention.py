@@ -15,14 +15,12 @@ voltage space, which is the natural parameterisation for:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.core.errors import validate_vdd
-from repro.core.noise_margin import NoiseMarginModel
+from repro.core.noise_margin import NoiseMarginModel, phi, phi_inv
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,13 @@ class RetentionModel:
     def bit_error_probability(self, vdd: float) -> float:
         """Return the fraction of cells that cannot retain at ``vdd``."""
         vdd = validate_vdd(vdd, "RetentionModel.bit_error_probability")
-        z = (self.v_mean - vdd) / self.v_sigma
-        return float(0.5 * special.erfc(-z / math.sqrt(2.0)))
+        return phi((self.v_mean - vdd) / self.v_sigma)
 
     def vdd_for_bit_error(self, p_target: float) -> float:
         """Return the supply where the retention BER equals ``p_target``."""
         if not 0.0 < p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {p_target}")
-        z = float(-special.erfcinv(2.0 * p_target) * math.sqrt(2.0))
-        return self.v_mean - z * self.v_sigma
+        return self.v_mean - phi_inv(p_target) * self.v_sigma
 
     def first_failure_voltage(self, total_bits: int) -> float:
         """Return the expected retention voltage of the *worst* bit.
@@ -88,8 +84,7 @@ class RetentionModel:
             raise ValueError("total_bits must be positive")
         if total_bits == 1:
             return self.v_mean
-        p = 1.0 / float(total_bits)
-        z = float(-special.erfcinv(2.0 * p) * math.sqrt(2.0))
+        z = phi_inv(1.0 / float(total_bits))
         return self.v_mean - z * self.v_sigma  # z < 0, so above the mean
 
     def expected_failures(self, vdd: float, total_bits: int) -> float:

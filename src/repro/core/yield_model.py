@@ -15,21 +15,12 @@ the paper's monitoring-and-control loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.core.errors import validate_vdd
-
-
-def _phi(z: float) -> float:
-    return 0.5 * special.erfc(-z / math.sqrt(2.0))
-
-
-def _phi_inv(p: float) -> float:
-    return float(-special.erfcinv(2.0 * p) * math.sqrt(2.0))
+from repro.core.noise_margin import phi, phi_inv
 
 
 @dataclass(frozen=True)
@@ -65,14 +56,14 @@ class VminPopulation:
     def yield_at(self, vdd: float) -> float:
         """Fraction of dies whose minimum voltage is at or below ``vdd``."""
         vdd = validate_vdd(vdd, "VminPopulation.yield_at")
-        return _phi((vdd - self.v_mean) / self.v_sigma)
+        return phi((vdd - self.v_mean) / self.v_sigma)
 
     def voltage_for_yield(self, target: float) -> float:
         """Supply needed so that ``target`` of dies work (the vendor's
         rating problem)."""
         if not 0.0 < target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {target}")
-        return self.v_mean + _phi_inv(target) * self.v_sigma
+        return self.v_mean + phi_inv(target) * self.v_sigma
 
     # ------------------------------------------------------------------
     # The adaptive-voltage dividend

@@ -23,7 +23,6 @@ the FIT solver uses for OCEAN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -84,15 +83,15 @@ class CheckpointPlan:
 
 
 def _expected_energy(
-    interval: float,
+    k: int,
     n_phases: int,
     p_phase: float,
     e_phase: float,
     e_checkpoint: float,
     e_restore: float,
 ) -> float:
-    """Expected workload energy with a checkpoint every ``interval``
-    phases, under per-phase detection probability ``p_phase``.
+    """Expected workload energy with a checkpoint every ``k`` phases,
+    under per-phase detection probability ``p_phase``.
 
     A segment of k phases fails with 1-(1-p)^k; failed attempts are
     retried from the checkpoint, so the expected number of attempts
@@ -102,7 +101,6 @@ def _expected_energy(
     """
     if not 0.0 <= p_phase < 1.0:
         raise ValueError(f"p_phase must be in [0, 1), got {p_phase}")
-    k = max(1.0, min(float(n_phases), interval))
     segments = n_phases / k
     q = (1.0 - p_phase) ** k
     attempts = 1.0 / q
@@ -132,40 +130,27 @@ def optimize_checkpoint_granularity(
         restoring from one (defaults to the checkpoint cost).
 
     The trade-off is classic: long intervals amortise checkpoint cost,
-    short intervals bound the re-execution loss.  The 1-D continuous
-    relaxation is solved by golden-section search (scipy), then the
-    neighbouring integers are compared exactly.
+    short intervals bound the re-execution loss.  The interval is an
+    integer in 1..n_phases, and a workload has few phases (7, 9 and 11
+    for FFT-64/256/1024), so the program is solved exactly by scoring
+    every interval; ties go to the shortest.
     """
-    from scipy import optimize
-
     if n_phases < 1:
         raise ValueError("n_phases must be at least 1")
     if e_phase <= 0.0 or e_checkpoint <= 0.0:
         raise ValueError("energies must be positive")
     restore = e_checkpoint if e_restore is None else e_restore
 
-    def objective(k: float) -> float:
+    def objective(k: int) -> float:
         return _expected_energy(
             k, n_phases, p_phase, e_phase, e_checkpoint, restore
         )
 
-    result = optimize.minimize_scalar(
-        objective, bounds=(1.0, float(n_phases)), method="bounded"
-    )
-    candidates = {
-        max(1, min(n_phases, k))
-        for k in (
-            int(math.floor(result.x)),
-            int(math.ceil(result.x)),
-            1,
-            n_phases,
-        )
-    }
-    best = min(candidates, key=lambda k: objective(float(k)))
+    best = min(range(1, n_phases + 1), key=objective)
     q = (1.0 - p_phase) ** best
     return CheckpointPlan(
         interval=best,
-        expected_energy=objective(float(best)),
+        expected_energy=objective(best),
         expected_rollbacks=(n_phases / best) * (1.0 / q - 1.0),
     )
 

@@ -78,7 +78,6 @@ from repro.serve.durability import (
     JobJournal,
     replay_jobs,
 )
-from repro.soc.platform import PlatformConfig
 from repro.store.keys import fingerprint_payload
 from repro.store.pipeline import (
     campaign_point_key,
@@ -86,6 +85,7 @@ from repro.store.pipeline import (
     encode_campaign_result,
     scheme_failure_grid,
 )
+from repro.workloads.fft import check_fft_fits
 
 _REASONS = {
     200: "OK",
@@ -156,28 +156,8 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError("runs must be positive")
     if normalized["lanes"] < 1:
         raise ValueError("lanes must be positive")
-    _check_fft(normalized["fft"], scheme)
+    check_fft_fits(normalized["fft"], scheme)
     return normalized
-
-
-def _check_fft(n: int, scheme: str) -> None:
-    """Reject an FFT size the stock platform cannot run, before a build.
-
-    Its n samples and n/2 twiddles load into the scratchpad, and OCEAN
-    also checkpoints all of them into its protected buffer.
-    """
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"fft must be a power of two >= 4, got {n}")
-    config = PlatformConfig()
-    capacity = config.sp_words
-    if scheme == "ocean":
-        capacity = min(capacity, config.pm_words)
-    if n + n // 2 > capacity:
-        largest = 1 << ((2 * capacity // 3).bit_length() - 1)
-        raise ValueError(
-            f"fft={n} needs {n + n // 2} data words but the {scheme} "
-            f"platform holds {capacity}: the largest fft is {largest}"
-        )
 
 
 def spec_fingerprint(spec: Dict[str, Any]) -> str:

@@ -18,7 +18,6 @@ from repro.store.keys import (
     campaign_task_key,
     fig5_point_key,
     fingerprint_payload,
-    fingerprint_provenance,
     retention_die_key,
     scheme_campaign_key,
     workload_fingerprint,
@@ -44,7 +43,6 @@ __all__ = [
     "encode_campaign_result",
     "fig5_point_key",
     "fingerprint_payload",
-    "fingerprint_provenance",
     "retention_die_key",
     "scheme_campaign_key",
     "scheme_failure_grid",

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
 import numpy as np
@@ -68,6 +68,13 @@ class PointKey:
 
     kind: str
     provenance_json: str
+    _digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A probe asks for the same key's fingerprint several times
+        # (claim, lookup, publish); hash the provenance once per key.
+        digest = hashlib.sha256(self.provenance_json.encode("utf-8"))
+        object.__setattr__(self, "_digest", digest.hexdigest())
 
     @classmethod
     def from_provenance(cls, kind: str, provenance: Mapping[str, Any]) -> "PointKey":
@@ -82,18 +89,8 @@ class PointKey:
         return loaded
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.provenance_json.encode("utf-8")).hexdigest()
-
-
-def fingerprint_provenance(provenance: Mapping[str, Any]) -> str:
-    """Recompute the fingerprint of a stored provenance dict.
-
-    Used by the store to verify, on every probe, that a row's payload
-    is still filed under the key its provenance hashes to.
-    """
-    return hashlib.sha256(
-        canonical_json(provenance).encode("utf-8")
-    ).hexdigest()
+        """SHA-256 hex digest of the provenance text."""
+        return self._digest
 
 
 def access_model_provenance(access_model: Any) -> Dict[str, float]:
@@ -274,7 +271,6 @@ __all__ = [
     "canonical_json",
     "fig5_point_key",
     "fingerprint_payload",
-    "fingerprint_provenance",
     "golden_fingerprint",
     "retention_die_key",
     "scheme_campaign_key",

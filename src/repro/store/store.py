@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.obs import active_metrics, active_tracer, names
 from repro.obs.report import read_ndjson
 from repro.obs.trace import NdjsonFileSink
-from repro.store.keys import PointKey, canonical_json, fingerprint_provenance
+from repro.store.keys import PointKey, canonical_json, fingerprint_payload
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -168,7 +168,7 @@ class ResultStore:
                 self._count("misses", 1)
                 return None
             provenance = json.loads(row[0])
-            if fingerprint_provenance(provenance) != fingerprint:
+            if fingerprint_payload(provenance) != fingerprint:
                 # The row's provenance no longer hashes to its key:
                 # the entry is corrupt.  Drop it and report a miss.
                 conn.execute(
@@ -332,7 +332,7 @@ class ResultStore:
             ):
                 self._count("corrupt_entries", 1)
                 continue
-            if fingerprint_provenance(provenance) != fingerprint:
+            if fingerprint_payload(provenance) != fingerprint:
                 self._count("corrupt_entries", 1)
                 continue
             key = PointKey(kind=kind, provenance_json=canonical_json(provenance))

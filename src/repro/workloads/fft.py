@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.soc.assembler import assemble
+from repro.soc.platform import PlatformConfig
 from repro.workloads.streaming import Phase, StreamingWorkload
 
 _Q15_ONE = 32767
@@ -278,6 +279,32 @@ class FftProgram:
         return fixed_point_fft_reference(input_words)
 
 
+def check_fft_size(n: int) -> None:
+    """Reject an FFT size that is not a power of two >= 4."""
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"fft must be a power of two >= 4, got {n}")
+
+
+def check_fft_fits(n: int, scheme: str) -> None:
+    """Reject an FFT size the stock platform cannot run, before a build.
+
+    Its n samples and n/2 twiddles load into the scratchpad, and OCEAN
+    (``scheme == "ocean"``) also checkpoints all of them into its
+    protected buffer.
+    """
+    check_fft_size(n)
+    config = PlatformConfig()
+    capacity = config.sp_words
+    if scheme == "ocean":
+        capacity = min(capacity, config.pm_words)
+    if n + n // 2 > capacity:
+        largest = 1 << ((2 * capacity // 3).bit_length() - 1)
+        raise ValueError(
+            f"fft={n} needs {n + n // 2} data words but the {scheme} "
+            f"platform holds {capacity}: the largest fft is {largest}"
+        )
+
+
 def build_fft_program(
     n: int = 1024, input_words: list[int] | None = None
 ) -> FftProgram:
@@ -287,8 +314,7 @@ def build_fft_program(
     workload's scratchpad image contains input data and the twiddle
     table; phases cover bit-reversal plus every butterfly stage.
     """
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 4, got {n}")
+    check_fft_size(n)
     log2n = n.bit_length() - 1
     if input_words is None:
         input_words = generate_input(n)

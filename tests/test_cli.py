@@ -49,3 +49,24 @@ class TestRun:
     def test_rejects_non_power_of_two_fft(self):
         with pytest.raises(SystemExit, match="power of two"):
             run(["fig8", "--fft", "100"])
+
+    @pytest.mark.parametrize("argv, largest", [
+        (["campaign", "--fft", "2048"], 1024),
+        (["campaign", "--scheme", "ocean", "--fft", "1024"], 512),
+    ])
+    def test_campaign_rejects_ffts_the_platform_cannot_hold(
+        self, argv, largest, monkeypatch
+    ):
+        """A campaign runs on the stock platform, so its scratchpad (and
+        OCEAN's checkpoint buffer) bounds the FFT; the size is refused
+        before any build, as the server's spec check does."""
+        import repro.workloads.fft as fft
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the FFT was built")
+
+        monkeypatch.setattr(fft, "build_fft_program", no_build)
+        with pytest.raises(
+            SystemExit, match=f"the largest fft is {largest}$"
+        ):
+            run(argv)

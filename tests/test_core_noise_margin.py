@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.noise_margin import NoiseMarginModel
+from repro.core.noise_margin import NoiseMarginModel, phi, phi_inv
 
 
 @pytest.fixture
@@ -83,6 +83,30 @@ class TestEquation4:
     def test_probability_in_unit_interval(self, vdd):
         model = NoiseMarginModel(c0=1.0, c1=-0.3, sigma=0.05)
         assert 0.0 <= model.bit_error_probability(vdd) <= 1.0
+
+
+class TestStandardNormal:
+    """The stdlib pair behind Eq. 2-4 against scipy's erfc/erfcinv."""
+
+    def test_phi_matches_scipy_erfc(self):
+        from scipy import special
+
+        z = np.linspace(-30.0, 30.0, 12001)
+        expected = 0.5 * special.erfc(-z / np.sqrt(2.0))
+        got = np.array([phi(float(v)) for v in z])
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_phi_inv_matches_scipy_erfcinv(self):
+        from scipy import special
+
+        p = np.concatenate([
+            np.logspace(-300.0, np.log10(0.5), 6001),
+            np.linspace(0.001, 0.999, 999),
+            1.0 - np.logspace(-12.0, np.log10(0.5), 2001),
+        ])
+        expected = -special.erfcinv(2.0 * p) * np.sqrt(2.0)
+        got = np.array([phi_inv(float(q)) for q in p])
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 class TestCellMinimumVoltage:

@@ -2,6 +2,8 @@
 under fault injection — the executable heart of Section V."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.access import (
     ACCESS_CELL_BASED_40NM,
@@ -196,6 +198,36 @@ class TestCheckpointOptimizer:
             for k in range(1, 17)
         }
         assert plan.expected_energy == pytest.approx(min(energies.values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_phases=st.integers(1, 64),
+        p_phase=st.floats(0.0, 0.9, exclude_max=True),
+        e_phase=st.floats(1e-6, 1e3),
+        e_checkpoint=st.floats(1e-6, 1e3),
+        e_restore=st.one_of(st.none(), st.floats(1e-6, 1e3)),
+    )
+    def test_plan_is_the_smallest_argmin_over_every_interval(
+        self, n_phases, p_phase, e_phase, e_checkpoint, e_restore
+    ):
+        from repro.mitigation.ocean import _expected_energy
+
+        restore = e_checkpoint if e_restore is None else e_restore
+        energies = [
+            _expected_energy(
+                k, n_phases, p_phase, e_phase, e_checkpoint, restore
+            )
+            for k in range(1, n_phases + 1)
+        ]
+        best = energies.index(min(energies)) + 1
+        plan = optimize_checkpoint_granularity(
+            n_phases, p_phase, e_phase, e_checkpoint, e_restore
+        )
+        assert plan.interval == best
+        assert plan.expected_energy == energies[best - 1]
+        assert plan.expected_rollbacks == (n_phases / best) * (
+            1.0 / (1.0 - p_phase) ** best - 1.0
+        )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ from repro.store import (
     decode_campaign_result,
     encode_campaign_result,
     fig5_point_key,
-    fingerprint_provenance,
+    fingerprint_payload,
     scheme_campaign_key,
     scheme_failure_grid,
 )
@@ -110,7 +110,27 @@ class TestKeys:
 
     def test_provenance_roundtrips_through_fingerprint(self):
         key = fig5_point_key(ACCESS_CELL_BASED_40NM, 0.4, 100, 32, 5, 0)
-        assert fingerprint_provenance(key.provenance()) == key.fingerprint()
+        assert fingerprint_payload(key.provenance()) == key.fingerprint()
+
+    def test_a_probe_hashes_its_key_once(self, tmp_path, monkeypatch):
+        """Claim, lookup and publish reuse the digest the key made when
+        it was built; only a database hit hashes again, to verify the
+        stored row's provenance."""
+        import hashlib
+
+        store = ResultStore(tmp_path / "s.sqlite")
+        key = fig5_point_key(ACCESS_CELL_BASED_40NM, 0.4, 100, 32, 5, 0)
+
+        def no_hash(*args, **kwargs):
+            raise AssertionError("a key was hashed again")
+
+        monkeypatch.setattr(hashlib, "sha256", no_hash)
+        assert store.fetch_or_compute(key, lambda: {"errors": 7}) == (
+            {"errors": 7}, False,
+        )
+        assert store.fetch_or_compute(key, lambda: None) == (
+            {"errors": 7}, True,
+        )
 
 
 class TestResultStoreBasics:

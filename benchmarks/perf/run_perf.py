@@ -16,7 +16,7 @@ codec ports pinned to those bodies (platform and SIMD sections).  That
 oracle also keeps OCEAN's checkpoint and rollback copies on per-word
 port loops, so the engines' block copies are checked against an
 independent path.  The gated fields keep their names and meaning
-across history; the table-driven scalar timings sit next to them as
+across revisions; the table-driven scalar timings sit next to them as
 ``*_table_*`` and ``cpu_run_*`` fields.
 
 Run directly::
@@ -48,7 +48,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402
 from repro.obs import names  # noqa: E402
-from repro.obs.perfhistory import append_history  # noqa: E402
 from repro.analysis.batch import BatchCampaign  # noqa: E402
 from repro.analysis.campaign import run_campaign  # noqa: E402
 from repro.core.access import (  # noqa: E402
@@ -975,16 +974,6 @@ def main() -> int:
         help="where to write the run manifest "
         "(default: BENCH_manifest.json next to --output)",
     )
-    parser.add_argument(
-        "--history", type=Path,
-        default=REPO_ROOT / "BENCH_history.ndjson",
-        help="append-only NDJSON perf-history ledger (one entry per "
-        "run; read by `repro perf-compare`)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the perf-history ledger",
-    )
     args = parser.parse_args()
     if not args.output.parent.is_dir():
         parser.error(f"output directory does not exist: {args.output.parent}")
@@ -1053,8 +1042,6 @@ def main() -> int:
     results["all_checks_passed"] = all(checks.values())
 
     args.output.write_text(json.dumps(results, indent=2) + "\n")
-    if not args.no_history:
-        append_history(args.history, results)
 
     snapshot = registry.snapshot()
     for name, stats in snapshot.timers.items():
@@ -1071,8 +1058,6 @@ def main() -> int:
 
     print(f"wrote {args.output}")
     print(f"wrote {manifest_path}")
-    if not args.no_history:
-        print(f"appended perf-history entry to {args.history}")
     for name, value in speedups.items():
         if isinstance(value, dict):
             value = ", ".join(f"{k} {v:.1f}x" for k, v in value.items())

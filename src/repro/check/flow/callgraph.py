@@ -363,13 +363,6 @@ class CallGraph:
             self._edges[key] = cached
         return cached
 
-    def functions_of_module(self, module: str) -> List[FunctionInfo]:
-        return [
-            info
-            for info in self.functions.values()
-            if info.module == module
-        ]
-
     def reachable(
         self,
         roots: Iterable[str],

@@ -25,12 +25,6 @@ Observability flags (any exhibit):
   key in JSON mode).  Bit-exactness-neutral: the exhibit's numbers are
   identical with or without it.
 
-``perf-compare`` (a subcommand, not an exhibit) diffs the newest
-``BENCH_history.ndjson`` entry against recent history — see
-:mod:`repro.obs.perfhistory`::
-
-    python -m repro perf-compare --max-regression 25%
-
 The ``campaign`` exhibit runs a resilient Monte-Carlo failure-rate
 campaign (see ``repro.resilience``) with checkpoint/resume::
 
@@ -492,10 +486,6 @@ def main(argv: list[str] | None = None) -> None:
         from repro.check.cli import main as check_main
 
         raise SystemExit(check_main(actual[1:]))
-    if actual and actual[0] == "perf-compare":
-        from repro.obs.perfhistory import main as perf_compare_main
-
-        raise SystemExit(perf_compare_main(actual[1:]))
     if actual and actual[0] == "serve":
         from repro.serve.cli import main as serve_main
 

@@ -19,9 +19,7 @@ Five pillars:
   metrics registry under pinned ``profile.*`` names.
 * :mod:`repro.obs.report` — span-tree aggregation of NDJSON traces,
   profiler snapshot rendering, live campaign progress (done/total,
-  ETA, heartbeat NDJSON) and mtime-based worker liveness; plus
-  :mod:`repro.obs.perfhistory`, the append-only perf-history ledger
-  behind ``repro perf-compare``.
+  ETA, heartbeat NDJSON) and mtime-based worker liveness.
 
 Typical session::
 

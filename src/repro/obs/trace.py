@@ -20,9 +20,11 @@ an attribute call, not an object.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
+import threading
 import time
 from typing import Any, Callable, Protocol, Union
 
@@ -70,8 +72,8 @@ def ndjson_line(record: dict[str, Any]) -> str:
 class NdjsonFileSink:
     """Appends one JSON line per record to a file.
 
-    The one NDJSON writer: traces, heartbeats, the store sidecar, the
-    serve job journal and the perf history all append through it.
+    The one NDJSON writer: traces, heartbeats, the store sidecar and
+    the serve job journal all append through it.
     Each record is serialized first and written with a single
     ``write()``, so on an append-mode handle a record of any size lands
     in one system call and cannot interleave with another process's
@@ -167,8 +169,19 @@ class _Span:
         return False
 
 
+class _OpenSpans(threading.local):
+    """The ids of one thread's open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.ids: list[int] = []
+
+
 class Tracer:
     """Emits structured records to one sink.
+
+    Each thread nests its spans on a stack of its own, so a span's
+    ``parent`` is the innermost span open on the same thread; span ids
+    are unique across threads.
 
     Parameters
     ----------
@@ -194,24 +207,24 @@ class Tracer:
         self.clock = clock
         self._period = 0 if sample == 0.0 else max(1, round(1.0 / sample))
         self._event_calls = 0
-        self._id = 0
-        self._stack: list[int] = []
+        self._ids = itertools.count(1)
+        self._open = _OpenSpans()
 
     enabled: bool = True
 
     # -- internals ------------------------------------------------------
     def _next_id(self) -> int:
-        self._id += 1
-        return self._id
+        return next(self._ids)
 
     def _current_span_id(self) -> int | None:
-        return self._stack[-1] if self._stack else None
+        ids = self._open.ids
+        return ids[-1] if ids else None
 
     def _push(self, span_id: int) -> None:
-        self._stack.append(span_id)
+        self._open.ids.append(span_id)
 
     def _pop(self) -> None:
-        self._stack.pop()
+        self._open.ids.pop()
 
     def _emit(self, record: dict[str, Any]) -> None:
         self.sink.emit(record)

@@ -44,15 +44,6 @@ _SIGN_BIT = 0x80000000
 _TWO32 = 0x100000000
 
 
-def _to_signed(value: int) -> int:
-    """Interpret a 32-bit pattern as two's complement."""
-    return value - _TWO32 if value & _SIGN_BIT else value
-
-
-def _to_unsigned(value: int) -> int:
-    return value & _MASK32
-
-
 class StopReason(enum.Enum):
     """Why :meth:`Cpu.run` returned."""
 
@@ -78,11 +69,6 @@ class CpuState:
     cycles: int = 0
     instructions: int = 0
     taken_branches: int = 0
-
-    def reset_counters(self) -> None:
-        self.cycles = 0
-        self.instructions = 0
-        self.taken_branches = 0
 
 
 # ----------------------------------------------------------------------

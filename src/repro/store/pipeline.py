@@ -107,10 +107,6 @@ class GridResult:
     executed_points: int = 0
 
     @property
-    def total_points(self) -> int:
-        return len(self.results)
-
-    @property
     def hit_ratio(self) -> float:
         if not self.results:
             return 0.0

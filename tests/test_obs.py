@@ -3,7 +3,8 @@
 Covers the contracts the instrumented layers rely on:
 
 * metric snapshots merge *exactly* across process-pool workers;
-* span traces are well-formed NDJSON with correct nesting and timing;
+* span traces are well-formed NDJSON with correct nesting and timing,
+  and each thread nests its spans on a stack of its own;
 * ``sample=0`` tracing allocates no events;
 * a seeded campaign's manifest provenance is byte-reproducible;
 * the acceptance criterion — a Figure-8-condition campaign's trace
@@ -11,7 +12,9 @@ Covers the contracts the instrumented layers rely on:
   and fanned out.
 """
 
+import functools
 import json
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -184,6 +187,15 @@ class TestProcessPoolMerge:
 # ----------------------------------------------------------------------
 # Tracing
 # ----------------------------------------------------------------------
+def _run_threads(*targets):
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
 class TestTracer:
     def test_span_nesting_and_timing(self):
         sink = InMemorySink()
@@ -214,6 +226,60 @@ class TestTracer:
                 raise RuntimeError("boom")
         assert sink.events[-1]["kind"] == "span_end"
         assert sink.events[-1]["error"] == "RuntimeError"
+
+    def test_threads_nest_spans_on_their_own_stacks(self):
+        """A opens ``a``; B opens and closes ``b``; A opens ``a.child``.
+        ``b`` has no parent although ``a`` is open on another thread."""
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        a_open = threading.Event()
+        b_closed = threading.Event()
+
+        def thread_a():
+            with tracer.span("a"):
+                a_open.set()
+                b_closed.wait(timeout=10)
+                with tracer.span("a.child"):
+                    pass
+
+        def thread_b():
+            a_open.wait(timeout=10)
+            with tracer.span("b"):
+                pass
+            b_closed.set()
+
+        _run_threads(thread_a, thread_b)
+        starts = {
+            e["name"]: e for e in sink.events if e["kind"] == "span_start"
+        }
+        assert starts["b"]["parent"] is None
+        assert starts["a.child"]["parent"] == starts["a"]["span"]
+        assert len({e["span"] for e in starts.values()}) == 3
+
+    def test_span_ids_and_parents_hold_under_thread_contention(self):
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+
+        def nest(n):
+            for _ in range(200):
+                with tracer.span("outer", thread=n):
+                    with tracer.span("inner", thread=n):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(*(functools.partial(nest, n) for n in range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        starts = [e for e in sink.events if e["kind"] == "span_start"]
+        owner = {e["span"]: e["thread"] for e in starts}
+        assert len(owner) == len(starts) == 8 * 400
+        for start in starts:
+            if start["name"] == "outer":
+                assert start["parent"] is None
+            else:
+                assert owner[start["parent"]] == start["thread"]
 
     def test_ndjson_file_sink_well_formed(self, tmp_path):
         path = tmp_path / "trace.ndjson"

@@ -5,8 +5,7 @@ and active-profiler plumbing (:mod:`repro.obs.profile`), the exact
 cross-process shard-merge property the profiler inherits from the
 metrics registry, span aggregation and profile rendering
 (:mod:`repro.obs.report`), live campaign progress and its NDJSON
-heartbeat, the trace-sink flush lifecycle on abnormal exits, and the
-perf-history append/compare trajectory (:mod:`repro.obs.perfhistory`).
+heartbeat, and the trace-sink flush lifecycle on abnormal exits.
 """
 
 import json
@@ -18,16 +17,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, scoped_metrics
-from repro.obs.perfhistory import (
-    append_history,
-    compare,
-    flatten_report,
-    format_comparison,
-    load_history,
-    lower_is_better,
-    parse_threshold,
-)
-from repro.obs.perfhistory import main as perf_compare_main
 from repro.obs.profile import (
     NULL_PROFILER,
     EngineProfiler,
@@ -708,166 +697,3 @@ class TestNdjsonFileSink:
         assert size > 8192
         assert writes == [size]
         assert read_ndjson(path) == [record]
-
-
-# ----------------------------------------------------------------------
-# Perf history and regression comparison
-# ----------------------------------------------------------------------
-def _report(encode_speedup=30.0, batch_s=0.1, quick=False):
-    return {
-        "quick": quick,
-        "all_checks_passed": True,
-        "secded": {
-            "encode_speedup": encode_speedup,
-            "encode_batch_s": batch_s,
-        },
-        "platform": {
-            "schemes": {"secded": {"speedup": 5.0, "fast_lane_s": 0.2}}
-        },
-        "simd": {
-            "configs": [
-                {"lanes": 4, "speedup_vs_scalar": 3.0, "lockstep_s": 0.4}
-            ]
-        },
-        "profile": {"overhead_pct": 1.0, "bit_exact": True},
-    }
-
-
-class TestPerfHistory:
-    def test_flatten_report_lifts_scalars_only(self):
-        sections = flatten_report(_report())
-        assert sections["secded.encode_speedup"] == 30.0
-        assert sections["platform.secded.speedup"] == 5.0
-        assert sections["simd.N4.speedup_vs_scalar"] == 3.0
-        assert sections["profile.overhead_pct"] == 1.0
-        # bools and missing sections never leak in
-        assert not any("bit_exact" in key for key in sections)
-
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "hist.ndjson"
-        entry = append_history(path, _report())
-        assert entry["quick"] is False
-        append_history(path, _report(quick=True))
-        entries = load_history(path)
-        assert len(entries) == 2
-        assert entries[0]["sections"]["secded.encode_speedup"] == 30.0
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"t": 1, "sect')  # torn tail
-        assert len(load_history(path)) == 2
-
-    def test_direction_convention(self):
-        assert lower_is_better("secded.encode_batch_s")
-        assert lower_is_better("simd.N4.lockstep_s")
-        assert not lower_is_better("secded.encode_speedup")
-        assert lower_is_better("profile.overhead_pct")
-
-    def _entries(self, *reports):
-        return [
-            {
-                "quick": bool(report.get("quick", False)),
-                "sections": flatten_report(report),
-            }
-            for report in reports
-        ]
-
-    def test_speedup_drop_is_a_regression(self):
-        entries = self._entries(
-            _report(30.0), _report(30.0), _report(20.0)
-        )
-        result = compare(entries, max_regression=0.25)
-        assert "secded.encode_speedup" in result["regressions"]
-
-    def test_walltime_rise_is_a_regression(self):
-        entries = self._entries(
-            _report(batch_s=0.1), _report(batch_s=0.1),
-            _report(batch_s=0.2),
-        )
-        result = compare(entries, max_regression=0.25)
-        assert "secded.encode_batch_s" in result["regressions"]
-        # the improvement directions never fire
-        assert "secded.encode_speedup" not in result["regressions"]
-
-    def test_overhead_rise_is_a_regression(self):
-        """Overhead is lower-better, and gated correctness counts are not
-        in the regression table at all."""
-        reports = [_report(), _report(), _report()]
-        reports[-1]["profile"]["overhead_pct"] = 2.0
-        entries = self._entries(*reports)
-        for entry, hit_ratio in zip(entries, (1.0, 1.0, 0.5)):
-            entry["sections"]["store.hit_ratio"] = hit_ratio
-        result = compare(entries, max_regression=0.25)
-        assert result["regressions"] == ["profile.overhead_pct"]
-        assert "store.hit_ratio" not in {d["metric"] for d in result["deltas"]}
-        assert "serve.recovered_jobs" not in flatten_report(
-            {"serve": {"recovered_jobs": 1, "cold_s": 0.5}}
-        )
-
-    def test_improvements_are_not_regressions(self):
-        entries = self._entries(
-            _report(30.0, batch_s=0.2), _report(30.0, batch_s=0.2),
-            _report(60.0, batch_s=0.05),
-        )
-        result = compare(entries, max_regression=0.25)
-        assert result["regressions"] == []
-
-    def test_quick_entries_never_baseline_full_runs(self):
-        entries = self._entries(
-            _report(100.0, quick=True),  # quick smoke: excluded
-            _report(30.0),
-            _report(29.0),
-        )
-        result = compare(entries, max_regression=0.25)
-        assert result["baseline_entries"] == 1
-        assert result["comparable"] == 2
-        assert result["regressions"] == []
-
-    def test_parse_threshold(self):
-        assert parse_threshold("25%") == pytest.approx(0.25)
-        assert parse_threshold("0.1") == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            parse_threshold("-0.5")
-
-    def test_format_comparison_marks_regressions(self):
-        entries = self._entries(
-            _report(30.0), _report(30.0), _report(10.0)
-        )
-        text = format_comparison(
-            compare(entries, max_regression=0.25), 0.25
-        )
-        assert "REGRESSED" in text
-        assert "secded.encode_speedup" in text
-
-    def test_cli_soft_gate_below_min_entries(self, tmp_path, capsys):
-        path = tmp_path / "hist.ndjson"
-        append_history(path, _report(10.0))  # regression vs nothing
-        code = perf_compare_main(["--history", str(path)])
-        assert code == 0
-        assert "soft gate" in capsys.readouterr().out
-
-    def test_cli_fails_on_regression_once_armed(self, tmp_path, capsys):
-        path = tmp_path / "hist.ndjson"
-        for speedup in (30.0, 30.0, 10.0):
-            append_history(path, _report(speedup))
-        code = perf_compare_main(
-            ["--history", str(path), "--max-regression", "25%"]
-        )
-        assert code == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_cli_passes_when_stable(self, tmp_path):
-        path = tmp_path / "hist.ndjson"
-        for _ in range(3):
-            append_history(path, _report())
-        code = perf_compare_main(["--history", str(path)])
-        assert code == 0
-
-    def test_cli_json_output(self, tmp_path, capsys):
-        path = tmp_path / "hist.ndjson"
-        for _ in range(3):
-            append_history(path, _report())
-        assert perf_compare_main(
-            ["--history", str(path), "--json"]
-        ) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["regressions"] == []
-        assert document["comparable"] == 3

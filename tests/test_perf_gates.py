@@ -3,10 +3,14 @@
 The harness itself runs in CI's perf smoke, outside tier-1.  These
 tests pin its ``checks`` table: they feed ``gate_checks`` a synthetic
 results dict and assert the 31 gate names and the edge of every
-threshold.  Removing or renaming a gate has to change this file.
+threshold.  Removing or renaming a gate has to change this file.  They
+also pin the harness's exit code, which is what fails CI when a gate
+fails.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +57,16 @@ GATES = [
 
 
 @pytest.fixture(scope="module")
-def gate_checks():
+def harness():
     spec = importlib.util.spec_from_file_location("run_perf", HARNESS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.gate_checks
+    return module
+
+
+@pytest.fixture(scope="module")
+def gate_checks(harness):
+    return harness.gate_checks
 
 
 def _target(quick):
@@ -65,7 +74,11 @@ def _target(quick):
 
 
 def _results(quick):
-    """A results dict that passes every gate, each threshold at its edge."""
+    """A results dict that passes every gate, each threshold at its edge.
+
+    It also holds the ungated speedups the harness prints
+    (``headline_speedups``).
+    """
     return {
         "quick": quick,
         "secded": {
@@ -74,13 +87,14 @@ def _results(quick):
         },
         "bch": {
             "encode_bit_exact": True, "decode_bit_exact": True,
-            "decode_speedup": 40.0,
+            "encode_speedup": 1.0, "decode_speedup": 40.0,
         },
-        "faults": {"stats_within_tolerance": True},
+        "faults": {"stats_within_tolerance": True, "speedup": 1.0},
         "fig5_campaign": {"bit_exact": True, "speedup": 5.0},
         "store": {
             "warm_speedup": 100.0, "hit_ratio": 1.0,
             "cache_bit_exact": True, "campaign_warm_equal": True,
+            "campaign_warm_speedup": 1.0,
         },
         "platform": {
             "schemes": {
@@ -113,6 +127,7 @@ def _results(quick):
         "serve": {
             "grid_points": 2, "warm_hits": 2, "recovered_jobs": 1,
             "recovered_hits": 2, "warm_bit_identical": True,
+            "warm_speedup": 1.0,
         },
     }
 
@@ -210,3 +225,41 @@ def test_platform_gate_edge_follows_run_size(gate_checks, quick):
     # Only the SECDED scheme's speedup is gated.
     slow_none = _failing(quick, ("platform", "schemes", "none", "speedup"), 0.0)
     assert all(gate_checks(slow_none).values())
+
+
+@pytest.mark.parametrize(
+    "results,failed",
+    [
+        (_results(True), []),
+        (_failing(True, ("bch", "decode_speedup"), _below(40.0)),
+         ["bch_decode_40x"]),
+    ],
+    ids=["every-gate-at-its-edge", "bch_decode_40x-below-its-edge"],
+)
+def test_main_exits_1_when_a_gate_fails(
+    harness, monkeypatch, tmp_path, results, failed
+):
+    """``run_perf.py --quick`` exits 0 only if every gate passes."""
+    sections = (
+        "faults", "fig5_campaign", "store", "platform", "profile", "simd",
+        "resilience", "serve",
+    )
+    for name in sections:
+        monkeypatch.setattr(
+            harness, f"bench_{name}",
+            lambda *args, name=name, **kwargs: results[name],
+        )
+    monkeypatch.setattr(
+        harness, "bench_codec",
+        lambda codec, *args, **kwargs: results[
+            "secded" if isinstance(codec, harness.SecdedCodec) else "bch"
+        ],
+    )
+    output = tmp_path / "BENCH_perf.json"
+    monkeypatch.setattr(sys, "argv", [
+        str(HARNESS), "--quick", "--output", str(output),
+        "--manifest", str(tmp_path / "BENCH_manifest.json"),
+    ])
+    assert harness.main() == (1 if failed else 0)
+    checks = json.loads(output.read_text())["checks"]
+    assert [name for name, ok in checks.items() if not ok] == failed

@@ -160,7 +160,7 @@ class BatchCampaign:
 
         With ``store`` (a :class:`~repro.store.ResultStore`) each grid
         point is content-addressed by
-        :func:`repro.store.keys.fig5_point_key`; warm points are served
+        :func:`repro.store.keys.fig5_point_keys`; warm points are served
         from the store, misses execute the chunked Bernoulli loop and
         publish their count, and the assembled grid is bit-identical to
         a cold run for any mix of cached and fresh points (the stored
@@ -170,14 +170,12 @@ class BatchCampaign:
         errors = np.zeros(voltages.shape, dtype=np.int64)
         keys = None
         if store is not None:
-            from repro.store.keys import fig5_point_key
+            from repro.store.keys import fig5_point_keys
 
-            keys = [
-                fig5_point_key(
-                    access_model, float(vdd), accesses, bits, self.seed, i
-                )
-                for i, vdd in enumerate(voltages)
-            ]
+            keys = fig5_point_keys(
+                access_model, accesses, bits, self.seed,
+                enumerate(voltages.tolist()),
+            )
         with active_tracer().span(
             names.SPAN_BATCH_ACCESS_BER_GRID,
             points=int(voltages.size),

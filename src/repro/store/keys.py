@@ -39,10 +39,11 @@ regardless of how the Bernoulli matrix is split into row blocks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -50,6 +51,11 @@ from repro.core.errors import validate_vdd
 
 #: Bumped when the provenance layout changes; part of every key.
 KEY_SCHEMA = 2
+
+#: Distinct workloads, and distinct golden outputs, whose digests one
+#: process keeps (:func:`workload_fingerprint`,
+#: :func:`golden_fingerprint`); the least recently used goes first.
+FINGERPRINTS_KEPT = 16
 
 
 def canonical_json(payload: Any) -> str:
@@ -113,6 +119,14 @@ def workload_fingerprint(workload: Any) -> str:
         workload, "workload"
     ):
         workload = workload.workload
+    return _workload_digest(workload)
+
+
+@functools.lru_cache(maxsize=FINGERPRINTS_KEPT)
+def _workload_digest(workload: Any) -> str:
+    # Memoized by value: ``StreamingWorkload`` is frozen, and its
+    # equality covers exactly the fields hashed here, so equal
+    # workloads share one digest.
     return fingerprint_payload(
         {
             "name": workload.name,
@@ -135,8 +149,14 @@ def workload_fingerprint(workload: Any) -> str:
 
 
 def golden_fingerprint(golden: Any) -> str:
-    """Digest of a golden output word list."""
-    return fingerprint_payload({"golden": [int(w) for w in golden]})
+    """Digest of a golden output word list (a list or a tuple)."""
+    return _golden_digest(tuple(map(int, golden)))
+
+
+@functools.lru_cache(maxsize=FINGERPRINTS_KEPT)
+def _golden_digest(words: Tuple[int, ...]) -> str:
+    # A tuple encodes as the same JSON array as the list it came from.
+    return fingerprint_payload({"golden": words})
 
 
 def _normalize_kwargs(kwargs: Mapping[str, Any]) -> Dict[str, Any]:
@@ -214,17 +234,55 @@ def fig5_point_key(
     position in any particular sweep request.
     """
     vdd = validate_vdd(vdd, "fig5_point_key")
-    return PointKey.from_provenance(
+    (key,) = fig5_point_keys(access_model, accesses, bits, seed,
+                             [(index, vdd)])
+    return key
+
+
+#: Stand-ins for the per-point fields while a grid's shared text is
+#: encoded; no real provenance field holds either, and neither needs
+#: escaping in JSON.
+_INDEX_MARK, _VDD_MARK = "<index>", "<vdd>"
+
+
+def fig5_point_keys(
+    access_model: Any,
+    accesses: int,
+    bits: int,
+    seed: int,
+    points: Iterable[Tuple[int, float]],
+) -> List[PointKey]:
+    """Keys of Fig. 5 grid points, one per ``(index, vdd)`` in ``points``.
+
+    The provenance fields a grid's points share (access model,
+    accesses, bits, seed) are encoded once; each point formats only its
+    index and voltage into that canonical text, byte for byte as
+    :func:`canonical_json` would.
+    """
+    text = PointKey.from_provenance(
         "fig5-point",
         {
             "access_model": access_model_provenance(access_model),
-            "vdd": float(vdd),
             "accesses": int(accesses),
             "bits": int(bits),
             "seed": int(seed),
-            "index": int(index),
+            "index": _INDEX_MARK,
+            "vdd": _VDD_MARK,
         },
-    )
+    ).provenance_json
+    # Sorted keys put "index" before "vdd".
+    head, _, rest = text.partition(f'"{_INDEX_MARK}"')
+    middle, _, tail = rest.partition(f'"{_VDD_MARK}"')
+    return [
+        PointKey(
+            kind="fig5-point",
+            provenance_json=(
+                f"{head}{int(index)!r}{middle}"
+                f"{validate_vdd(vdd, 'fig5_point_key')!r}{tail}"
+            ),
+        )
+        for index, vdd in points
+    ]
 
 
 def retention_die_key(
@@ -270,6 +328,7 @@ __all__ = [
     "campaign_task_key",
     "canonical_json",
     "fig5_point_key",
+    "fig5_point_keys",
     "fingerprint_payload",
     "golden_fingerprint",
     "retention_die_key",

@@ -21,9 +21,20 @@ layers of safety sit on top of the database file:
   so it is deleted and reported as a miss (``store.corrupt_entries``).
 
 An in-process LRU front cache short-circuits repeated probes without
-touching SQLite; connections are opened per operation so concurrent
-writers (multiple processes sharing one store file) serialize through
-SQLite's own locking rather than sharing connection state.
+touching SQLite.  Behind it, each thread keeps one SQLite connection
+per store, reused only while the store path still names the file it
+was opened on: every operation compares the path's ``st_dev`` and
+``st_ino`` with the opened file's, so a sibling's torn-write recovery
+or an outside ``os.replace`` is seen by the next operation.  A
+connection holds no transaction or lock between operations (every
+write commits; an exception closes it, which rolls back whatever it
+left open), so concurrent writers — threads, or processes sharing one
+store file — still serialize through SQLite's own locking.  A thread's
+connection closes when the thread ends or the store is dropped.  The
+journal mode and ``synchronous`` level are SQLite's defaults
+(rollback journal, ``FULL``), so an acknowledged ``put`` is durable.
+Process-pool workers never touch a store: the executor probes and
+publishes from the parent, so no connection is used across a ``fork``.
 
 The store is deliberately clock-free and identity-free: no wall-clock,
 PID, hostname or OS entropy anywhere (rule ``REP103``), so ``gc`` is
@@ -32,13 +43,14 @@ insertion-order based (keep the newest N rows), not age-based.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs import active_metrics, active_tracer, names
 from repro.obs.report import read_ndjson
@@ -81,27 +93,51 @@ class ResultStore:
         self._lock = threading.RLock()
         self._inflight: Dict[str, threading.Event] = {}
         self._stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
+        # Per thread: ``link``, the thread's :class:`_Link` to the file.
+        self._local = threading.local()
         self._open()
 
     # ------------------------------------------------------------------
     # Lifecycle / recovery
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        return conn
+    @contextlib.contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """The calling thread's connection, for one operation.
+
+        It is reopened when the path no longer names the file it was
+        opened on.  The identity is read before connecting, so a file
+        swapped in between costs one more reconnect, never a stale
+        read.  An exception closes the connection, which discards any
+        transaction the operation left open, with its locks.
+        """
+        identity = _file_identity(self.path)
+        local = self._local
+        link = getattr(local, "link", None)
+        if link is None or identity is None or identity != link.identity:
+            if link is not None:
+                link.conn.close()
+            link = local.link = _Link(
+                sqlite3.connect(
+                    str(self.path), timeout=30.0, check_same_thread=False
+                ),
+                identity,
+            )
+        try:
+            yield link.conn
+        except BaseException:
+            local.link = None
+            link.conn.close()
+            raise
 
     def _open(self) -> None:
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         existed = self.path.exists()
         try:
-            conn = self._connect()
-            try:
+            with self._connection() as conn:
                 conn.execute(_CREATE)
                 row = conn.execute("SELECT COUNT(*) FROM results").fetchone()
                 conn.commit()
-            finally:
-                conn.close()
         except sqlite3.DatabaseError:
             self._recover("sqlite-corrupt")
             return
@@ -114,7 +150,7 @@ class ResultStore:
                     read_ndjson(self.sidecar_path), append_sidecar=False
                 )
                 if imported:
-                    self._count("recoveries", 1)
+                    self._count("recoveries")
                     active_tracer().point(
                         names.POINT_STORE_RECOVERY,
                         reason="sidecar-rebuild",
@@ -127,16 +163,13 @@ class ResultStore:
         corrupt = self.path.with_name(self.path.name + ".corrupt")
         if self.path.exists():
             os.replace(self.path, corrupt)
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             conn.execute(_CREATE)
             conn.commit()
-        finally:
-            conn.close()
         recovered = self._import_records(
             read_ndjson(self.sidecar_path), append_sidecar=False
         )
-        self._count("recoveries", 1)
+        self._count("recoveries")
         active_tracer().point(
             names.POINT_STORE_RECOVERY,
             reason=reason,
@@ -154,18 +187,16 @@ class ResultStore:
             payload = self._lru.get(fingerprint)
             if payload is not None:
                 self._lru.move_to_end(fingerprint)
-                self._count("hits", 1)
-                self._count("front_hits", 1)
+                self._count("hits", "front_hits")
                 return payload
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             row = conn.execute(
                 "SELECT provenance, payload FROM results "
                 "WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
             if row is None:
-                self._count("misses", 1)
+                self._count("misses")
                 return None
             provenance = json.loads(row[0])
             if fingerprint_payload(provenance) != fingerprint:
@@ -176,16 +207,13 @@ class ResultStore:
                     (fingerprint,),
                 )
                 conn.commit()
-                self._count("corrupt_entries", 1)
-                self._count("misses", 1)
+                self._count("corrupt_entries", "misses")
                 return None
             payload = json.loads(row[1])
-        finally:
-            conn.close()
         assert isinstance(payload, dict)
         with self._lock:
             self._lru_insert(fingerprint, payload)
-        self._count("hits", 1)
+        self._count("hits")
         return payload
 
     def put(self, key: PointKey, payload: Dict[str, Any]) -> str:
@@ -199,8 +227,7 @@ class ResultStore:
             "provenance": provenance,
             "payload": payload,
         }
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO results "
                 "(fingerprint, kind, provenance, payload, schema) "
@@ -214,8 +241,6 @@ class ResultStore:
                 ),
             )
             conn.commit()
-        finally:
-            conn.close()
         sink = NdjsonFileSink(self.sidecar_path, flush_each=True)
         try:
             sink.emit(record)
@@ -223,7 +248,7 @@ class ResultStore:
             sink.close()
         with self._lock:
             self._lru_insert(fingerprint, payload)
-        self._count("puts", 1)
+        self._count("puts")
         return fingerprint
 
     def _lru_insert(self, fingerprint: str, payload: Dict[str, Any]) -> None:
@@ -233,7 +258,7 @@ class ResultStore:
         self._lru.move_to_end(fingerprint)
         while len(self._lru) > self.lru_capacity:
             self._lru.popitem(last=False)
-            self._count("evictions", 1)
+            self._count("evictions")
 
     # ------------------------------------------------------------------
     # In-flight deduplication
@@ -262,7 +287,7 @@ class ResultStore:
                 if event is None:
                     event = self._inflight[fingerprint] = threading.Event()
                     break
-            self._count("inflight_waits", 1)
+            self._count("inflight_waits")
             event.wait()
         try:
             payload = compute()
@@ -279,14 +304,11 @@ class ResultStore:
     # ------------------------------------------------------------------
     def export_ndjson(self, path: PathLike) -> int:
         """Write every row (insertion order) to ``path``; returns count."""
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT fingerprint, kind, provenance, payload, schema "
                 "FROM results ORDER BY rowid"
             ).fetchall()
-        finally:
-            conn.close()
         # Truncate, then append through the sanctioned serializer.
         open(path, "w", encoding="utf-8").close()
         sink = NdjsonFileSink(path, flush_each=False)
@@ -303,7 +325,7 @@ class ResultStore:
                 )
         finally:
             sink.close()
-        self._count("exported", len(rows))
+        self._count("exported", n=len(rows))
         return len(rows)
 
     def import_ndjson(self, path: PathLike) -> int:
@@ -330,17 +352,16 @@ class ResultStore:
                 or not isinstance(fingerprint, str)
                 or not isinstance(kind, str)
             ):
-                self._count("corrupt_entries", 1)
+                self._count("corrupt_entries")
                 continue
             if fingerprint_payload(provenance) != fingerprint:
-                self._count("corrupt_entries", 1)
+                self._count("corrupt_entries")
                 continue
             key = PointKey(kind=kind, provenance_json=canonical_json(provenance))
             if append_sidecar:
                 self.put(key, payload)
             else:
-                conn = self._connect()
-                try:
+                with self._connection() as conn:
                     conn.execute(
                         "INSERT OR REPLACE INTO results "
                         "(fingerprint, kind, provenance, payload, schema) "
@@ -354,23 +375,18 @@ class ResultStore:
                         ),
                     )
                     conn.commit()
-                finally:
-                    conn.close()
             imported += 1
         if append_sidecar:
-            self._count("imported", imported)
+            self._count("imported", n=imported)
         return imported
 
     def entries(self) -> List[Dict[str, Any]]:
         """Row summaries in insertion order (``repro cache ls``)."""
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT fingerprint, kind, provenance FROM results "
                 "ORDER BY rowid"
             ).fetchall()
-        finally:
-            conn.close()
         return [
             {
                 "fingerprint": fingerprint,
@@ -381,11 +397,8 @@ class ResultStore:
         ]
 
     def __len__(self) -> int:
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             row = conn.execute("SELECT COUNT(*) FROM results").fetchone()
-        finally:
-            conn.close()
         return int(row[0])
 
     def gc(self, keep: int) -> int:
@@ -397,8 +410,7 @@ class ResultStore:
         """
         if keep < 0:
             raise ValueError("keep must be non-negative")
-        conn = self._connect()
-        try:
+        with self._connection() as conn:
             removed_rows = conn.execute(
                 "SELECT fingerprint FROM results ORDER BY rowid DESC "
                 "LIMIT -1 OFFSET ?",
@@ -409,14 +421,12 @@ class ResultStore:
                 removed_rows,
             )
             conn.commit()
-        finally:
-            conn.close()
         removed = len(removed_rows)
         with self._lock:
             for (fingerprint,) in removed_rows:
                 self._lru.pop(fingerprint, None)
         self.export_ndjson(self.sidecar_path)
-        self._count("gc_removed", removed)
+        self._count("gc_removed", n=removed)
         return removed
 
     # ------------------------------------------------------------------
@@ -431,12 +441,47 @@ class ResultStore:
         snapshot["front_cache_entries"] = front_cache_entries
         return snapshot
 
-    def _count(self, stat: str, n: int) -> None:
+    def _count(self, *stats: str, n: int = 1) -> None:
+        """Add ``n`` to each of ``stats`` and to its ``store.*`` counter."""
         if n == 0:
             return
+        metrics = active_metrics()
         with self._lock:
-            self._stats[stat] += n
-        active_metrics().counter(names.store_metric(stat)).inc(n)
+            for stat in stats:
+                self._stats[stat] += n
+                metrics.counter(names.store_metric(stat)).inc(n)
+
+
+class _Link:
+    """One thread's connection to a store, and the file it opened.
+
+    The connection closes when its link is dropped: when the store
+    replaces it, when its thread ends, or when the store goes.  A
+    ``sqlite3`` connection sits in a reference cycle (its statement
+    cache), so it would otherwise stay open until the cyclic collector
+    ran.  Only the owning thread uses the connection, but the thread
+    that drops the store may close it, hence ``check_same_thread=False``.
+    """
+
+    __slots__ = ("conn", "identity")
+
+    def __init__(
+        self, conn: sqlite3.Connection, identity: Optional[Tuple[int, int]]
+    ) -> None:
+        self.conn = conn
+        self.identity = identity
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
+def _file_identity(path: Path) -> Optional[Tuple[int, int]]:
+    """``(st_dev, st_ino)`` of the file ``path`` names; None if missing."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return status.st_dev, status.st_ino
 
 
 __all__ = ["STORE_SCHEMA", "ResultStore"]

@@ -14,21 +14,28 @@ here:
   cached and fresh points is bit-identical to a cold run.
 """
 
+import dataclasses
 import json
 import math
+import os
 import sqlite3
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.store.store as store_module
 from repro.analysis.batch import BatchCampaign
 from repro.analysis.campaign import run_campaign
 from repro.core.access import (
     ACCESS_CELL_BASED_40NM,
     ACCESS_CELL_BASED_40NM_TYPICAL,
     ACCESS_COMMERCIAL_40NM,
+    AccessErrorModel,
 )
 from repro.core.errors import InvalidVoltageError
 from repro.core.retention import RETENTION_COMMERCIAL_40NM
@@ -42,8 +49,12 @@ from repro.store import (
     fingerprint_payload,
     scheme_campaign_key,
     scheme_failure_grid,
+    workload_fingerprint,
 )
+from repro.store.keys import FINGERPRINTS_KEPT, _golden_digest, _workload_digest
+from repro.store.keys import fig5_point_keys
 from repro.workloads.fft import build_fft_program
+from repro.workloads.streaming import StreamingWorkload
 
 VOLTS = np.linspace(0.30, 0.50, 5)
 ACCESSES = 2_000
@@ -101,6 +112,97 @@ class TestKeys:
         assert key.fingerprint() == (
             "efc24e74ab8353bff0fc01b93822125461220a8e5f967c249eb61fc46c97ea07"
         )
+
+    def test_equal_workloads_and_goldens_share_a_key(self):
+        """The digest memos are keyed by value: a rebuilt workload, and a
+        golden list next to its tuple, give the stored point's key."""
+        first, second = build_fft_program(16), build_fft_program(16)
+        assert first.workload == second.workload
+        assert first.workload is not second.workload
+
+        def key(workload, golden):
+            return scheme_campaign_key(
+                "SECDED", workload, golden, ACCESS_CELL_BASED_40NM, 0.44,
+                290e3, 4, 100, {},
+            )
+
+        assert key(first.workload, [1, 2, 3]) == key(
+            second.workload, (1, 2, 3)
+        )
+        assert key(first, [1, 2, 3]) == key(second.workload, [1, 2, 3])
+        assert key(first.workload, [1, 2, 3]) != key(
+            first.workload, [1, 2, 4]
+        )
+
+    def test_workload_equality_covers_every_fingerprinted_field(self):
+        """Equal workloads must fingerprint alike, or the by-value memo
+        would hand one workload another's digest: every field takes part
+        in equality, and changing any of them changes the digest."""
+        workload = build_fft_program(16).workload
+        assert all(f.compare for f in dataclasses.fields(StreamingWorkload))
+        phase = dataclasses.replace(workload.phases[0], name="renamed")
+        changes = {
+            "name": "other",
+            "program_words": workload.program_words + (0,),
+            "phases": (phase,) + workload.phases[1:],
+            "data_words": workload.data_words + (0,),
+            "data_base": workload.data_base + 1,
+            "result_base": workload.result_base + 1,
+            "result_words": workload.result_words + 1,
+        }
+        assert set(changes) == {
+            f.name for f in dataclasses.fields(StreamingWorkload)
+        }
+        for field_name, value in changes.items():
+            changed = dataclasses.replace(workload, **{field_name: value})
+            assert changed != workload, field_name
+            assert workload_fingerprint(changed) != workload_fingerprint(
+                workload
+            ), field_name
+
+    def test_digest_memos_are_bounded(self):
+        assert _workload_digest.cache_info().maxsize == FINGERPRINTS_KEPT
+        assert _golden_digest.cache_info().maxsize == FINGERPRINTS_KEPT
+
+    @given(
+        amplitude=st.floats(min_value=1e-9, max_value=1e9),
+        exponent=st.floats(min_value=1e-3, max_value=20.0),
+        v_onset=st.floats(min_value=1e-3, max_value=2.0),
+        vdd=st.floats(min_value=0.0, max_value=2.0),
+        accesses=st.integers(min_value=0, max_value=10**9),
+        bits=st.integers(min_value=1, max_value=4096),
+        seed=st.integers(min_value=0, max_value=2**64),
+        index=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_keys_match_the_canonical_encoding(
+        self, amplitude, exponent, v_onset, vdd, accesses, bits, seed, index
+    ):
+        """A grid's keys format index and vdd into text encoded once;
+        the result is byte for byte the canonical provenance."""
+        model = AccessErrorModel(amplitude, exponent, v_onset)
+        expected = PointKey.from_provenance(
+            "fig5-point",
+            {
+                "access_model": {
+                    "amplitude": amplitude,
+                    "exponent": exponent,
+                    "v_onset": v_onset,
+                },
+                "vdd": vdd,
+                "accesses": accesses,
+                "bits": bits,
+                "seed": seed,
+                "index": index,
+            },
+        )
+        (grid_key,) = fig5_point_keys(
+            model, accesses, bits, seed, [(index, np.float64(vdd))]
+        )
+        single = fig5_point_key(model, vdd, accesses, bits, seed, index)
+        for key in (grid_key, single):
+            assert key.provenance_json == expected.provenance_json
+            assert key.fingerprint() == expected.fingerprint()
 
     def test_key_rejects_invalid_vdd(self):
         with pytest.raises(InvalidVoltageError):
@@ -294,6 +396,190 @@ class TestRecovery:
         reader = ResultStore(path)
         for i, key in enumerate(keys):
             assert reader.get(key) == {"errors": i}
+
+
+class TestConnections:
+    """One SQLite connection per thread and store, holding nothing
+    between operations and reopened when the path names another file."""
+
+    def _keys(self, n):
+        return _fig5_keys(BatchCampaign(seed=5))[:n]
+
+    def _assert_unlocked(self, path):
+        """A second connection can take the exclusive lock at once."""
+        raw = sqlite3.connect(str(path), timeout=0)
+        try:
+            raw.execute("BEGIN EXCLUSIVE")
+            raw.rollback()
+        finally:
+            raw.close()
+
+    def test_a_thread_connects_once(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "s.sqlite", lru_capacity=0)
+        connect = sqlite3.connect
+        connects = []
+
+        def counted(*args, **kwargs):
+            connects.append(threading.get_ident())
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", counted)
+        keys = self._keys(5)
+        errors = []
+
+        def work():
+            try:
+                for i, key in enumerate(keys[:4]):
+                    store.put(key, {"errors": i})
+                    assert store.get(key) == {"errors": i}
+                    assert store.get(keys[4]) is None
+                assert len(store) == 4
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert errors == []
+        assert connects == [worker.ident]
+
+    def test_threads_sharing_one_store(self, tmp_path, monkeypatch):
+        """More threads than cores publish and read back through one
+        store, each on its own connection, with none lost."""
+        store = ResultStore(tmp_path / "s.sqlite", lru_capacity=0)
+        connect = sqlite3.connect
+        connects = []
+
+        def counted(*args, **kwargs):
+            connects.append(threading.get_ident())
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", counted)
+        n_threads, per_thread = 6, 5
+        keys = fig5_point_keys(
+            ACCESS_CELL_BASED_40NM, ACCESSES, 32, 5,
+            enumerate(np.linspace(0.30, 0.50, n_threads * per_thread)),
+        )
+        errors = []
+
+        def work(mine):
+            try:
+                for i, key in mine:
+                    store.put(key, {"errors": i})
+                    assert store.get(key) == {"errors": i}
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(
+                target=work,
+                args=(list(enumerate(keys))[t::n_threads],),
+            )
+            for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(connects) == sorted(t.ident for t in threads)
+        stats = store.stats()
+        assert (stats["puts"], stats["hits"]) == (len(keys), len(keys))
+        assert stats["rows"] == len(keys)
+
+    def test_no_lock_outlives_an_operation(self, tmp_path):
+        store = ResultStore(tmp_path / "s.sqlite", lru_capacity=0)
+        hit, missing, fresh = self._keys(3)
+        store.put(hit, {"errors": 1})
+        self._assert_unlocked(store.path)
+        assert store.get(hit) == {"errors": 1}
+        self._assert_unlocked(store.path)
+        assert store.get(missing) is None
+        self._assert_unlocked(store.path)
+        store.put(fresh, {"errors": 2})
+        self._assert_unlocked(store.path)
+
+    def test_a_failed_operation_leaves_no_lock(self, tmp_path, monkeypatch):
+        """An exception between the write and its commit discards the
+        transaction and its lock; the next operation reconnects."""
+        failing = []
+
+        class FailingCommit(sqlite3.Connection):
+            def commit(self):
+                if failing:
+                    raise RuntimeError("interrupted before commit")
+                super().commit()
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            store_module.sqlite3, "connect",
+            lambda *args, **kwargs: connect(
+                *args, factory=FailingCommit, **kwargs
+            ),
+        )
+        store = ResultStore(tmp_path / "s.sqlite", lru_capacity=0)
+        key = self._keys(1)[0]
+        failing.append(True)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            store.put(key, {"errors": 1})
+        self._assert_unlocked(store.path)
+        failing.clear()
+        assert store.get(key) is None
+        store.put(key, {"errors": 2})
+        assert store.get(key) == {"errors": 2}
+
+    def test_a_replaced_file_is_seen_on_the_next_get(self, tmp_path):
+        live = ResultStore(tmp_path / "live.sqlite", lru_capacity=0)
+        key = self._keys(1)[0]
+        live.put(key, {"errors": 1})
+        assert live.get(key) == {"errors": 1}
+        other = ResultStore(tmp_path / "other.sqlite")
+        other.put(key, {"errors": 2})
+        os.replace(other.path, live.path)
+        assert live.get(key) == {"errors": 2}
+
+    def test_connections_close_with_their_thread_and_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``sqlite3`` connection sits in a reference cycle, so only an
+        explicit close frees it before the cyclic collector runs: a
+        thread's connection closes when the thread ends, and the rest
+        when the store is dropped."""
+        opened = {}
+        connect = sqlite3.connect
+
+        def tracked(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            opened.setdefault(threading.get_ident(), []).append(conn)
+            return conn
+
+        def closed(conn):
+            try:
+                conn.execute("SELECT 1")
+            except sqlite3.ProgrammingError:
+                return True
+            return False
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", tracked)
+        store = ResultStore(tmp_path / "s.sqlite", lru_capacity=0)
+        key = self._keys(1)[0]
+        store.put(key, {"errors": 1})
+        worker = threading.Thread(target=store.get, args=(key,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [closed(conn) for conn in opened[worker.ident]] == [True]
+        mine = opened[threading.get_ident()]
+        assert not closed(mine[-1])
+        del store
+        assert all(closed(conn) for conn in mine)
 
 
 class TestInflightDedup:

@@ -521,9 +521,7 @@ def _scalar(runner_cls, reference_codecs: bool = True):
                     platform.im_port, platform.sp_port, platform.pm_port
                 ):
                     if isinstance(port, CodecPort):
-                        port.codec = port.wrapper.codec = _reference_codec(
-                            port.codec
-                        )
+                        port.codec = _reference_codec(port.codec)
             return platform
 
     return ScalarRunner

@@ -8,8 +8,9 @@ Subpackages, bottom-up:
   models and design machinery (the primary contribution).
 * :mod:`repro.memdev` — the Monte-Carlo memory-device substrate and
   the CACTI-substitute energy model (the virtual test chip).
-* :mod:`repro.ecc` — bit-exact error-correcting codecs and wrappers.
-* :mod:`repro.soc` — the MPARM-substitute platform simulator.
+* :mod:`repro.ecc` — bit-exact error-correcting codecs.
+* :mod:`repro.soc` — the MPARM-substitute platform simulator, whose
+  codec ports are the paper's ECC memory wrappers.
 * :mod:`repro.workloads` — the FFT benchmark and streaming phases.
 * :mod:`repro.mitigation` — executable mitigation schemes
   (none / SECDED / OCEAN).

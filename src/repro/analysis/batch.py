@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.core.access import AccessErrorModel
 from repro.core.retention import RetentionModel
-from repro.memdev.array import MemoryArray
+from repro.memdev.array import (
+    MemoryArray,
+    count_bit_errors,
+    count_bit_errors_scalar,
+)
 from repro.obs import MetricsSnapshot, active_metrics, active_tracer, names, scoped_metrics
 from repro.resilience import ChaosPolicy, ResilientExecutor, TaskSpec
 
@@ -117,9 +121,6 @@ class BatchCampaign:
     # ------------------------------------------------------------------
     # Figure 5: access-error campaigns
     # ------------------------------------------------------------------
-    #: Row block of the Bernoulli matrices, in doubles.
-    CHUNK_DOUBLES = 1 << 20
-
     def _count_point_errors(
         self,
         access_model: AccessErrorModel,
@@ -138,15 +139,7 @@ class BatchCampaign:
         p_bit = access_model.bit_error_probability(vdd)
         if p_bit == 0.0:
             return 0
-        rng = self._point_rng(index)
-        chunk = max(1, self.CHUNK_DOUBLES // bits)
-        errors = 0
-        done = 0
-        while done < accesses:
-            rows = min(chunk, accesses - done)
-            errors += int(np.count_nonzero(rng.random((rows, bits)) < p_bit))
-            done += rows
-        return errors
+        return count_bit_errors(self._point_rng(index), p_bit, accesses, bits)
 
     def access_ber_grid(
         self,
@@ -228,9 +221,9 @@ class BatchCampaign:
             p_bit = access_model.bit_error_probability(float(vdd))
             if p_bit == 0.0:
                 continue
-            rng = self._point_rng(i)
-            for _ in range(accesses):
-                errors[i] += int(np.count_nonzero(rng.random(bits) < p_bit))
+            errors[i] = count_bit_errors_scalar(
+                self._point_rng(i), p_bit, accesses, bits
+            )
         return AccessBerGrid(
             voltages=voltages, errors=errors, accesses=accesses, bits=bits
         )

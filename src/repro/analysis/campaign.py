@@ -12,7 +12,7 @@ This is the experiment a reviewer would ask for: does the executable
 system actually fail the way the failure model says it does?
 
 Telemetry: :func:`run_campaign` opens a ``campaign.run`` span and emits
-one unsampled ``campaign.outcome`` trace record per run, so summing the
+one ``campaign.outcome`` trace point per run, so summing the
 ``injected`` / ``corrected`` / ``rollbacks`` fields of a trace exactly
 reproduces the :class:`CampaignResult` totals — serial or fanned out.
 Each worker executes under its own scoped metrics registry; the

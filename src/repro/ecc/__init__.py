@@ -10,9 +10,9 @@ Section V's two hardware mitigation mechanisms need real codecs:
   SECDED alternative (:mod:`repro.ecc.interleave`) for the ablation.
 
 Supporting modules: GF(2) matrix algebra (:mod:`repro.ecc.gf2`),
-GF(2^m) field arithmetic (:mod:`repro.ecc.gf2m`), parity detection
-(:mod:`repro.ecc.parity`), and a word-level memory wrapper applying any
-codec transparently (:mod:`repro.ecc.wrapper`).
+GF(2^m) field arithmetic (:mod:`repro.ecc.gf2m`) and parity detection
+(:mod:`repro.ecc.parity`).  The codecs meet the memories in
+:class:`repro.soc.ports.CodecPort`, the paper's memory wrapper.
 """
 
 from repro.ecc.base import (
@@ -29,7 +29,6 @@ from repro.ecc.parity import ParityCodec
 from repro.ecc.hamming import SecdedCodec
 from repro.ecc.bch import BchCodec
 from repro.ecc.interleave import InterleavedCodec
-from repro.ecc.wrapper import CodecMemoryWrapper, WrapperStats
 
 __all__ = [
     "Codec",
@@ -44,6 +43,4 @@ __all__ = [
     "SecdedCodec",
     "BchCodec",
     "InterleavedCodec",
-    "CodecMemoryWrapper",
-    "WrapperStats",
 ]

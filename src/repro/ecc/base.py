@@ -308,13 +308,31 @@ class Codec(abc.ABC):
     def _as_word_array(
         self, values: np.ndarray, width: int, label: str
     ) -> np.ndarray:
-        """Validate and coerce a batch input to a 1-D ``uint64`` array."""
+        """Validate a batch input and return it as a 1-D ``uint64`` array.
+
+        Accepts a ``uint64`` array (one dtype test), any other integer
+        array, a sequence of Python ints, or an empty batch.  Like the
+        scalar :meth:`_check_data` / :meth:`_check_codeword`, it raises
+        ``ValueError`` on a negative, non-integer or too-wide word, and
+        it never truncates.
+        """
         if width > 64:
             raise ValueError(
                 f"batch API supports at most 64 {label} bits, "
                 f"this codec has {width}"
             )
-        arr = np.ascontiguousarray(values, dtype=np.uint64)
+        arr = np.asarray(values)
+        if arr.dtype != np.uint64:
+            kind = arr.dtype.kind
+            if arr.size and (
+                kind not in "biu" or (kind == "i" and bool((arr < 0).any()))
+            ):
+                raise ValueError(
+                    f"every {label} must be a non-negative integer of at "
+                    f"most {width} bits, got dtype {arr.dtype}"
+                )
+            arr = arr.astype(np.uint64)
+        arr = np.ascontiguousarray(arr)
         if arr.ndim != 1:
             raise ValueError(
                 f"expected a 1-D array of {label} words, got shape "

@@ -8,7 +8,7 @@ substitution table):
 
 * :mod:`repro.memdev.cell` — bit-cell archetypes (6T, cell-based AOI).
 * :mod:`repro.memdev.array` — Monte-Carlo memory arrays with per-cell
-  retention voltages and voltage-dependent access faults (Figure 3).
+  retention voltages (Figure 3) and access bit-error counts (Figure 5).
 * :mod:`repro.memdev.die` — dies and multi-die measurement campaigns
   (the 9 dies of Figure 4).
 * :mod:`repro.memdev.characterize` — Vmin extraction, shmoo plots,
@@ -25,7 +25,7 @@ from repro.memdev.cell import (
     CUSTOM_6T,
     BitCellArchetype,
 )
-from repro.memdev.array import AccessKind, MemoryArray
+from repro.memdev.array import MemoryArray
 from repro.memdev.die import Die, DiePopulation
 from repro.memdev.wafer import DieSite, Wafer
 from repro.memdev.assist import (
@@ -49,7 +49,6 @@ __all__ = [
     "CUSTOM_6T",
     "CELL_BASED_AOI",
     "CELL_BASED_LATCH_65NM",
-    "AccessKind",
     "MemoryArray",
     "Die",
     "DiePopulation",

@@ -9,32 +9,69 @@ Section IV:
 
 * **retention test** — which bits lose data at a given standby voltage
   (Figure 3 spatial map, Figure 4 cumulative statistics);
-* **access test** — voltage-dependent random read/write bit errors per
-  the Eq. 5 power law (Figure 5), including the actual flipped data.
+* **access test** — voltage-dependent random read/write bit-error
+  counts per the Eq. 5 power law (Figure 5).
 
-It also implements plain word storage so the SoC simulator can use it
-as a backing store with faults injected on the fly.
+An array stores no data: the SoC simulator's memories are
+:class:`repro.soc.memory.FaultyMemory` macros, whose fault engine
+(:class:`repro.soc.faults.VoltageFaultModel`) flips the stored words.
+
+The access test's chunked Bernoulli count (:func:`count_bit_errors`)
+and its per-access oracle (:func:`count_bit_errors_scalar`) are shared
+with :class:`repro.analysis.batch.BatchCampaign`'s Figure 5 grids.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.errors import validate_vdd
 from repro.core.access import AccessErrorModel
-from repro.core.bitops import pack_bits_u64, popcount_u64
 from repro.core.retention import RetentionModel
-from repro.obs import active_metrics, active_tracer, names
+from repro.obs import active_metrics, names
+
+#: Row block of the chunked Bernoulli counts, in doubles; bounds the
+#: matrix held in memory to a few megabytes regardless of ``accesses``.
+BER_CHUNK_DOUBLES = 1 << 20
 
 
-class AccessKind(enum.Enum):
-    """Memory access type; both share the Eq. 5 error model here."""
+def count_bit_errors(
+    rng: np.random.Generator, p_bit: float, accesses: int, bits: int
+) -> int:
+    """Bit errors among ``accesses`` words of ``bits`` cells, each cell
+    failing with probability ``p_bit``.
 
-    READ = "read"
-    WRITE = "write"
+    Draws the per-access, per-bit Bernoulli matrix in row chunks of at
+    most :data:`BER_CHUNK_DOUBLES` doubles and counts it with numpy.
+    Bit-exact with :func:`count_bit_errors_scalar` from the same
+    generator state, and independent of the chunk split, because numpy
+    fills uniform draws sequentially in C order.
+    """
+    chunk = max(1, BER_CHUNK_DOUBLES // bits)
+    errors = 0
+    done = 0
+    while done < accesses:
+        rows = min(chunk, accesses - done)
+        errors += int(np.count_nonzero(rng.random((rows, bits)) < p_bit))
+        done += rows
+    return errors
+
+
+def count_bit_errors_scalar(
+    rng: np.random.Generator, p_bit: float, accesses: int, bits: int
+) -> int:
+    """Per-access reference loop of :func:`count_bit_errors`.
+
+    The bit-exactness oracle of the vectorized count and the scalar
+    baseline of the perf harness: consumes the same stream one access
+    at a time.
+    """
+    errors = 0
+    for _ in range(accesses):
+        errors += int(np.count_nonzero(rng.random(bits) < p_bit))
+    return errors
 
 
 @dataclass(frozen=True)
@@ -60,7 +97,7 @@ class MemoryArray:
     retention_model:
         Population model the per-cell retention voltages are drawn from.
     access_model:
-        Eq. 5 model used for dynamic read/write error injection.
+        Eq. 5 model behind the access test.
     rng:
         Random generator; supply a seeded one for reproducibility.
     gradient_v:
@@ -80,10 +117,6 @@ class MemoryArray:
     ) -> None:
         if words <= 0 or bits <= 0:
             raise ValueError("words and bits must be positive")
-        if bits > 64:
-            raise ValueError(
-                f"bits must be at most 64 (uint64 word storage), got {bits}"
-            )
         self.words = words
         self.bits = bits
         self.retention_model = retention_model
@@ -96,8 +129,6 @@ class MemoryArray:
         ).reshape(words, bits)
         self._vmin = random_part + self._systematic_component()
         np.clip(self._vmin, 0.0, None, out=self._vmin)
-        # Word storage for simulator use (plain ints, one per word).
-        self._data = np.zeros(words, dtype=np.uint64)
 
     def _systematic_component(self) -> np.ndarray:
         """Smooth across-array retention-voltage systematic (bowl +
@@ -150,59 +181,24 @@ class MemoryArray:
         return float(self._vmin.max())
 
     # ------------------------------------------------------------------
-    # Access-error injection (Figure 5 and simulator faults)
+    # Access-error measurement (Figure 5)
     # ------------------------------------------------------------------
-    def sample_access_flips(self, vdd: float, kind: AccessKind) -> int:
-        """Return a bit mask of flipped positions for one word access.
-
-        Fast path: with word-level flip probability
-        ``1 - (1 - p)^bits`` usually tiny, a single uniform draw decides
-        whether to sample per-bit at all.
-        """
-        p_bit = self.access_model.bit_error_probability(vdd)
-        if p_bit == 0.0:
-            return 0
-        p_any = -np.expm1(self.bits * np.log1p(-p_bit))
-        if self.rng.random() >= p_any:
-            return 0
-        # At least one flip: sample the full per-bit vector, retrying
-        # until non-empty (correct conditional distribution).
-        while True:
-            flips = self.rng.random(self.bits) < p_bit
-            if flips.any():
-                break
-        return int(pack_bits_u64(flips[None, :])[0])
-
-    #: Row block of the vectorized tester; bounds the Bernoulli matrix
-    #: held in memory to a few megabytes regardless of ``accesses``.
-    BER_CHUNK_DOUBLES = 1 << 20
-
     def measure_access_ber(
         self, vdd: float, accesses: int
     ) -> tuple[int, int]:
         """Run ``accesses`` word accesses; return (bit errors, bits).
 
         The quasi-static tester of Section IV: write a word, read it
-        back, count differing bits.  Vectorized: the per-access per-bit
-        Bernoulli matrix is drawn in chunks and counted with numpy.
-        Bit-exact with :meth:`measure_access_ber_scalar` under the same
-        RNG state, because numpy fills uniform draws sequentially in C
-        order.
+        back, count differing bits.  Vectorized through
+        :func:`count_bit_errors`; bit-exact with
+        :meth:`measure_access_ber_scalar` under the same RNG state.
         """
         if accesses <= 0:
             raise ValueError("accesses must be positive")
         p_bit = self.access_model.bit_error_probability(vdd)
         if p_bit == 0.0:
             return 0, accesses * self.bits
-        errors = 0
-        chunk = max(1, self.BER_CHUNK_DOUBLES // self.bits)
-        done = 0
-        while done < accesses:
-            rows = min(chunk, accesses - done)
-            errors += int(
-                np.count_nonzero(self.rng.random((rows, self.bits)) < p_bit)
-            )
-            done += rows
+        errors = count_bit_errors(self.rng, p_bit, accesses, self.bits)
         # Batch-granular telemetry: one registry touch per shmoo point.
         metrics = active_metrics()
         metrics.counter(names.MEMDEV_BER_ACCESSES).inc(accesses)
@@ -212,21 +208,14 @@ class MemoryArray:
     def measure_access_ber_scalar(
         self, vdd: float, accesses: int
     ) -> tuple[int, int]:
-        """Reference per-access loop of :meth:`measure_access_ber`.
-
-        Kept as the bit-exactness oracle for the batch path (and as the
-        scalar baseline of the perf harness): consumes the RNG stream
-        one access at a time and must return exactly the same counts as
-        the vectorized tester from an identical generator state.
-        """
+        """Reference per-access loop of :meth:`measure_access_ber`
+        (:func:`count_bit_errors_scalar`), publishing no telemetry."""
         if accesses <= 0:
             raise ValueError("accesses must be positive")
         p_bit = self.access_model.bit_error_probability(vdd)
         if p_bit == 0.0:
             return 0, accesses * self.bits
-        errors = 0
-        for _ in range(accesses):
-            errors += int(np.count_nonzero(self.rng.random(self.bits) < p_bit))
+        errors = count_bit_errors_scalar(self.rng, p_bit, accesses, self.bits)
         return errors, accesses * self.bits
 
     def measure_access_ber_grid(
@@ -243,49 +232,3 @@ class MemoryArray:
             errors, bits = self.measure_access_ber(float(vdd), accesses)
             rates[i] = errors / bits
         return rates
-
-    # ------------------------------------------------------------------
-    # Word storage (simulator backing store)
-    # ------------------------------------------------------------------
-    def read_word(self, address: int) -> int:
-        """Return the stored word (no fault injection at this level)."""
-        self._check_address(address)
-        return int(self._data[address])
-
-    def write_word(self, address: int, value: int) -> None:
-        """Store a word (must fit in ``bits``)."""
-        self._check_address(address)
-        if value < 0 or value >> self.bits:
-            raise ValueError(
-                f"value must fit in {self.bits} bits, got {value:#x}"
-            )
-        self._data[address] = value
-
-    def corrupt_retention(self, vdd: float) -> int:
-        """Flip stored bits of every cell that cannot retain at ``vdd``.
-
-        Models a standby excursion below the retention limit; failing
-        cells resolve to a random value, so each flips with p = 0.5.
-        Returns the number of flipped bits.
-        """
-        failures = self.retention_failures(vdd)
-        if not failures.any():
-            return 0
-        flips = failures & (self.rng.random(failures.shape) < 0.5)
-        masks = pack_bits_u64(flips)
-        self._data ^= masks
-        flipped = int(popcount_u64(masks).sum())
-        if flipped:
-            active_metrics().counter(
-                names.MEMDEV_RETENTION_FLIPPED_BITS
-            ).inc(flipped)
-            active_tracer().point(
-                names.POINT_MEMDEV_RETENTION_CORRUPTION, vdd=vdd, bits=flipped
-            )
-        return flipped
-
-    def _check_address(self, address: int) -> None:
-        if not 0 <= address < self.words:
-            raise IndexError(
-                f"address {address} out of range 0..{self.words - 1}"
-            )

@@ -207,11 +207,11 @@ class OceanRunner(SchemeRunner):
         )
         return Platform(
             im,
-            CodecPort(im, im_codec, raise_on_detect=True, auto_scrub=True),
+            CodecPort(im, im_codec, auto_scrub=True),
             sp,
-            CodecPort(sp, sp_codec, raise_on_detect=True),
+            CodecPort(sp, sp_codec),
             pm=pm,
-            pm_port=CodecPort(pm, pm_codec, raise_on_detect=True),
+            pm_port=CodecPort(pm, pm_codec),
         )
 
     def memory_specs(self) -> list[MemoryComponentSpec]:

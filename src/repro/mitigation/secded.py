@@ -58,9 +58,9 @@ class SecdedRunner(SchemeRunner):
         )
         return Platform(
             im,
-            CodecPort(im, codec, raise_on_detect=True, auto_scrub=True),
+            CodecPort(im, codec, auto_scrub=True),
             sp,
-            CodecPort(sp, codec, raise_on_detect=True, auto_scrub=True),
+            CodecPort(sp, codec, auto_scrub=True),
         )
 
     def memory_specs(self) -> list[MemoryComponentSpec]:

@@ -7,8 +7,7 @@ Five pillars:
   and picklable snapshots that merge exactly across process-pool
   workers.
 * :mod:`repro.obs.trace` — span-based structured tracing emitting
-  NDJSON to pluggable sinks, with a deterministic sampling knob for
-  fault-injection hot paths.
+  NDJSON to pluggable sinks.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seeds, git revision, versions, parameters, timings, metrics)
   written alongside campaign and benchmark outputs.

@@ -24,7 +24,6 @@ FAULTS_INJECTED_BITS = "faults.injected_bits"
 
 MEMDEV_RETENTION_TESTS = "memdev.retention_tests"
 MEMDEV_RETENTION_FAILING_BITS = "memdev.retention_failing_bits"
-MEMDEV_RETENTION_FLIPPED_BITS = "memdev.retention_flipped_bits"
 MEMDEV_BER_ACCESSES = "memdev.ber_accesses"
 MEMDEV_BER_ERRORS = "memdev.ber_errors"
 
@@ -143,9 +142,8 @@ SPAN_STUDY_SCHEME_RUN = "study.scheme_run"
 SPAN_SERVE_JOB = "serve.job"
 
 # ----------------------------------------------------------------------
-# Points (unsampled trace records)
+# Points (per-run and per-job trace records)
 # ----------------------------------------------------------------------
-POINT_MEMDEV_RETENTION_CORRUPTION = "memdev.retention_corruption"
 POINT_PLATFORM_DETECTED_ERROR = "platform.detected_error"
 POINT_PLATFORM_FAILURE = "platform.failure"
 POINT_PLATFORM_ROLLBACK = "platform.rollback"
@@ -165,7 +163,7 @@ POINT_SERVE_JOB_REQUEUED = "serve.job_requeued"
 POINT_SERVE_DRAIN = "serve.drain"
 
 # ----------------------------------------------------------------------
-# Events (sampled hot-path trace records)
+# Events (hot-path trace records)
 # ----------------------------------------------------------------------
 EVENT_FAULT_INJECT = "fault.inject"
 EVENT_FAULT_INJECT_BATCH = "fault.inject_batch"

@@ -4,7 +4,7 @@ Three consumers of the raw telemetry the rest of the package emits:
 
 * :func:`aggregate_spans` / :func:`format_cost_tree` roll an NDJSON
   trace (or an in-memory record list) into a hierarchical per-phase
-  cost tree — span counts, total/self durations, and the unsampled
+  cost tree — span counts, total/self durations, and the trace
   points that fired inside each span.
 * :func:`render_profile` renders the engine profiler's metrics
   snapshot (:mod:`repro.obs.profile`) as a terminal report: engine

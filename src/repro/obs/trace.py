@@ -5,13 +5,12 @@ Three record kinds, one JSON object per line:
 * ``span_start`` / ``span_end`` — a timed, nestable region opened with
   :meth:`Tracer.span`; the end record carries the measured duration
   and, if the body raised, the exception type.
-* ``point`` — an *unsampled* structured event (:meth:`Tracer.point`);
-  campaign outcome records use this so their counters sum exactly.
-* ``event`` — a *sampled* hot-path event (:meth:`Tracer.event`);
-  fault-injection sites use this.  The sampling knob is deterministic
-  (every ``round(1/sample)``-th call emits), so a seeded run traces
-  the same events every time; ``sample=0`` short-circuits before any
-  allocation happens.
+* ``point`` — a structured record (:meth:`Tracer.point`); campaign
+  outcome records use this so their counters sum exactly.
+* ``event`` — a hot-path record (:meth:`Tracer.event`);
+  fault-injection sites use this.  It carries the same fields as a
+  point under its own kind, so a reader can tell per-access records
+  from per-run ones.
 
 The default active tracer is a :class:`NullTracer` whose ``span``
 returns one shared no-op context manager — tracing that is off costs
@@ -187,10 +186,6 @@ class Tracer:
     ----------
     sink:
         Any object with ``emit(dict)`` / ``close()``.
-    sample:
-        Fraction of :meth:`event` calls that emit.  ``1.0`` keeps every
-        event, ``0.0`` keeps none (and allocates nothing); intermediate
-        values emit deterministically every ``round(1/sample)``-th call.
     clock:
         Timestamp source (seconds); injectable for tests.
     """
@@ -198,15 +193,10 @@ class Tracer:
     def __init__(
         self,
         sink: TraceSink,
-        sample: float = 1.0,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if not 0.0 <= sample <= 1.0:
-            raise ValueError(f"sample must be in [0, 1], got {sample}")
         self.sink = sink
         self.clock = clock
-        self._period = 0 if sample == 0.0 else max(1, round(1.0 / sample))
-        self._event_calls = 0
         self._ids = itertools.count(1)
         self._open = _OpenSpans()
 
@@ -235,27 +225,17 @@ class Tracer:
         return _Span(self, name, attrs)
 
     def point(self, name: str, **attrs: Any) -> None:
-        """Emit one unsampled structured record."""
-        self._emit(
-            {
-                "kind": "point",
-                "name": name,
-                "span": self._current_span_id(),
-                "t": self.clock(),
-                **attrs,
-            }
-        )
+        """Emit one structured record."""
+        self._record("point", name, attrs)
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Emit one *sampled* record (hot-path safe)."""
-        if self._period == 0:
-            return
-        self._event_calls += 1
-        if self._event_calls % self._period:
-            return
+        """Emit one hot-path record (kind ``event``)."""
+        self._record("event", name, attrs)
+
+    def _record(self, kind: str, name: str, attrs: dict[str, Any]) -> None:
         self._emit(
             {
-                "kind": "event",
+                "kind": kind,
                 "name": name,
                 "span": self._current_span_id(),
                 "t": self.clock(),
@@ -331,7 +311,6 @@ def active_tracer() -> Tracer | NullTracer:
 
 def enable_tracing(
     sink_or_path: Union[TraceSink, str, "os.PathLike[str]"],
-    sample: float = 1.0,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Tracer:
     """Install (and return) a live tracer.
@@ -345,7 +324,7 @@ def enable_tracing(
         if isinstance(sink_or_path, (str, os.PathLike))
         else sink_or_path
     )
-    _active = Tracer(sink, sample=sample, clock=clock)
+    _active = Tracer(sink, clock=clock)
     return _active
 
 

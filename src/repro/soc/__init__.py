@@ -12,6 +12,8 @@ simulator.  This subpackage is that platform, purpose-built:
 * :mod:`repro.soc.cpu` — cycle-counting interpreter core.
 * :mod:`repro.soc.memory` — instruction/scratchpad memories with
   voltage-dependent fault injection hooks.
+* :mod:`repro.soc.ports` — the CPU's memory ports: raw, or the ECC
+  wrapper of Section V (:class:`~repro.soc.ports.CodecPort`).
 * :mod:`repro.soc.faults` — the fault engine tying stored words to the
   Eq. 5 access-error models.
 * :mod:`repro.soc.energy_model` — per-module energy accounting (core,
@@ -27,8 +29,7 @@ from repro.soc.assembler import AssemblerError, assemble
 from repro.soc.cpu import Cpu, CpuState, ExecutionLimitExceeded
 from repro.soc.memory import FaultyMemory, MemoryAccessFault
 from repro.soc.faults import VoltageFaultModel
-from repro.soc.bus import BusStats, SharedBus
-from repro.soc.dma import DmaEngine, DmaStats
+from repro.soc.dma import DmaEngine
 from repro.soc.ports import CodecPort, DetectOnlyCodec, RawPort
 from repro.soc.energy_model import EnergyReport, PlatformEnergyModel
 from repro.soc.platform import Platform, PlatformConfig, SimulationResult
@@ -47,10 +48,7 @@ __all__ = [
     "FaultyMemory",
     "MemoryAccessFault",
     "VoltageFaultModel",
-    "SharedBus",
-    "BusStats",
     "DmaEngine",
-    "DmaStats",
     "RawPort",
     "CodecPort",
     "DetectOnlyCodec",

@@ -18,22 +18,6 @@ runs in bulk and are bit-exact with a per-word copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class DmaStats:
-    """Lifetime counters of one engine."""
-
-    transfers: int = 0
-    words_moved: int = 0
-    cycles: int = 0
-
-    def reset(self) -> None:
-        self.transfers = 0
-        self.words_moved = 0
-        self.cycles = 0
-
 
 class DmaEngine:
     """Port-to-port block copier with cycle accounting.
@@ -47,25 +31,13 @@ class DmaEngine:
         Per-transfer programming overhead (descriptor write, start).
     """
 
-    def __init__(
-        self,
-        cycles_per_word: int = 2,
-        setup_cycles: int = 8,
-        bus=None,
-        bus_master: str = "dma",
-    ) -> None:
+    def __init__(self, cycles_per_word: int = 2, setup_cycles: int = 8) -> None:
         if cycles_per_word < 1:
             raise ValueError("cycles_per_word must be at least 1")
         if setup_cycles < 0:
             raise ValueError("setup_cycles must be non-negative")
         self.cycles_per_word = cycles_per_word
         self.setup_cycles = setup_cycles
-        #: Optional shared bus (repro.soc.bus.SharedBus); when set, each
-        #: transfer arbitrates for the bus and stalls behind other
-        #: masters, and the stall cycles are charged to the transfer.
-        self.bus = bus
-        self.bus_master = bus_master
-        self.stats = DmaStats()
 
     def transfer(
         self,
@@ -88,13 +60,4 @@ class DmaEngine:
             raise ValueError(f"words must be positive, got {words}")
         block = source_port.read_block(source_base, words)
         dest_port.write_block(dest_base, block)
-        cycles = self.setup_cycles + words * self.cycles_per_word
-        if self.bus is not None:
-            waited, _ = self.bus.request(
-                self.bus_master, words, now_cycle=self.stats.cycles
-            )
-            cycles += waited
-        self.stats.transfers += 1
-        self.stats.words_moved += words
-        self.stats.cycles += cycles
-        return cycles
+        return self.setup_cycles + words * self.cycles_per_word

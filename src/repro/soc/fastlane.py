@@ -23,8 +23,8 @@ Bit-exactness contract (checked by the differential fuzzer in
   positionally identical to per-access sampling.
 * **Counters.**  Burst accesses are settled through the ports'
   ``account_clean_*`` hooks, which bump exactly the counters the
-  per-access path would have bumped (memory access counters, wrapper
-  read/write stats).  Corrected/detected counters never move in a
+  per-access path would have bumped (memory access counters, codec
+  port read/write stats).  Corrected/detected counters never move in a
   burst because a burst only ever touches words that decode CLEAN.
 * **Faithful slow path.**  Anything the burst cannot handle — the
   budgeted access where the fault lands, a stored word that does not
@@ -323,7 +323,7 @@ def lane_capable(platform) -> bool:
     The one applicability check of both clean-view engines — the fast
     lane and the lockstep :class:`~repro.soc.simd.LaneBlock`.  Only
     the stock port types with a 32-bit data side qualify, so the
-    plain-word views are faithful; any wrapper (custom
+    plain-word views are faithful; any other port (custom
     instrumentation) observes per-access traffic that a burst would
     hide, and execution stays on the reference interpreter.
     """

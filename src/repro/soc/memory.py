@@ -2,10 +2,10 @@
 
 One :class:`FaultyMemory` models one physical macro (instruction
 memory, scratchpad, or protected buffer).  It stores raw words of any
-configured width — 32 bits when unprotected, wider when an ECC wrapper
-stores codewords — and applies the voltage-dependent fault engine on
-every access.  Access counters feed the per-module energy accounting of
-Figures 8 and 9.
+configured width — 32 bits when unprotected, wider when a
+:class:`~repro.soc.ports.CodecPort` stores codewords — and applies the
+voltage-dependent fault engine on every access.  Access counters feed
+the per-module energy accounting of Figures 8 and 9.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class AccessCounters:
     @property
     def total(self) -> int:
         return self.reads + self.writes
-
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
 
 
 class FaultyMemory:
@@ -84,14 +80,14 @@ class FaultyMemory:
         #: compare it to detect staleness without hooking every writer.
         self.version = 0
         #: Address of the latest per-access mutation (a write or a
-        #: destructive read upset); back-door loads, pokes and restores
-        #: leave it alone.  A clean-view engine reads it after a faithful
+        #: destructive read upset); back-door loads and pokes leave it
+        #: alone.  A clean-view engine reads it after a faithful
         #: slow step — which can mutate at most one word per memory — to
         #: re-derive just that view cell.
         self.mutated_address: int | None = None
 
     # ------------------------------------------------------------------
-    # WordStore protocol (compatible with repro.ecc.wrapper)
+    # Per-access path (the ports' read/write; faults and counters)
     # ------------------------------------------------------------------
     def read(self, address: int) -> int:
         """Return the stored word, possibly corrupted by a read upset.
@@ -128,7 +124,7 @@ class FaultyMemory:
         self.mutated_address = address
 
     # ------------------------------------------------------------------
-    # Back-door access (loader / checker; no faults, no counters)
+    # Back-door access (no faults, no counters)
     # ------------------------------------------------------------------
     def load(self, words: list[int], base: int = 0) -> None:
         """Bulk-load contents without faults or counter updates.
@@ -165,24 +161,20 @@ class FaultyMemory:
         return self._data[base:base + count]
 
     def poke(self, address: int, value: int) -> None:
-        """Set a word without faults or counters (test hook)."""
+        """Set a word without faults or counters.
+
+        The store of settled clean runs: block transfers and the
+        engines' write-backs poke words whose counters and fault
+        samples they have already accounted for.  Tests also poke
+        latent corruption through it.
+        """
         self._check(address)
         self._data[address] = value
         self.version += 1
 
     def snapshot(self) -> list[int]:
-        """Return a copy of the full contents (checkpoint support)."""
+        """Return a copy of the full contents."""
         return list(self._data)
-
-    def restore(self, snapshot: list[int]) -> None:
-        """Restore contents from :meth:`snapshot` (rollback support)."""
-        if len(snapshot) != self.words:
-            raise ValueError(
-                f"{self.name}: snapshot length {len(snapshot)} != "
-                f"{self.words}"
-            )
-        self._data = list(snapshot)
-        self.version += 1
 
     def _check(self, address: int) -> None:
         if not 0 <= address < self.words:

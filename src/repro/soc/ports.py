@@ -2,8 +2,11 @@
 
 The CPU talks to memories through ports.  A :class:`RawPort` passes
 32-bit words straight through (the no-mitigation baseline); a
-:class:`CodecPort` stores codewords and runs the codec on every access
-(the SECDED wrapper of Section V, or the BCH-protected OCEAN buffer).
+:class:`CodecPort` is the paper's "digital wrapper around existing
+commercially available memories": it stores codewords, runs the codec
+on every access and keeps the correction/detection counts of the
+run-time monitoring loop (SECDED on IM and SP in Section V, OCEAN's
+detect-only scratchpad and BCH-protected buffer).
 Ports also provide the fault-free back-door used to load programs and
 initial data and to inspect results, and block transfers
 (:meth:`BlockTransfers.read_block`, :meth:`BlockTransfers.write_block`,
@@ -12,6 +15,8 @@ DMA.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +28,36 @@ from repro.ecc.base import (
     DecodeResult,
     DecodeStatus,
 )
-from repro.ecc.wrapper import CodecMemoryWrapper, UncorrectableError, WrapperStats
 from repro.soc.memory import FaultyMemory
 
 #: Runs of at least this many words take the vectorized codec paths
 #: (block transfers and the engines' dirty-store write-backs); shorter
 #: runs stay on the scalar codec.
 BATCH_THRESHOLD = 16
+
+
+@dataclass
+class PortStats:
+    """Per-port access and correction/detection counters, food for the
+    run-time monitoring loop (Section IV)."""
+
+    reads: int = 0
+    writes: int = 0
+    corrected_words: int = 0
+    corrected_bits: int = 0
+    detected_words: int = 0
+
+
+class UncorrectableError(Exception):
+    """A :class:`CodecPort` read a word its codec could only detect."""
+
+    def __init__(self, address: int, result: DecodeResult) -> None:
+        super().__init__(
+            f"uncorrectable error at address {address:#x} "
+            f"(best-effort data {result.data:#x})"
+        )
+        self.address = address
+        self.result = result
 
 
 def poke_encoded(memory: FaultyMemory, codec, addresses, values) -> None:
@@ -57,7 +85,7 @@ class BlockTransfers:
 
     Each method is bit-exact with the loop of per-word ``read`` /
     ``write`` calls it replaces: returned values, stored words, access
-    counters, wrapper stats, RNG stream positions, fault events (and
+    counters, port stats, RNG stream positions, fault events (and
     their order) and exceptions all match.  What changes is how a run
     of accesses that the fault engine guarantees clean is settled: in
     bulk, with the gap read through ``clean_run_length`` (drawn only
@@ -221,7 +249,7 @@ class RawPort(BlockTransfers):
                 f"RawPort needs a 32-bit memory, got {memory.width}"
             )
         self.memory = memory
-        self.stats = WrapperStats()  # stays all-zero; uniform interface
+        self.stats = PortStats()  # stays all-zero; uniform interface
 
     def read(self, address: int) -> int:
         return self.memory.read(address)
@@ -240,7 +268,7 @@ class RawPort(BlockTransfers):
     # -- fast-lane bulk accounting ------------------------------------
     # A clean burst performs its reads/writes against a cached plain
     # view; these settle the counters that the per-access path would
-    # have bumped.  RawPort reads never touch the (all-zero) wrapper
+    # have bumped.  RawPort reads never touch the (all-zero) port
     # stats, so only the memory counters move.
     def account_clean_reads(self, count: int) -> None:
         self.memory.counters.reads += count
@@ -250,20 +278,19 @@ class RawPort(BlockTransfers):
 
 
 class CodecPort(BlockTransfers):
-    """ECC-wrapped port: encode on write, decode (and count) on read.
+    """ECC-wrapped port: encode on write, decode, count and escalate on
+    read.
 
-    ``raise_on_detect`` mirrors :class:`CodecMemoryWrapper`: SECDED
-    systems raise on uncorrectable words (double errors) so the
-    platform can flag a system failure; OCEAN's detection port raises
-    so the controller can roll back.
+    A read of a DETECTED word raises :class:`UncorrectableError`:
+    SECDED platforms flag a system failure, and OCEAN's controller
+    rolls back.  ``auto_scrub`` rewrites the corrected codeword after
+    every corrected read, so single-bit upsets cannot accumulate into
+    double errors over a long run; it costs one extra memory write per
+    correction.
     """
 
     def __init__(
-        self,
-        memory: FaultyMemory,
-        codec: Codec,
-        raise_on_detect: bool = True,
-        auto_scrub: bool = False,
+        self, memory: FaultyMemory, codec: Codec, auto_scrub: bool = False
     ) -> None:
         if memory.width != codec.code_bits:
             raise ValueError(
@@ -272,43 +299,46 @@ class CodecPort(BlockTransfers):
             )
         self.memory = memory
         self.codec = codec
-        self.wrapper = CodecMemoryWrapper(
-            memory, codec, raise_on_detect=raise_on_detect,
-            auto_scrub=auto_scrub,
-        )
-
-    @property
-    def stats(self) -> WrapperStats:
-        return self.wrapper.stats
+        self.auto_scrub = auto_scrub
+        self.stats = PortStats()
 
     def read(self, address: int) -> int:
-        return self.wrapper.read(address)
+        result = self.codec.decode(self.memory.read(address))
+        stats = self.stats
+        stats.reads += 1
+        if result.status is DecodeStatus.CORRECTED:
+            stats.corrected_words += 1
+            stats.corrected_bits += result.corrected_bits
+            if self.auto_scrub:
+                self.memory.write(address, self.codec.encode(result.data))
+        elif result.status is DecodeStatus.DETECTED:
+            stats.detected_words += 1
+            raise UncorrectableError(address, result)
+        return result.data
 
     def write(self, address: int, value: int) -> None:
-        self.wrapper.write(address, value)
+        self.stats.writes += 1
+        self.memory.write(address, self.codec.encode(value))
 
     def load(self, words: list[int], base: int = 0) -> None:
         """Fault-free bulk load: encode and poke behind the counters."""
-        encoded = self.codec.encode_batch(
-            np.asarray(words, dtype=np.uint64)
-        )
-        self.memory.load([int(word) for word in encoded], base)
+        self.memory.load(self.codec.encode_batch(words).tolist(), base)
 
     def peek(self, address: int) -> int:
         """Fault-free best-effort decode (result inspection)."""
         return self.codec.decode(self.memory.peek(address)).data
 
     # -- fast-lane bulk accounting ------------------------------------
-    # Per-access reads bump both the memory counters (store.read) and
-    # the wrapper stats; clean bursts must settle both.  No corrected/
+    # Per-access reads bump both the memory counters (memory.read) and
+    # the port stats; clean bursts must settle both.  No corrected/
     # detected counters move: a burst only ever covers CLEAN words.
     def account_clean_reads(self, count: int) -> None:
         self.memory.counters.reads += count
-        self.wrapper.stats.reads += count
+        self.stats.reads += count
 
     def account_clean_writes(self, count: int) -> None:
         self.memory.counters.writes += count
-        self.wrapper.stats.writes += count
+        self.stats.writes += count
 
 
 class DetectOnlyCodec(Codec):
@@ -370,6 +400,7 @@ __all__ = [
     "RawPort",
     "CodecPort",
     "DetectOnlyCodec",
+    "PortStats",
     "UncorrectableError",
     "copy_block",
     "poke_encoded",

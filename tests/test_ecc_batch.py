@@ -97,6 +97,13 @@ class TestEncodeBatch:
 
     def test_accepts_plain_lists(self, codec):
         assert codec.encode_batch([0, 1, 2]).dtype == np.uint64
+        np.testing.assert_array_equal(
+            codec.encode_batch(np.array([0, 1, 2], dtype=np.int64)),
+            codec.encode_batch([0, 1, 2]),
+        )
+        assert codec.encode_batch([]).dtype == np.uint64
+        assert len(codec.encode_batch([])) == 0
+        assert len(codec.decode_batch(np.array([]))) == 0
 
     @given(words=st.lists(
         st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=64

@@ -1,6 +1,4 @@
-"""Tests for parity, interleaving and the codec memory wrapper."""
-
-import random
+"""Tests for the parity and interleaved codecs."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +9,6 @@ from repro.ecc.bch import BchCodec
 from repro.ecc.hamming import SecdedCodec
 from repro.ecc.interleave import InterleavedCodec
 from repro.ecc.parity import ParityCodec
-from repro.ecc.wrapper import CodecMemoryWrapper, UncorrectableError
-
-
-class DictStore:
-    """Trivial raw word store for wrapper tests."""
-
-    def __init__(self):
-        self.words = {}
-
-    def read(self, address):
-        return self.words.get(address, 0)
-
-    def write(self, address, value):
-        self.words[address] = value
 
 
 class TestParity:
@@ -100,69 +84,3 @@ class TestInterleaved:
         assert bch.decode(bch_word).status is DecodeStatus.CORRECTED
         il_word = interleaved.encode(777) ^ 0b10001
         assert interleaved.decode(il_word).status is DecodeStatus.DETECTED
-
-
-class TestCodecMemoryWrapper:
-    def test_write_read_round_trip(self):
-        wrapper = CodecMemoryWrapper(DictStore(), SecdedCodec())
-        wrapper.write(4, 0xFEEDFACE)
-        assert wrapper.read(4) == 0xFEEDFACE
-        assert wrapper.stats.reads == 1
-        assert wrapper.stats.writes == 1
-
-    def test_storage_holds_codewords_not_data(self):
-        store = DictStore()
-        wrapper = CodecMemoryWrapper(store, SecdedCodec())
-        wrapper.write(0, 0xFEEDFACE)
-        assert store.words[0] == SecdedCodec().encode(0xFEEDFACE)
-
-    def test_single_flip_corrected_and_counted(self):
-        store = DictStore()
-        wrapper = CodecMemoryWrapper(store, SecdedCodec())
-        wrapper.write(0, 42)
-        store.words[0] ^= 1 << 17
-        assert wrapper.read(0) == 42
-        assert wrapper.stats.corrected_words == 1
-        assert wrapper.stats.corrected_bits == 1
-
-    def test_double_flip_raises(self):
-        store = DictStore()
-        wrapper = CodecMemoryWrapper(store, SecdedCodec())
-        wrapper.write(0, 42)
-        store.words[0] ^= 0b101
-        with pytest.raises(UncorrectableError) as excinfo:
-            wrapper.read(0)
-        assert excinfo.value.address == 0
-        assert wrapper.stats.detected_words == 1
-
-    def test_double_flip_best_effort_when_not_raising(self):
-        store = DictStore()
-        wrapper = CodecMemoryWrapper(store, SecdedCodec(), raise_on_detect=False)
-        wrapper.write(0, 42)
-        store.words[0] ^= 0b101
-        wrapper.read(0)  # returns best effort, no raise
-        assert wrapper.stats.detected_words == 1
-
-    def test_scrub_repairs_single_errors(self):
-        store = DictStore()
-        wrapper = CodecMemoryWrapper(store, SecdedCodec())
-        rng = random.Random(0)
-        originals = {}
-        for address in range(16):
-            value = rng.getrandbits(32)
-            originals[address] = value
-            wrapper.write(address, value)
-        for address in (3, 7, 11):
-            store.words[address] ^= 1 << rng.randrange(39)
-        repaired = wrapper.scrub(range(16))
-        assert repaired == 3
-        for address in range(16):
-            assert wrapper.read(address) == originals[address]
-
-    def test_stats_reset(self):
-        wrapper = CodecMemoryWrapper(DictStore(), SecdedCodec())
-        wrapper.write(0, 1)
-        wrapper.read(0)
-        wrapper.stats.reset()
-        assert wrapper.stats.reads == 0
-        assert wrapper.stats.writes == 0

@@ -5,7 +5,6 @@ Covers the contracts the instrumented layers rely on:
 * metric snapshots merge *exactly* across process-pool workers;
 * span traces are well-formed NDJSON with correct nesting and timing,
   and each thread nests its spans on a stack of its own;
-* ``sample=0`` tracing allocates no events;
 * a seeded campaign's manifest provenance is byte-reproducible;
 * the acceptance criterion — a Figure-8-condition campaign's trace
   counters sum exactly to the :class:`CampaignResult` totals, serial
@@ -297,24 +296,17 @@ class TestTracer:
         assert start["span"] == end["span"]
         assert end["dur_s"] >= 0.0
 
-    def test_event_sampling_every_other(self):
+    def test_event_emits_on_every_call(self):
         sink = InMemorySink()
-        tracer = Tracer(sink, sample=0.5)
-        for i in range(10):
-            tracer.event("e", i=i)
-        assert [e["i"] for e in sink.events] == [1, 3, 5, 7, 9]
-
-    def test_sample_zero_allocates_nothing(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink, sample=0.0)
-        for _ in range(1000):
-            tracer.event("e", payload="ignored")
-        assert sink.events == []
-        assert tracer._event_calls == 0  # short-circuited pre-counting
-
-    def test_sample_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="sample"):
-            Tracer(InMemorySink(), sample=1.5)
+        tracer = Tracer(sink, clock=lambda: 1.0)
+        with tracer.span("region") as span:
+            for i in range(3):
+                tracer.event("e", i=i)
+        events = [e for e in sink.events if e["kind"] == "event"]
+        assert [e["i"] for e in events] == [0, 1, 2]
+        assert {(e["name"], e["span"], e["t"]) for e in events} == {
+            ("e", span.span_id, 1.0)
+        }
 
     def test_null_tracer_is_free(self):
         null = NullTracer()

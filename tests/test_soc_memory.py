@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.access import ACCESS_CELL_BASED_40NM
+from repro.ecc.base import DecodeStatus
+from repro.ecc.bch import BchCodec
 from repro.ecc.hamming import SecdedCodec
 from repro.soc.energy_model import (
     MemoryComponentSpec,
@@ -11,8 +13,13 @@ from repro.soc.energy_model import (
 )
 from repro.soc.faults import VoltageFaultModel
 from repro.soc.memory import FaultyMemory, MemoryAccessFault
-from repro.soc.ports import CodecPort, DetectOnlyCodec, RawPort
-from repro.ecc.wrapper import UncorrectableError
+from repro.soc.platform import Platform
+from repro.soc.ports import (
+    CodecPort,
+    DetectOnlyCodec,
+    RawPort,
+    UncorrectableError,
+)
 
 
 class TestVoltageFaultModel:
@@ -109,11 +116,13 @@ class TestFaultyMemory:
         assert memory.peek(0) == 0b1001
 
     def test_snapshot_restore(self):
+        """A snapshot is a copy; loading it back restores the contents."""
         memory = FaultyMemory("SP", 8, 32)
         memory.write(2, 5)
         snap = memory.snapshot()
         memory.write(2, 9)
-        memory.restore(snap)
+        assert snap[2] == 5
+        memory.load(snap)
         assert memory.peek(2) == 5
 
     def test_fault_engine_width_must_match(self):
@@ -160,6 +169,49 @@ class TestPorts:
         assert [port.peek(i) for i in range(3)] == [1, 2, 3]
         port.write(4, 0xFEED)
         assert port.read(4) == 0xFEED
+        # The load is a back-door: only the write and the read count.
+        assert (port.stats.reads, port.stats.writes) == (1, 1)
+        assert (memory.counters.reads, memory.counters.writes) == (1, 1)
+
+    def test_codec_port_write_read_round_trip(self):
+        port = CodecPort(FaultyMemory("SP", 8, 39), SecdedCodec())
+        port.write(4, 0xFEEDFACE)
+        assert port.read(4) == 0xFEEDFACE
+        assert port.stats.reads == 1
+        assert port.stats.writes == 1
+        assert port.stats.corrected_words == port.stats.detected_words == 0
+
+    def test_codec_port_stores_codewords(self):
+        memory = FaultyMemory("SP", 8, 39)
+        port = CodecPort(memory, SecdedCodec())
+        port.write(0, 0xFEEDFACE)
+        port.load([7], base=1)
+        assert memory.peek(0) == SecdedCodec().encode(0xFEEDFACE)
+        assert memory.peek(1) == SecdedCodec().encode(7)
+
+    def test_codec_port_single_flip_corrected_and_counted(self):
+        memory = FaultyMemory("SP", 8, 39)
+        port = CodecPort(memory, SecdedCodec())
+        port.write(0, 42)
+        memory.poke(0, memory.peek(0) ^ (1 << 17))
+        assert port.read(0) == 42
+        assert port.stats.corrected_words == 1
+        assert port.stats.corrected_bits == 1
+        assert port.stats.detected_words == 0
+        # Without auto_scrub the flipped codeword stays stored.
+        assert memory.peek(0) == SecdedCodec().encode(42) ^ (1 << 17)
+
+    def test_codec_port_double_flip_raises(self):
+        memory = FaultyMemory("SP", 8, 39)
+        port = CodecPort(memory, SecdedCodec())
+        port.write(3, 42)
+        memory.poke(3, memory.peek(3) ^ 0b101)
+        with pytest.raises(UncorrectableError) as excinfo:
+            port.read(3)
+        assert excinfo.value.address == 3
+        assert excinfo.value.result.status is DecodeStatus.DETECTED
+        assert port.stats.detected_words == 1
+        assert port.stats.corrected_words == 0
 
     def test_codec_port_corrects_and_scrubs(self):
         memory = FaultyMemory("SP", 8, 39)
@@ -177,8 +229,6 @@ class TestPorts:
     def test_detect_only_codec_never_corrects(self):
         codec = DetectOnlyCodec(SecdedCodec())
         codeword = codec.encode(123) ^ 1  # single flip
-        from repro.ecc.base import DecodeStatus
-
         result = codec.decode(codeword)
         assert result.status is DecodeStatus.DETECTED
 
@@ -189,6 +239,52 @@ class TestPorts:
         memory.poke(0, memory.peek(0) ^ 1)
         with pytest.raises(UncorrectableError):
             port.read(0)
+
+
+_CODECS = {
+    "secded": SecdedCodec,
+    "bch": lambda: BchCodec(data_bits=32, t=4),
+    "detect": lambda: DetectOnlyCodec(SecdedCodec()),
+}
+
+
+class TestBatchValidation:
+    """The batch codec API rejects what the scalar one rejects, with
+    ``ValueError``, and never truncates; both port kinds load alike.
+    (``tests/test_ecc_batch.py`` checks what it accepts.)"""
+
+    @pytest.mark.parametrize("kind", sorted(_CODECS))
+    @pytest.mark.parametrize("bad", [
+        [-1],
+        np.array([-1], dtype=np.int64),
+        np.array([1.7]),
+        np.array([3.9]),
+        [2.0],
+        [1 << 64],
+    ], ids=["int", "int64", "float", "float-up", "integral-float", "wide"])
+    def test_rejects_negative_non_integer_and_wide_words(self, kind, bad):
+        codec = _CODECS[kind]()
+        with pytest.raises(ValueError):
+            codec.encode_batch(bad)
+        with pytest.raises(ValueError):
+            codec.decode_batch(bad)
+
+    @pytest.mark.parametrize("kind", ["raw", *sorted(_CODECS)])
+    @pytest.mark.parametrize("bad", [-1, 1 << 32])
+    def test_platform_load_data_rejects_bad_words_alike(self, kind, bad):
+        codec = None if kind == "raw" else _CODECS[kind]()
+        width = 32 if codec is None else codec.code_bits
+        im, sp = FaultyMemory("IM", 8, width), FaultyMemory("SP", 8, width)
+        if codec is None:
+            platform = Platform(im, RawPort(im), sp, RawPort(sp))
+        else:
+            platform = Platform(
+                im, CodecPort(im, codec), sp, CodecPort(sp, codec)
+            )
+        with pytest.raises(ValueError):
+            platform.load_data([5, bad, 6])
+        assert sp.snapshot() == [0] * 8
+        assert sp.version == 0
 
 
 def _corrupted_codewords(codec, flips, n=256, seed=7):

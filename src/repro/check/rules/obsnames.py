@@ -6,9 +6,8 @@ zero because a refactor renamed the counter.  The canonical name
 registry is :mod:`repro.obs.names`; this rule pins every call site to
 it.
 
-A name argument to ``counter``/``gauge``/``timer``/``histogram`` (on a
-metrics registry) or ``span``/``point``/``event`` (on a tracer) must be
-one of:
+A name argument to ``counter``/``histogram`` (on a metrics registry)
+or ``span``/``point``/``event`` (on a tracer) must be one of:
 
 * a string literal that appears in the registry (drift — a literal not
   in ``repro/obs/names.py`` — is an error),
@@ -33,7 +32,7 @@ from repro.check.rules import Rule, _in_repro_src, register
 if TYPE_CHECKING:
     from repro.check.engine import FileContext, Finding, Project
 
-_METRIC_METHODS = frozenset({"counter", "gauge", "timer", "histogram"})
+_METRIC_METHODS = frozenset({"counter", "histogram"})
 _TRACE_METHODS = frozenset({"span", "point", "event"})
 
 _NAMES_MODULE = "repro.obs.names"

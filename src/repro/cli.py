@@ -434,7 +434,10 @@ def run(argv: list[str] | None = None) -> str:
     # their platform to the FFT.
     try:
         if args.exhibit == "campaign":
-            check_fft_fits(args.fft, args.scheme)
+            check_fft_fits(
+                args.fft, args.scheme,
+                SCHEME_RUNNERS[args.scheme].data_words(),
+            )
         else:
             check_fft_size(args.fft)
     except ValueError as error:

@@ -1,7 +1,8 @@
 """Run-time error mitigation schemes (Section V).
 
 Three executable schemes, each pairing failure semantics (for the FIT
-solver) with a platform runner (for the cycle-level simulation):
+solver) with a platform runner (for the cycle-level simulation) that
+declares its memories once, as :attr:`SchemeRunner.memories`:
 
 * :mod:`repro.mitigation.none_scheme` — no mitigation: bit flips reach
   the core unchecked.

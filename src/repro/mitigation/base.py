@@ -1,31 +1,35 @@
 """Common mitigation-runner machinery.
 
 A :class:`SchemeRunner` takes a streaming workload, builds the platform
-with its scheme's ports and fault engines at a given supply voltage,
-executes the workload, and returns a :class:`RunOutcome` containing the
-produced output, the simulation counters and the Figure 8/9 energy
-report.  The harness (benchmarks, examples) compares the output against
-the workload's golden model — a *silently* wrong result is exactly what
-distinguishes the no-mitigation baseline from the protected schemes.
+its scheme declares (:attr:`SchemeRunner.memories`) at a given supply
+voltage, executes the workload, and returns a :class:`RunOutcome`
+containing the produced output, the simulation counters and the Figure
+8/9 energy report.  The harness (benchmarks, examples) compares the
+output against the workload's golden model — a *silently* wrong result
+is exactly what distinguishes the no-mitigation baseline from the
+protected schemes.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Generator
+from typing import Callable, Generator
 
 import numpy as np
 
 from repro.core.access import AccessErrorModel
 from repro.core.errors import validate_vdd
 from repro.core.fit_solver import SchemeReliability
+from repro.ecc.base import Codec
 from repro.soc.cpu import StopReason
 from repro.soc.energy_model import (
     EnergyReport,
     MemoryComponentSpec,
     PlatformEnergyModel,
+    check_macro_style,
 )
+from repro.soc.faults import VoltageFaultModel
+from repro.soc.memory import FaultyMemory
 from repro.soc.platform import (
     DetectedError,
     Platform,
@@ -33,7 +37,35 @@ from repro.soc.platform import (
     SimulationResult,
     SystemFailure,
 )
+from repro.soc.ports import CodecPort, RawPort
 from repro.workloads.streaming import StreamingWorkload
+
+
+@dataclass(frozen=True)
+class SchemeMemory:
+    """How a scheme protects one memory of the Figure 6 platform.
+
+    A scheme lists one per memory in :attr:`SchemeRunner.memories`;
+    the runner builds the memory, its fault model and its port from it,
+    and prices it in the Figure 8/9 energy model.
+    """
+
+    #: ``"IM"``, ``"SP"`` or ``"PM"``: picks the memory's size in
+    #: :class:`~repro.soc.platform.PlatformConfig` and its platform slot.
+    name: str
+    #: Builds the port's codec; None wires a raw 32-bit port.  The
+    #: memory stores the codec's ``code_bits``-wide codewords.
+    codec: Callable[[], Codec] | None = None
+    #: Rewrite each corrected word (:class:`~repro.soc.ports.CodecPort`).
+    auto_scrub: bool = False
+    #: Per-access energy multiplier of the codec logic.
+    codec_energy_factor: float = 1.0
+    #: Fraction of the time the memory leaks at full supply.
+    leakage_duty: float = 1.0
+
+
+def _words(config: PlatformConfig, memory: SchemeMemory) -> int:
+    return getattr(config, f"{memory.name.lower()}_words")
 
 
 @dataclass(frozen=True)
@@ -62,8 +94,8 @@ class RunOutcome:
         )
 
 
-class SchemeRunner(abc.ABC):
-    """Base class of the three Section V mitigation runners.
+class SchemeRunner:
+    """Base class of the Section V mitigation runners.
 
     Parameters
     ----------
@@ -80,14 +112,19 @@ class SchemeRunner(abc.ABC):
     (bit-exact with the reference interpreter, see
     :class:`~repro.soc.platform.Platform`), and whoever binds another
     engine drives the scheme through :meth:`prepare`, :meth:`control`
-    and :meth:`collect_outcome` itself.  A scheme writes its run
-    controller once, as :meth:`control`.
+    and :meth:`collect_outcome` itself.  A scheme declares its
+    platform once, as :attr:`memories`, and writes its run controller
+    once, as :meth:`control`.
     """
 
     #: Scheme name, matching the fit-solver scheme.
     name: str
     #: Failure semantics used by the Table 2 solver.
     reliability: SchemeReliability
+    #: The platform's memories and their protection, in fault-RNG salt
+    #: order (1, 2, 3...): :meth:`build_platform` builds them and
+    #: :meth:`collect_outcome` prices them.
+    memories: tuple[SchemeMemory, ...]
 
     def __init__(
         self,
@@ -99,23 +136,62 @@ class SchemeRunner(abc.ABC):
         self.access_model = access_model
         self.config = config if config is not None else PlatformConfig()
         self.seed = seed
-        self.macro_style = macro_style
+        self.macro_style = check_macro_style(macro_style)
         #: The platform of the most recent :meth:`prepare`, kept for
         #: post-run inspection (RNG stream positions, cache state) by
         #: benchmarks and differential tests.
         self.last_platform: Platform | None = None
 
     # ------------------------------------------------------------------
-    # Scheme-specific hooks
+    # The declared platform
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def build_platform(self, vdd: float) -> Platform:
-        """Assemble memories, fault engines and ports for this scheme."""
+        """Build each declared memory with its fault model and port.
 
-    @abc.abstractmethod
-    def memory_specs(self) -> list[MemoryComponentSpec]:
-        """Component widths/codec factors for the energy model."""
+        A memory stores its codec's codewords (32-bit words behind a
+        raw port); its fault model draws from this runner's seed salted
+        by the memory's place in :attr:`memories`, counting from 1.
+        """
+        vdd = validate_vdd(vdd, f"{self.name}.build_platform")
+        wiring: dict = {}
+        for salt, declared in enumerate(self.memories, start=1):
+            codec = None if declared.codec is None else declared.codec()
+            width = 32 if codec is None else codec.code_bits
+            memory = FaultyMemory(
+                declared.name,
+                _words(self.config, declared),
+                width=width,
+                faults=VoltageFaultModel(
+                    self.access_model, width, vdd, rng=self._rng(salt)
+                ),
+            )
+            slot = declared.name.lower()
+            wiring[slot] = memory
+            wiring[f"{slot}_port"] = (
+                RawPort(memory)
+                if codec is None
+                else CodecPort(memory, codec, auto_scrub=declared.auto_scrub)
+            )
+        return Platform(**wiring)
 
+    @classmethod
+    def data_words(cls) -> int:
+        """Words of workload data the stock platform can hold.
+
+        The data loads into the scratchpad, and every other data memory
+        (OCEAN's checkpoint buffer) holds a copy of all of it; the
+        instruction memory holds only the program.
+        """
+        config = PlatformConfig()
+        return min(
+            _words(config, declared)
+            for declared in cls.memories
+            if declared.name != "IM"
+        )
+
+    # ------------------------------------------------------------------
+    # The scheme's run controller
+    # ------------------------------------------------------------------
     def control(
         self, platform: Platform, workload: StreamingWorkload
     ) -> Generator[None, None, tuple[bool, str | None, int, int]]:
@@ -203,8 +279,20 @@ class SchemeRunner(abc.ABC):
                     workload.result_base, workload.result_words
                 )
             )
+        specs = []
+        for declared in self.memories:
+            memory = getattr(platform, declared.name.lower())
+            specs.append(
+                MemoryComponentSpec(
+                    name=declared.name,
+                    words=memory.words,
+                    stored_bits=memory.width,
+                    codec_energy_factor=declared.codec_energy_factor,
+                    leakage_duty=declared.leakage_duty,
+                )
+            )
         energy_model = PlatformEnergyModel(
-            self.memory_specs(), macro_style=self.macro_style
+            specs, macro_style=self.macro_style
         )
         report = energy_model.report(
             vdd=vdd,

@@ -16,15 +16,11 @@ why the demand-driven OCEAN approach wins at equal protection.
 
 from __future__ import annotations
 
-from repro.core.errors import validate_vdd
+from functools import partial
+
 from repro.core.fit_solver import SchemeReliability
 from repro.ecc.bch import BchCodec
-from repro.soc.energy_model import MemoryComponentSpec
-from repro.soc.faults import VoltageFaultModel
-from repro.soc.memory import FaultyMemory
-from repro.soc.platform import Platform
-from repro.soc.ports import CodecPort
-from repro.mitigation.base import SchemeRunner
+from repro.mitigation.base import SchemeMemory, SchemeRunner
 
 #: DECTED failure semantics: corrects 2, detects 3, dies at 4
 #: simultaneous errors in a 44-bit stored word.
@@ -36,52 +32,17 @@ SCHEME_DECTED = SchemeReliability(
 #: 1.15 and the t=4 buffer's 1.30).
 DECTED_CODEC_ENERGY_FACTOR = 1.22
 
+_bch_t2 = partial(BchCodec, data_bits=32, t=2)
+
 
 class DectedRunner(SchemeRunner):
     """Platform with BCH t=2 wrappers on IM and SP."""
 
     name = "DECTED"
     reliability = SCHEME_DECTED
-
-    def build_platform(self, vdd: float) -> Platform:
-        vdd = validate_vdd(vdd, "DECTED.build_platform")
-        codec = BchCodec(data_bits=32, t=2)
-        assert codec.code_bits == SCHEME_DECTED.word_bits
-        im = FaultyMemory(
-            "IM",
-            self.config.im_words,
-            width=codec.code_bits,
-            faults=VoltageFaultModel(
-                self.access_model, codec.code_bits, vdd, rng=self._rng(1),
-            ),
-        )
-        sp = FaultyMemory(
-            "SP",
-            self.config.sp_words,
-            width=codec.code_bits,
-            faults=VoltageFaultModel(
-                self.access_model, codec.code_bits, vdd, rng=self._rng(2),
-            ),
-        )
-        return Platform(
-            im,
-            CodecPort(im, codec, auto_scrub=True),
-            sp,
-            CodecPort(sp, codec, auto_scrub=True),
-        )
-
-    def memory_specs(self) -> list[MemoryComponentSpec]:
-        return [
-            MemoryComponentSpec(
-                name="IM",
-                words=self.config.im_words,
-                stored_bits=44,
-                codec_energy_factor=DECTED_CODEC_ENERGY_FACTOR,
-            ),
-            MemoryComponentSpec(
-                name="SP",
-                words=self.config.sp_words,
-                stored_bits=44,
-                codec_energy_factor=DECTED_CODEC_ENERGY_FACTOR,
-            ),
-        ]
+    memories = (
+        SchemeMemory("IM", _bch_t2, auto_scrub=True,
+                     codec_energy_factor=DECTED_CODEC_ENERGY_FACTOR),
+        SchemeMemory("SP", _bch_t2, auto_scrub=True,
+                     codec_energy_factor=DECTED_CODEC_ENERGY_FACTOR),
+    )

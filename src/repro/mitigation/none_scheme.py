@@ -14,14 +14,8 @@ any single bit error" semantics:
 
 from __future__ import annotations
 
-from repro.core.errors import validate_vdd
 from repro.core.fit_solver import SCHEME_NONE
-from repro.soc.energy_model import MemoryComponentSpec
-from repro.soc.faults import VoltageFaultModel
-from repro.soc.memory import FaultyMemory
-from repro.soc.platform import Platform
-from repro.soc.ports import RawPort
-from repro.mitigation.base import SchemeRunner
+from repro.mitigation.base import SchemeMemory, SchemeRunner
 
 
 class NoMitigationRunner(SchemeRunner):
@@ -29,33 +23,4 @@ class NoMitigationRunner(SchemeRunner):
 
     name = "none"
     reliability = SCHEME_NONE
-
-    def build_platform(self, vdd: float) -> Platform:
-        vdd = validate_vdd(vdd, "none.build_platform")
-        im = FaultyMemory(
-            "IM",
-            self.config.im_words,
-            width=32,
-            faults=VoltageFaultModel(
-                self.access_model, 32, vdd, rng=self._rng(1),
-            ),
-        )
-        sp = FaultyMemory(
-            "SP",
-            self.config.sp_words,
-            width=32,
-            faults=VoltageFaultModel(
-                self.access_model, 32, vdd, rng=self._rng(2),
-            ),
-        )
-        return Platform(im, RawPort(im), sp, RawPort(sp))
-
-    def memory_specs(self) -> list[MemoryComponentSpec]:
-        return [
-            MemoryComponentSpec(
-                name="IM", words=self.config.im_words, stored_bits=32
-            ),
-            MemoryComponentSpec(
-                name="SP", words=self.config.sp_words, stored_bits=32
-            ),
-        ]
+    memories = (SchemeMemory("IM"), SchemeMemory("SP"))

@@ -24,16 +24,13 @@ the FIT solver uses for OCEAN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator
 
-from repro.core.errors import validate_vdd
 from repro.core.fit_solver import SCHEME_OCEAN
 from repro.ecc.bch import BchCodec
 from repro.ecc.hamming import SecdedCodec
 from repro.soc.cpu import StopReason
-from repro.soc.energy_model import MemoryComponentSpec
-from repro.soc.faults import VoltageFaultModel
-from repro.soc.memory import FaultyMemory
 from repro.soc.platform import (
     DetectedError,
     Platform,
@@ -41,12 +38,11 @@ from repro.soc.platform import (
 )
 from repro.soc.dma import DmaEngine
 from repro.soc.ports import (
-    CodecPort,
     DetectOnlyCodec,
     UncorrectableError,
     copy_block,
 )
-from repro.mitigation.base import SchemeRunner
+from repro.mitigation.base import SchemeMemory, SchemeRunner
 from repro.mitigation.secded import SECDED_CODEC_ENERGY_FACTOR
 
 #: Modelled software cost of copying one word between SP and PM
@@ -67,6 +63,11 @@ MAX_ROLLBACKS_PER_SEGMENT = 25
 #: Fraction of time the protected buffer sits at full (leaky) supply;
 #: between checkpoints it drops to drowsy retention.
 PM_LEAKAGE_DUTY = 0.3
+
+
+def _detect_only_secded() -> DetectOnlyCodec:
+    """The scratchpad's checker: SECDED's distance 4, detection only."""
+    return DetectOnlyCodec(SecdedCodec())
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,17 @@ class OceanRunner(SchemeRunner):
 
     name = "OCEAN"
     reliability = SCHEME_OCEAN
+    memories = (
+        SchemeMemory("IM", SecdedCodec, auto_scrub=True,
+                     codec_energy_factor=SECDED_CODEC_ENERGY_FACTOR),
+        SchemeMemory("SP", _detect_only_secded,
+                     codec_energy_factor=DETECT_CODEC_ENERGY_FACTOR),
+        # The buffer is only touched around checkpoints; drowsy standby
+        # the rest of the time cuts its static power.
+        SchemeMemory("PM", partial(BchCodec, data_bits=32, t=4),
+                     codec_energy_factor=BCH_CODEC_ENERGY_FACTOR,
+                     leakage_duty=PM_LEAKAGE_DUTY),
+    )
 
     def __init__(
         self,
@@ -175,69 +187,6 @@ class OceanRunner(SchemeRunner):
         #: Move checkpoint traffic with the DMA engine instead of the
         #: software copy loop: fewer cycles per word, core freed.
         self.dma = DmaEngine() if use_dma else None
-
-    def build_platform(self, vdd: float) -> Platform:
-        vdd = validate_vdd(vdd, "OCEAN.build_platform")
-        im_codec = SecdedCodec()
-        sp_codec = DetectOnlyCodec(SecdedCodec())
-        pm_codec = BchCodec(data_bits=32, t=4)
-        im = FaultyMemory(
-            "IM",
-            self.config.im_words,
-            width=im_codec.code_bits,
-            faults=VoltageFaultModel(
-                self.access_model, im_codec.code_bits, vdd, rng=self._rng(1),
-            ),
-        )
-        sp = FaultyMemory(
-            "SP",
-            self.config.sp_words,
-            width=sp_codec.code_bits,
-            faults=VoltageFaultModel(
-                self.access_model, sp_codec.code_bits, vdd, rng=self._rng(2),
-            ),
-        )
-        pm = FaultyMemory(
-            "PM",
-            self.config.pm_words,
-            width=pm_codec.code_bits,
-            faults=VoltageFaultModel(
-                self.access_model, pm_codec.code_bits, vdd, rng=self._rng(3),
-            ),
-        )
-        return Platform(
-            im,
-            CodecPort(im, im_codec, auto_scrub=True),
-            sp,
-            CodecPort(sp, sp_codec),
-            pm=pm,
-            pm_port=CodecPort(pm, pm_codec),
-        )
-
-    def memory_specs(self) -> list[MemoryComponentSpec]:
-        return [
-            MemoryComponentSpec(
-                name="IM",
-                words=self.config.im_words,
-                stored_bits=39,
-                codec_energy_factor=SECDED_CODEC_ENERGY_FACTOR,
-            ),
-            MemoryComponentSpec(
-                name="SP",
-                words=self.config.sp_words,
-                stored_bits=39,
-                codec_energy_factor=DETECT_CODEC_ENERGY_FACTOR,
-            ),
-            MemoryComponentSpec(
-                name="PM",
-                words=self.config.pm_words,
-                stored_bits=56,
-                codec_energy_factor=BCH_CODEC_ENERGY_FACTOR,
-                # The buffer is only touched around checkpoints; drowsy
-                # standby the rest of the time cuts its static power.
-                leakage_duty=PM_LEAKAGE_DUTY,
-            ),
-        ]
 
     # ------------------------------------------------------------------
     # Checkpoint / rollback machinery

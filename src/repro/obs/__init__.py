@@ -2,10 +2,9 @@
 
 Five pillars:
 
-* :mod:`repro.obs.metrics` — a named-instrument registry (counters,
-  gauges, timers, categorical histograms) with a free no-op default
-  and picklable snapshots that merge exactly across process-pool
-  workers.
+* :mod:`repro.obs.metrics` — a named-instrument registry (counters
+  and categorical histograms) with a free no-op default and picklable
+  snapshots that merge exactly across process-pool workers.
 * :mod:`repro.obs.trace` — span-based structured tracing emitting
   NDJSON to pluggable sinks.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records

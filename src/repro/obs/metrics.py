@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, timers, categorical histograms.
+"""Metrics registry: counters and categorical histograms.
 
 Design constraints, in priority order:
 
@@ -12,9 +12,9 @@ Design constraints, in priority order:
    returns a :class:`MetricsSnapshot` of dicts of ints/floats — it
    pickles across :class:`concurrent.futures.ProcessPoolExecutor`
    boundaries, and :meth:`MetricsRegistry.merge` recombines worker
-   snapshots *exactly* (integer counter addition, min/max/total for
-   timers), so a fanned-out campaign reports the same totals as a
-   serial one.
+   snapshots *exactly* (integer addition per counter and per histogram
+   key), so a fanned-out campaign reports the same totals as a serial
+   one.
 3. **Thread-safe.**  All mutators take the registry lock; these are
    rare-path updates, so the lock cost is irrelevant.
 
@@ -57,51 +57,6 @@ class Counter:
             self.value += n
 
 
-class Gauge:
-    """Last-written float value."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-
-class Timer:
-    """Accumulates observed durations (count / total / min / max)."""
-
-    __slots__ = ("_lock", "count", "total_s", "min_s", "max_s")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.count = 0
-        self.total_s = 0.0
-        self.min_s = float("inf")
-        self.max_s = 0.0
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self.total_s += seconds
-            self.min_s = min(self.min_s, seconds)
-            self.max_s = max(self.max_s, seconds)
-
-    @contextmanager
-    def time(self) -> Iterator["Timer"]:
-        """Context manager timing its body with ``perf_counter``."""
-        import time as _time
-
-        start = _time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.observe(_time.perf_counter() - start)
-
-
 class Histogram:
     """Categorical histogram: counts per string key.
 
@@ -129,19 +84,12 @@ class MetricsSnapshot:
     """Frozen, picklable view of a registry's state."""
 
     counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    timers: dict[str, dict[str, float]] = field(default_factory=dict)
     histograms: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         """Plain nested-dict form, ready for ``json.dumps``."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "timers": {
-                name: dict(stats)
-                for name, stats in sorted(self.timers.items())
-            },
             "histograms": {
                 name: dict(sorted(buckets.items()))
                 for name, buckets in sorted(self.histograms.items())
@@ -154,25 +102,14 @@ class MetricsSnapshot:
 
         Lets a snapshot round-trip through JSON — the result store
         checkpoints worker snapshots this way, so a resumed campaign
-        merges the *original* run's layer counters exactly.
+        merges the *original* run's layer counters exactly.  Keys it
+        does not know are ignored: rows written while snapshots also
+        held ``gauges`` and ``timers`` still decode.
         """
         return cls(
             counters={
                 str(name): int(value)
                 for name, value in data.get("counters", {}).items()
-            },
-            gauges={
-                str(name): float(value)
-                for name, value in data.get("gauges", {}).items()
-            },
-            timers={
-                str(name): {
-                    "count": int(stats["count"]),
-                    "total_s": float(stats["total_s"]),
-                    "min_s": float(stats["min_s"]),
-                    "max_s": float(stats["max_s"]),
-                }
-                for name, stats in data.get("timers", {}).items()
             },
             histograms={
                 str(name): {
@@ -188,13 +125,6 @@ def format_snapshot(snapshot: MetricsSnapshot) -> str:
     lines: list[str] = []
     for name, value in sorted(snapshot.counters.items()):
         lines.append(f"{name} = {value}")
-    for name, value in sorted(snapshot.gauges.items()):
-        lines.append(f"{name} = {value:g}")
-    for name, stats in sorted(snapshot.timers.items()):
-        lines.append(
-            f"{name}: n={stats['count']} total={stats['total_s']:.4f}s "
-            f"min={stats['min_s']:.4f}s max={stats['max_s']:.4f}s"
-        )
     for name, buckets in sorted(snapshot.histograms.items()):
         top = sorted(buckets.items(), key=lambda kv: -kv[1])[:8]
         rendered = ", ".join(f"{k}:{v}" for k, v in top)
@@ -213,8 +143,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
 
     @property
@@ -239,14 +167,6 @@ class MetricsRegistry:
         with self._lock:
             return self._get(self._counters, name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            return self._get(self._gauges, name, Gauge)
-
-    def timer(self, name: str) -> Timer:
-        with self._lock:
-            return self._get(self._timers, name, Timer)
-
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             return self._get(self._histograms, name, Histogram)
@@ -260,17 +180,6 @@ class MetricsRegistry:
                 counters={
                     name: c.value for name, c in self._counters.items()
                 },
-                gauges={name: g.value for name, g in self._gauges.items()},
-                timers={
-                    name: {
-                        "count": t.count,
-                        "total_s": t.total_s,
-                        "min_s": t.min_s,
-                        "max_s": t.max_s,
-                    }
-                    for name, t in self._timers.items()
-                    if t.count > 0
-                },
                 histograms={
                     name: dict(h.buckets)
                     for name, h in self._histograms.items()
@@ -281,15 +190,6 @@ class MetricsRegistry:
         """Fold a (worker) snapshot into this registry, exactly."""
         for name, value in snapshot.counters.items():
             self.counter(name).inc(value)
-        for name, value in snapshot.gauges.items():
-            self.gauge(name).set(value)
-        for name, stats in snapshot.timers.items():
-            timer = self.timer(name)
-            with self._lock:
-                timer.count += stats["count"]
-                timer.total_s += stats["total_s"]
-                timer.min_s = min(timer.min_s, stats["min_s"])
-                timer.max_s = max(timer.max_s, stats["max_s"])
         for name, buckets in snapshot.histograms.items():
             histogram = self.histogram(name)
             for key, n in buckets.items():
@@ -298,8 +198,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()
 
 
@@ -314,36 +212,6 @@ class _NullCounter:
         pass
 
 
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-class _NullTimer:
-    __slots__ = ()
-    count = 0
-    total_s = 0.0
-
-    def observe(self, seconds: float) -> None:
-        pass
-
-    def time(self) -> "_NullContext":
-        return _NULL_CONTEXT
-
-
 class _NullHistogram:
     __slots__ = ()
     buckets: dict[str, int] = {}
@@ -352,10 +220,7 @@ class _NullHistogram:
         pass
 
 
-_NULL_CONTEXT = _NullContext()
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_TIMER = _NullTimer()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -366,12 +231,6 @@ class NullMetrics:
 
     def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def timer(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
 
     def histogram(self, name: str) -> _NullHistogram:
         return _NULL_HISTOGRAM

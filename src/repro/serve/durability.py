@@ -61,11 +61,11 @@ class JobJournalError(RuntimeError):
     """A job journal file could not be used."""
 
 
-#: Fields of a normalized spec that determine the answer bit-for-bit.
-#: Execution knobs (processes) are deliberately not here — same rule
-#: as the store keys (REP103): provenance only.  ``lanes`` stays even
-#: though the store keys dropped it, so job journals written with it
-#: keep replaying and deduplicating as before.
+#: Fields of a normalized spec that determine the answer bit-for-bit:
+#: provenance only, the same rule as the store keys (REP103).  ``lanes``
+#: stays even though the store keys dropped it, so job journals written
+#: with it keep replaying and deduplicating as before.  A journaled spec
+#: may carry more (older specs held ``processes``); nothing reads it.
 _PROVENANCE_FIELDS = (
     "scheme", "vdds", "runs", "seed", "lanes", "fft", "frequency",
     "macro_style",

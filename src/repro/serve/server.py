@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -68,6 +69,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.core.errors import validate_vdd
 from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import active_metrics, active_tracer, names
 from repro.obs.report import JournalLiveness
@@ -78,6 +80,7 @@ from repro.serve.durability import (
     JobJournal,
     replay_jobs,
 )
+from repro.soc.energy_model import check_macro_style
 from repro.store.keys import fingerprint_payload
 from repro.store.pipeline import (
     campaign_point_key,
@@ -121,7 +124,10 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     Accepts either ``vdd`` (one point) or ``vdds`` (a grid); fills the
     CLI campaign exhibit's defaults so a spec and its equivalent CLI
-    invocation share provenance.
+    invocation share provenance.  Every field a job would fail on is
+    refused here, before a job exists.  Fields it does not know (such
+    as ``processes``: a served grid runs serially in its worker
+    thread) are dropped.
     """
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
@@ -132,31 +138,36 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             f"{tuple(SCHEME_RUNNERS)}"
         )
     if "vdds" in spec:
-        vdds = [float(v) for v in spec["vdds"]]
+        vdds = list(spec["vdds"])
     elif "vdd" in spec:
-        vdds = [float(spec["vdd"])]
+        vdds = [spec["vdd"]]
     else:
         raise ValueError("spec needs 'vdd' or 'vdds'")
     if not vdds:
         raise ValueError("'vdds' must not be empty")
     normalized = {
         "scheme": scheme,
-        "vdds": vdds,
+        "vdds": [validate_vdd(vdd, "spec vdds") for vdd in vdds],
         "runs": int(spec.get("runs", 20)),
         "seed": int(spec.get("seed", 100)),
         "lanes": int(spec.get("lanes", 1)),
         "fft": int(spec.get("fft", 64)),
         "frequency": float(spec.get("frequency", 290e3)),
-        "macro_style": str(spec.get("macro_style", "cell-based")),
-        "processes": (
-            int(spec["processes"]) if spec.get("processes") else None
+        "macro_style": check_macro_style(
+            str(spec.get("macro_style", "cell-based"))
         ),
     }
     if normalized["runs"] <= 0:
         raise ValueError("runs must be positive")
+    if normalized["seed"] < 0:
+        raise ValueError("seed must be non-negative")
     if normalized["lanes"] < 1:
         raise ValueError("lanes must be positive")
-    check_fft_fits(normalized["fft"], scheme)
+    if not 0.0 < normalized["frequency"] < math.inf:
+        raise ValueError("frequency must be finite and positive")
+    check_fft_fits(
+        normalized["fft"], scheme, SCHEME_RUNNERS[scheme].data_words()
+    )
     return normalized
 
 
@@ -873,7 +884,6 @@ class CampaignJobServer:
                     runs=spec["runs"],
                     seed_base=spec["seed"],
                     lanes=spec["lanes"],
-                    processes=spec["processes"],
                     macro_style=spec["macro_style"],
                     on_point=on_point,
                     progress_factory=progress_factory,

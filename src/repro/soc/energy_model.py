@@ -87,7 +87,6 @@ class MemoryComponentSpec:
     words: int
     stored_bits: int = 32
     codec_energy_factor: float = 1.0
-    present: bool = True
     leakage_duty: float = 1.0
 
 
@@ -97,6 +96,16 @@ _MACRO_STYLES = {
     "cell-based": (CELL_BASED_AOI, 0.449, 0.0798, 708.4, 0.1),
     "commercial": (COMMERCIAL_6T, 14.77, 0.0692, 65.1, 0.3),
 }
+
+
+def check_macro_style(macro_style: str) -> str:
+    """Return ``macro_style`` if the energy model knows it, else raise."""
+    if macro_style not in _MACRO_STYLES:
+        raise ValueError(
+            f"unknown macro_style {macro_style!r}; "
+            f"known: {sorted(_MACRO_STYLES)}"
+        )
+    return macro_style
 
 
 def _platform_memory_model(
@@ -111,15 +120,9 @@ def _platform_memory_model(
     higher-voltage 11 MHz study of Figure 9.  Calibrations come from
     the Table 1 fits in :mod:`repro.memdev.library`.
     """
-    try:
-        cell, energy_cal, leak_cal, depth, periphery = _MACRO_STYLES[
-            macro_style
-        ]
-    except KeyError:
-        raise ValueError(
-            f"unknown macro_style {macro_style!r}; "
-            f"known: {sorted(_MACRO_STYLES)}"
-        ) from None
+    cell, energy_cal, leak_cal, depth, periphery = _MACRO_STYLES[
+        check_macro_style(macro_style)
+    ]
     mux = 4 if spec.words % 4 == 0 else 1
     return MemoryEnergyModel(
         geometry=MemoryGeometry(
@@ -146,7 +149,7 @@ class PlatformEnergyModel:
         Technology node (the paper's platform is 40 nm LP).
     core_switched_cap_f:
         Effective switched capacitance of the core per clock cycle in
-        farads; 20 pF gives the ~24 pJ/cycle at 1.1 V representative of
+        farads; 20 pF gives the ~24 pJ/cycle at 1.1 V typical of
         an ARM9-class core in a 40 nm LP process.
     core_leak_width_um:
         Total effective leaking width of the core in microns.
@@ -172,7 +175,6 @@ class PlatformEnergyModel:
         self.models = {
             spec.name: _platform_memory_model(spec, node, macro_style)
             for spec in memory_specs
-            if spec.present
         }
 
     # ------------------------------------------------------------------

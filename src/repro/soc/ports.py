@@ -317,8 +317,8 @@ class CodecPort(BlockTransfers):
         return result.data
 
     def write(self, address: int, value: int) -> None:
-        self.stats.writes += 1
         self.memory.write(address, self.codec.encode(value))
+        self.stats.writes += 1
 
     def load(self, words: list[int], base: int = 0) -> None:
         """Fault-free bulk load: encode and poke behind the counters."""

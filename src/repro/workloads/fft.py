@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.soc.assembler import assemble
-from repro.soc.platform import PlatformConfig
 from repro.workloads.streaming import Phase, StreamingWorkload
 
 _Q15_ONE = 32767
@@ -285,18 +284,14 @@ def check_fft_size(n: int) -> None:
         raise ValueError(f"fft must be a power of two >= 4, got {n}")
 
 
-def check_fft_fits(n: int, scheme: str) -> None:
-    """Reject an FFT size the stock platform cannot run, before a build.
+def check_fft_fits(n: int, scheme: str, capacity: int) -> None:
+    """Reject an FFT size a platform cannot run, before a build.
 
-    Its n samples and n/2 twiddles load into the scratchpad, and OCEAN
-    (``scheme == "ocean"``) also checkpoints all of them into its
-    protected buffer.
+    Its n samples and n/2 twiddles are the workload's data, which the
+    ``scheme`` platform's data memories hold in ``capacity`` words
+    (:meth:`repro.mitigation.base.SchemeRunner.data_words`).
     """
     check_fft_size(n)
-    config = PlatformConfig()
-    capacity = config.sp_words
-    if scheme == "ocean":
-        capacity = min(capacity, config.pm_words)
     if n + n // 2 > capacity:
         largest = 1 << ((2 * capacity // 3).bit_length() - 1)
         raise ValueError(

@@ -1,15 +1,19 @@
 """Integration tests: the three mitigation schemes running real FFTs
 under fault injection — the executable heart of Section V."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mitigation.base as base
 from repro.core.access import (
     ACCESS_CELL_BASED_40NM,
     ACCESS_CELL_BASED_40NM_TYPICAL,
 )
 from repro.mitigation import (
+    SCHEME_RUNNERS,
+    DectedRunner,
     NoMitigationRunner,
     OceanRunner,
     SecdedRunner,
@@ -19,6 +23,9 @@ from repro.workloads.fft import build_fft_program
 
 N = 64
 FREQ = 290e3
+
+#: Every runner class: the schemes the CLI and server accept, and DECTED.
+RUNNERS = [*SCHEME_RUNNERS.values(), DectedRunner]
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +62,82 @@ class TestCleanOperation:
         assert set(ocean.report.as_dict()) == {
             "core", "IM", "SP", "PM", "total"
         }
+
+
+class TestSchemeDeclaration:
+    """A scheme declares its platform once, as ``memories``: the built
+    platform, the energy model and the FFT bound all read it."""
+
+    @staticmethod
+    def _built(platform):
+        return [
+            (memory, port)
+            for memory, port in (
+                (platform.im, platform.im_port),
+                (platform.sp, platform.sp_port),
+                (platform.pm, platform.pm_port),
+            )
+            if memory is not None
+        ]
+
+    @pytest.mark.parametrize("runner_cls", RUNNERS, ids=lambda c: c.name)
+    def test_energy_model_prices_each_built_memory_at_its_width(
+        self, runner_cls, program, monkeypatch
+    ):
+        priced = []
+        energy_model_cls = base.PlatformEnergyModel
+
+        def energy_model(specs, **kwargs):
+            priced.extend(specs)
+            return energy_model_cls(specs, **kwargs)
+
+        monkeypatch.setattr(base, "PlatformEnergyModel", energy_model)
+        runner = runner_cls(ACCESS_CELL_BASED_40NM, seed=3)
+        outcome = runner.run(program.workload, vdd=0.44, frequency=FREQ)
+        built = self._built(runner.last_platform)
+        assert [c.name for c in outcome.report.components] == [
+            "core", *(memory.name for memory, _ in built)
+        ]
+        assert [memory.name for memory, _ in built] == [
+            declared.name for declared in runner_cls.memories
+        ]
+        assert len(priced) == len(built)
+        for spec, (memory, port) in zip(priced, built):
+            code_bits = 32 if port.codec is None else port.codec.code_bits
+            assert spec.name == memory.name
+            assert spec.words == memory.words
+            assert spec.stored_bits == memory.width == code_bits
+        sp = runner.last_platform.sp
+        assert runner_cls.reliability.word_bits == sp.width
+
+    @pytest.mark.parametrize("runner_cls", RUNNERS, ids=lambda c: c.name)
+    def test_fault_streams_are_salted_in_declaration_order(self, runner_cls):
+        platform = runner_cls(ACCESS_CELL_BASED_40NM, seed=5).build_platform(
+            0.44
+        )
+        for salt, (memory, _) in enumerate(self._built(platform), start=1):
+            fresh = np.random.default_rng((5, salt))
+            assert (
+                memory.faults.rng.bit_generator.state
+                == fresh.bit_generator.state
+            )
+
+    @pytest.mark.parametrize("runner_cls", RUNNERS, ids=lambda c: c.name)
+    def test_no_scheme_overrides_the_builder(self, runner_cls):
+        """The benchmark's tracer times ``build_platform`` on every class
+        that defines it; an override calling ``super()`` counts twice."""
+        assert "build_platform" not in vars(runner_cls)
+
+    def test_data_words_bound_the_workload(self):
+        """Data fills the scratchpad, and OCEAN checkpoints all of it
+        into its smaller protected buffer."""
+        assert {
+            runner_cls.name: runner_cls.data_words() for runner_cls in RUNNERS
+        } == {"none": 2048, "SECDED": 2048, "OCEAN": 1024, "DECTED": 2048}
+
+    def test_an_unknown_macro_style_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown macro_style 'foo'"):
+            SecdedRunner(ACCESS_CELL_BASED_40NM, macro_style="foo")
 
 
 class TestFaultedOperation:

@@ -124,11 +124,35 @@ class TestSpec:
         assert spec["fft"] == 64
 
     def test_fingerprint_ignores_execution_knobs(self):
-        spec_a = normalize_spec({**SPEC, "processes": None})
+        """A served grid runs serially in its worker thread, so a
+        client's ``processes`` is dropped from the normalized spec."""
+        spec_a = normalize_spec(dict(SPEC))
         spec_b = normalize_spec({**SPEC, "processes": 4})
+        assert "processes" not in spec_b
+        assert spec_b == spec_a
         assert spec_fingerprint(spec_a) == spec_fingerprint(spec_b)
         spec_c = normalize_spec({**SPEC, "runs": 3})
         assert spec_fingerprint(spec_c) != spec_fingerprint(spec_a)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -5, "seed must be non-negative"),
+        ("vdds", [0.44, -0.1], "supply voltage"),
+        ("vdds", [0.44, float("nan")], "supply voltage"),
+        ("vdd", "nan", "supply voltage"),
+        ("frequency", 0, "frequency must be finite and positive"),
+        ("frequency", -290e3, "frequency must be finite and positive"),
+        ("frequency", float("inf"), "frequency must be finite"),
+        ("frequency", float("nan"), "frequency must be finite"),
+        ("macro_style", "foo", "unknown macro_style"),
+    ])
+    def test_normalize_rejects_fields_a_job_would_fail_on(
+        self, field, value, message
+    ):
+        spec = {**SPEC, field: value}
+        if field == "vdd":
+            del spec["vdds"]
+        with pytest.raises(ValueError, match=message):
+            normalize_spec(spec)
 
     def test_normalize_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -282,6 +306,58 @@ class TestEndpoints:
                 assert "fft" in body["error"]
             assert _request(handle.url + "/healthz")[1]["jobs"] == 0
         assert replay_jobs(journal) == {}
+
+    def test_specs_a_job_would_fail_on_are_refused(self, tmp_path):
+        """A negative seed, a negative or NaN vdd, a frequency that is
+        not finite and positive, or a macro style the energy model does
+        not know answers 400 at ``/submit`` and ``/curve``, before a
+        job, a journal record or a claim exists."""
+        journal = tmp_path / "jobs.ndjson"
+        with ServerThread(
+            ResultStore(tmp_path / "s.sqlite"), journal=journal
+        ) as handle:
+            for spec in (
+                {**SPEC, "seed": -5},
+                {**SPEC, "vdds": [0.44, -0.1]},
+                {**SPEC, "vdds": [0.44, float("nan")]},
+                {**SPEC, "frequency": 0},
+                {**SPEC, "frequency": -1.0},
+                {**SPEC, "macro_style": "foo"},
+            ):
+                status, body = _request(handle.url + "/submit", payload=spec)
+                assert status == 400, (spec, body)
+            for query in ("vdd=0.44&seed=-5", "vdds=0.44,-0.1", "vdd=nan"):
+                status, body = _request(
+                    f"{handle.url}/curve?scheme=secded&{query}"
+                )
+                assert status == 400, (query, body)
+            assert _request(handle.url + "/healthz")[1]["jobs"] == 0
+        assert replay_jobs(journal) == {}
+        claims = journal.with_name(journal.name + ".claims")
+        assert not claims.exists() or not any(claims.iterdir())
+
+    def test_a_clients_processes_field_starts_no_process_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """The server's ``workers`` threads are its concurrency: a
+        spec's ``processes`` never reaches a process pool."""
+        import repro.resilience.executor as executor
+
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(kwargs)
+            raise RuntimeError("a served job started a process pool")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            status, body = _request(
+                handle.url + "/submit", payload={**SPEC, "processes": 4}
+            )
+            assert status == 202
+            done = _wait(handle.url, body["job"])
+            assert (done["state"], done["error"]) == ("done", None)
+        assert pools == []
 
     def test_unknown_routes_and_methods(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")

@@ -299,6 +299,28 @@ class TestJournalRecovery:
             reference, sort_keys=True
         )
 
+    def test_a_spec_journaled_with_processes_recovers(self, tmp_path):
+        """Specs journaled while ``processes`` was part of the normalized
+        spec still carry it; recovery ignores it and runs the grid to
+        the same bytes."""
+        journal = tmp_path / "jobs.ndjson"
+        spec = {**normalize_spec(dict(SPEC)), "processes": 2}
+        job_id = "job-0007-withprocesses"
+        with JobJournal(journal) as handle:
+            handle.record_submitted(
+                job_id, spec_fingerprint(spec), spec, len(spec["vdds"])
+            )
+            handle.record_started(job_id)
+
+        store = ResultStore(tmp_path / "s.sqlite")
+        with ServerThread(store, journal=journal) as server:
+            done = _wait(server.url, job_id)
+            assert (done["state"], done["recovered"]) == ("done", True)
+            status, result = _request(f"{server.url}/result/{job_id}")
+            assert status == 200
+        reference = _grid_into(ResultStore(tmp_path / "reference.sqlite"))
+        assert result["results"] == reference
+
     def test_done_jobs_rehydrate_results_from_the_store(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
         journal = tmp_path / "jobs.ndjson"

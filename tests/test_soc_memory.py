@@ -181,6 +181,17 @@ class TestPorts:
         assert port.stats.writes == 1
         assert port.stats.corrected_words == port.stats.detected_words == 0
 
+    def test_codec_port_counts_only_writes_the_memory_accepts(self):
+        memory = FaultyMemory("SP", 8, 39)
+        port = CodecPort(memory, SecdedCodec())
+        with pytest.raises(ValueError):
+            port.write(0, 1 << 32)  # wider than the codec's data word
+        with pytest.raises(MemoryAccessFault):
+            port.write(99, 5)  # past the memory's last word
+        assert port.stats.writes == memory.counters.writes == 0
+        port.write(0, 5)
+        assert port.stats.writes == memory.counters.writes == 1
+
     def test_codec_port_stores_codewords(self):
         memory = FaultyMemory("SP", 8, 39)
         port = CodecPort(memory, SecdedCodec())

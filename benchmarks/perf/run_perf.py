@@ -12,7 +12,7 @@ References: the SECDED and BCH codecs run their scalar ``encode`` /
 ``decode`` through the same tables as their batch kernels, so every
 speedup gate divides the time of the per-bit ``encode_reference`` /
 ``decode_reference`` bodies (codec sections) or of ``Cpu.run`` with
-codec ports pinned to those bodies (platform and SIMD sections).  That
+codec ports pinned to those bodies (platform and engines sections).  That
 oracle also keeps OCEAN's checkpoint and rollback copies on per-word
 port loops, so the engines' block copies are checked against an
 independent path.  The gated fields keep their names and meaning
@@ -70,7 +70,6 @@ from repro.mitigation.ocean import COPY_CYCLES_PER_WORD  # noqa: E402
 from repro.resilience import ChaosPolicy  # noqa: E402
 from repro.soc.faults import VoltageFaultModel  # noqa: E402
 from repro.soc.ports import CodecPort, DetectOnlyCodec  # noqa: E402
-from repro.soc.simd import run_lane_block  # noqa: E402
 from repro.workloads.fft import (  # noqa: E402
     build_fft_program,
     fft_program_and_golden,
@@ -98,12 +97,6 @@ SIZES = {
         "resilience_runs": 8,
     },
 }
-# The SIMD section always runs the FFT-64 campaign: the lockstep
-# engine's win is lane count, not program size, and the scalar oracle
-# must execute every seed once — larger programs would multiply that
-# (serial) oracle cost for no extra information.
-SIMD_FFT_POINTS = 64
-SIMD_LANE_COUNTS = (1, 16, 64, 256)
 #: Retry budget and per-run deadline of the resilience section.
 RESILIENCE_MAX_RETRIES = 3
 RESILIENCE_TASK_TIMEOUT = None
@@ -500,7 +493,7 @@ def _scalar(runner_cls, reference_codecs: bool = True):
 
     Runners leave the engine to the platform, which picks the fast lane
     for their stock ports; baselines bind the scalar interpreter
-    instead, through the same ``bind_engine`` seam the lane block uses.
+    instead, through the platform's ``bind_engine`` seam.
     OCEAN's checkpoint and rollback copies run as per-word port loops
     (:class:`_PerWordOceanCopies`).  With ``reference_codecs`` (the
     default) every codec port also runs the per-bit reference bodies
@@ -642,69 +635,40 @@ def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
     }
 
 
-def bench_simd(
-    fft_points: int,
-    lane_counts: tuple[int, ...],
+def bench_engines(
+    fft_points: int = 64,
+    seeds: int = 256,
     vdd: float = 0.44,
     seed_base: int = 300,
     cpu_run_seeds: int = 64,
 ):
-    """Lane-scaling throughput of the lockstep SIMD engine.
+    """Both engines against the oracle on a campaign where faults land.
 
-    Runs the quick FFT campaign (one SECDED run per seed at the
-    Table 2 operating point) once through the scalar engine with the
-    per-bit reference codecs — the bit-exactness oracle *and* the
-    baseline clock — then through :func:`repro.soc.simd.run_lane_block`
-    at each lane count.  The scalar outcomes and RNG stream positions
-    are kept per seed, so every lane of every configuration is
-    verified bit-identical to its own scalar run; ``speedup_vs_scalar``
-    compares aggregate instructions/s over the same seeds.  The first
-    ``cpu_run_seeds`` seeds also run through ``Cpu.run`` with the stock
-    table-driven codecs (verified against the oracle too): the baseline
-    rate of ``speedup_vs_cpu_run``.  Every seed also runs one by one on
-    the platform's own engine, the fast lane (verified too): the
-    baseline of the ungated ``speedup_vs_fast_lane``, the number that
-    says at which lane count a block beats running its lanes serially.
+    One SECDED FFT run per seed at its Table 2 operating point, under
+    the worst-case access law, so faults land and the engines' slow
+    paths run, not just their clean ones.  The scalar engine with the
+    per-bit reference codecs runs every seed: the oracle.  ``Cpu.run``
+    with the stock table-driven codecs runs the first
+    ``cpu_run_seeds`` seeds, and the platform's own engine, the fast
+    lane, runs every seed; each is compared with the oracle through
+    :func:`_run_seeds` (whole outcome and fault RNG states).  The
+    sizes are fixed whatever the run size: the serial oracle dominates
+    the section, and a larger program would cover no more engine paths.
     """
     workload = build_fft_program(fft_points).workload
-    seeds = range(seed_base, seed_base + max(lane_counts))
+    seed_range = range(seed_base, seed_base + seeds)
     run = functools.partial(
         _run_seeds, access_model=ACCESS_CELL_BASED_40NM,
         workload=workload, vdd=vdd,
     )
-    oracle, t_scalar, _ = run(_scalar(SecdedRunner), seeds=seeds)
-    scalar_ips = _instructions(oracle) / t_scalar
+    oracle, t_scalar, _ = run(_scalar(SecdedRunner), seeds=seed_range)
     cpu_run, t_cpu_run, cpu_run_exact = run(
         _scalar(SecdedRunner, reference_codecs=False),
-        seeds=seeds[:cpu_run_seeds], oracle=oracle,
+        seeds=seed_range[:cpu_run_seeds], oracle=oracle,
     )
-    cpu_run_ips = _instructions(cpu_run) / t_cpu_run
-    fast, t_fast, fast_exact = run(SecdedRunner, seeds=seeds, oracle=oracle)
-    fast_ips = _instructions(fast) / t_fast
-
-    configs = []
-    for lanes in lane_counts:
-        runners = [
-            SecdedRunner(ACCESS_CELL_BASED_40NM, seed=seed)
-            for seed in seeds[:lanes]
-        ]
-        outcomes, t_block = _timed(
-            lambda: run_lane_block(runners, workload, vdd=vdd, frequency=25e6)
-        )
-        records = [_record(r, o) for r, o in zip(runners, outcomes)]
-        ips = _instructions(records) / t_block
-        configs.append(
-            {
-                "lanes": lanes,
-                "instructions": _instructions(records),
-                "bit_exact": records == oracle[:lanes],
-                "lockstep_s": t_block,
-                "aggregate_ips": ips,
-                "speedup_vs_scalar": ips / scalar_ips,
-                "speedup_vs_cpu_run": ips / cpu_run_ips,
-                "speedup_vs_fast_lane": ips / fast_ips,
-            }
-        )
+    fast, t_fast, fast_exact = run(
+        SecdedRunner, seeds=seed_range, oracle=oracle
+    )
     return {
         "fft_points": fft_points,
         "scheme": "SECDED",
@@ -712,21 +676,20 @@ def bench_simd(
         "seed_base": seed_base,
         "scalar_runs": len(oracle),
         "scalar_s": t_scalar,
-        "scalar_ips": scalar_ips,
+        "scalar_ips": _instructions(oracle) / t_scalar,
         "cpu_run_runs": len(cpu_run),
         "cpu_run_s": t_cpu_run,
-        "cpu_run_ips": cpu_run_ips,
+        "cpu_run_ips": _instructions(cpu_run) / t_cpu_run,
         "cpu_run_bit_exact": cpu_run_exact,
+        "fast_lane_runs": len(fast),
         "fast_lane_s": t_fast,
-        "fast_lane_ips": fast_ips,
+        "fast_lane_ips": _instructions(fast) / t_fast,
         "fast_lane_bit_exact": fast_exact,
-        # Non-vacuousness record: the worst-case access model at this
-        # sub-Vmin supply injects real faults, so bit_exact covers the
-        # divergence/slow-path machinery, not just the clean path.
-        "scalar_injected_bits": sum(
+        # Non-vacuousness record: the bit-exactness checks above cover
+        # faulted runs only if faults landed.
+        "injected_bits": sum(
             sum(outcome.sim.injected_bits.values()) for outcome, _ in oracle
         ),
-        "configs": configs,
     }
 
 
@@ -870,10 +833,9 @@ def gate_checks(results: dict) -> dict:
     """
     secded, bch, store = results["secded"], results["bch"], results["store"]
     schemes = results["platform"]["schemes"]
-    simd, resilience = results["simd"], results["resilience"]
+    engines, resilience = results["engines"], results["resilience"]
     serve, profile = results["serve"], results["profile"]
     target = SIZES[results["quick"]]["platform_speedup_target"]
-    simd_256 = next(c for c in simd["configs"] if c["lanes"] == 256)
     return {
         "secded_encode_bit_exact": secded["encode_bit_exact"],
         "secded_decode_bit_exact": secded["decode_bit_exact"],
@@ -891,13 +853,10 @@ def gate_checks(results: dict) -> dict:
         # path: the scalar-dirty-loop implementation measured ~26x.
         "bch_decode_40x": bch["decode_speedup"] >= 40.0,
         "fig5_campaign_5x": results["fig5_campaign"]["speedup"] >= 5.0,
-        "simd_bit_exact": (
-            all(c["bit_exact"] for c in simd["configs"])
-            and simd["cpu_run_bit_exact"]
-            and simd["fast_lane_bit_exact"]
+        "engines_bit_exact": (
+            engines["cpu_run_bit_exact"] and engines["fast_lane_bit_exact"]
         ),
-        "simd_256_10x": simd_256["speedup_vs_scalar"] >= 10.0,
-        "simd_faults_observed": simd["scalar_injected_bits"] > 0,
+        "engines_faults_observed": engines["injected_bits"] > 0,
         "platform_bit_exact": all(
             s["bit_exact"] for s in schemes.values()
         ),
@@ -950,10 +909,6 @@ def headline_speedups(results: dict) -> dict:
             name: s["speedup"]
             for name, s in results["platform"]["schemes"].items()
         },
-        "simd": {
-            str(c["lanes"]): c["speedup_vs_scalar"]
-            for c in results["simd"]["configs"]
-        },
     }
 
 
@@ -994,8 +949,6 @@ def main() -> int:
         parameters={
             "quick": args.quick,
             **sizes,
-            "simd_fft_points": SIMD_FFT_POINTS,
-            "simd_lane_counts": list(SIMD_LANE_COUNTS),
             "resilience_max_retries": RESILIENCE_MAX_RETRIES,
             "resilience_task_timeout": RESILIENCE_TASK_TIMEOUT,
         },
@@ -1027,7 +980,7 @@ def main() -> int:
         ),
         "platform": lambda: bench_platform(sizes["platform_fft_points"]),
         "profile": lambda: bench_profile(sizes["platform_fft_points"]),
-        "simd": lambda: bench_simd(SIMD_FFT_POINTS, SIMD_LANE_COUNTS),
+        "engines": bench_engines,
         "resilience": lambda: bench_resilience(sizes["resilience_runs"], 64),
         "serve": lambda: bench_serve(sizes["resilience_runs"]),
     }

@@ -373,6 +373,8 @@ def run_campaign(
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
         raise ValueError("runs must be positive")
+    if seed_base < 0:
+        raise ValueError("seed_base must be non-negative")
     if lanes < 1:
         raise ValueError("lanes must be positive")
     execute = dict(

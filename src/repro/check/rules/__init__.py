@@ -90,7 +90,6 @@ def _in_repro_src(file: "FileContext") -> bool:
 
 # Import rule modules for their registration side effect.
 from repro.check.rules import rng  # noqa: E402,F401
-from repro.check.rules import lanes  # noqa: E402,F401
 from repro.check.rules import voltage  # noqa: E402,F401
 from repro.check.rules import determinism  # noqa: E402,F401
 from repro.check.rules import storekeys  # noqa: E402,F401

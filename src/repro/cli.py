@@ -66,7 +66,7 @@ from repro.analysis.report import (
 from repro.mitigation import SCHEME_RUNNERS
 from repro.obs import names
 from repro.obs.manifest import _json_default
-from repro.workloads.fft import check_fft_fits, check_fft_size
+from repro.workloads.fft import check_fft_size
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +138,29 @@ def _open_store(args):
     from repro.store import ResultStore
 
     return ResultStore(path)
+
+
+def _check_campaign_args(args) -> None:
+    """Refuse a campaign before anything is built.
+
+    The spec fields go through the validator ``repro serve`` applies to
+    a submitted spec, so both refuse the same campaigns; the executor's
+    retry budget and deadline are checked here.
+    """
+    from repro.serve.server import normalize_spec
+
+    normalize_spec({
+        "scheme": args.scheme, "vdd": args.vdd, "runs": args.runs,
+        "seed": args.seed, "lanes": args.lanes, "fft": args.fft,
+    })
+    if args.max_retries < 0:
+        raise ValueError(
+            f"--max-retries must be >= 0, got {args.max_retries}"
+        )
+    if args.task_timeout is not None and not args.task_timeout > 0:
+        raise ValueError(
+            f"--task-timeout must be positive, got {args.task_timeout}"
+        )
 
 
 def _campaign_result(args):
@@ -434,10 +457,7 @@ def run(argv: list[str] | None = None) -> str:
     # their platform to the FFT.
     try:
         if args.exhibit == "campaign":
-            check_fft_fits(
-                args.fft, args.scheme,
-                SCHEME_RUNNERS[args.scheme].data_words(),
-            )
+            _check_campaign_args(args)
         else:
             check_fft_size(args.fft)
     except ValueError as error:

@@ -184,8 +184,8 @@ class Codec(abc.ABC):
 
         A codec's tables are a pure function of its class and
         ``params``, so every instance of one code shares a single,
-        read-only set: campaigns and lane blocks construct hundreds of
-        codecs, and rebuilding per instance dominated their set-up.
+        read-only set: campaigns construct hundreds of codecs, and
+        rebuilding per instance dominated their set-up.
         The first build runs under a lock, so codecs constructed
         concurrently still end up with one set; numpy arrays in it are
         frozen (``write=False``) because a stray write would corrupt
@@ -259,8 +259,8 @@ class Codec(abc.ABC):
         """Decode an array of codewords; bit-exact with :meth:`decode`.
 
         ``record=False`` suppresses the per-batch telemetry counters —
-        used by callers (the SIMD lane block's view fills) that mirror
-        a scalar path which publishes nothing, so both engines leave
+        used by callers (the ports' block transfers) that mirror a
+        per-word path which publishes nothing, so both paths leave
         identical metric trails.
         """
         codewords = self._as_word_array(codewords, self.code_bits, "codeword")

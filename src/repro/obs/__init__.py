@@ -12,9 +12,9 @@ Five pillars:
   written alongside campaign and benchmark outputs.
 * :mod:`repro.obs.profile` — the deterministic, sampling-free engine
   profiler: opcode mix, per-PC execution counts, fast/slow-path cycle
-  residency, write-back and settlement costs, SIMD
-  lane-occupancy/divergence histograms, all published through the
-  metrics registry under pinned ``profile.*`` names.
+  residency, burst lengths, write-back and settlement costs, all
+  published through the metrics registry under pinned ``profile.*``
+  names.
 * :mod:`repro.obs.report` — span-tree aggregation of NDJSON traces,
   profiler snapshot rendering, live campaign progress (done/total,
   ETA, heartbeat NDJSON) and mtime-based worker liveness.

@@ -27,10 +27,10 @@ MEMDEV_RETENTION_FAILING_BITS = "memdev.retention_failing_bits"
 MEMDEV_BER_ACCESSES = "memdev.ber_accesses"
 MEMDEV_BER_ERRORS = "memdev.ber_errors"
 
-# Engine profiler (repro.obs.profile) — fast-path here means burst or
-# vector-committed execution; slow-path is the faithful reference
-# interpreter (``Cpu.step``/``Cpu.run``), which is also what the scalar
-# engine runs 100% of the time.
+# Engine profiler (repro.obs.profile) — fast-path here means fast-lane
+# bursts; slow-path is the faithful reference interpreter
+# (``Cpu.step``/``Cpu.run``), which is also what the scalar engine runs
+# 100% of the time.
 PROFILE_FAST_INSTRUCTIONS = "profile.fast_path.instructions"
 PROFILE_FAST_CYCLES = "profile.fast_path.cycles"
 PROFILE_SLOW_INSTRUCTIONS = "profile.slow_path.instructions"
@@ -42,7 +42,6 @@ PROFILE_SETTLED_READS = "profile.settlement.reads"
 PROFILE_SETTLED_WRITES = "profile.settlement.writes"
 PROFILE_WRITEBACK_WORDS = "profile.writeback.words"
 PROFILE_WRITEBACK_BATCHES = "profile.writeback.batches"
-PROFILE_SIMD_ROUNDS = "profile.simd.rounds"
 
 PLATFORM_RUNS = "platform.runs"
 PLATFORM_CYCLES = "platform.cycles"
@@ -74,12 +73,6 @@ BATCH_DIES = "batch.dies"
 BATCH_GRID_POINTS = "batch.grid_points"
 BATCH_GRID_ACCESSES = "batch.grid_accesses"
 BATCH_GRID_ERRORS = "batch.grid_errors"
-
-SIMD_BLOCKS = "simd.blocks"
-SIMD_LANES = "simd.lanes"
-SIMD_SERVICES = "simd.services"
-SIMD_VECTOR_INSTRUCTIONS = "simd.vector_instructions"
-SIMD_SLOW_STEPS = "simd.slow_steps"
 
 CAMPAIGN_RUNS = "campaign.runs"
 CAMPAIGN_CORRECT = "campaign.correct"
@@ -124,10 +117,6 @@ PROFILE_OPCODE = "profile.opcode"
 PROFILE_PC = "profile.pc"
 PROFILE_ENGINE = "profile.engine"
 PROFILE_BURST_LENGTH = "profile.fastlane.burst_length"
-PROFILE_LANE_OCCUPANCY = "profile.simd.lane_occupancy"
-PROFILE_MASK_DENSITY = "profile.simd.mask_density"
-PROFILE_DIVERGENCE = "profile.simd.divergence"
-PROFILE_RECONVERGENCE_DEPTH = "profile.simd.reconvergence_depth"
 PLATFORM_FAILURES = "platform.failures"
 
 # ----------------------------------------------------------------------

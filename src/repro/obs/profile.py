@@ -1,13 +1,12 @@
 """Deterministic, sampling-free engine profiler — the one profiler.
 
-All three execution engines — the scalar interpreter (``Cpu.run``), the
-clean-burst :class:`~repro.soc.fastlane.FastLaneEngine` and the
-lockstep :class:`~repro.soc.simd.LaneBlock` — carry instrumentation
-that routes through the module-level *active profiler*, mirroring the
-``active_metrics()`` / ``active_tracer()`` pattern:
+Both execution engines — the scalar interpreter (``Cpu.run``) and the
+clean-burst :class:`~repro.soc.fastlane.FastLaneEngine` — carry
+instrumentation that routes through the module-level *active profiler*,
+mirroring the ``active_metrics()`` / ``active_tracer()`` pattern:
 
 * **One loop per engine.**  Each engine reads ``active_profiler()``
-  once per run/burst/service and keeps its per-PC opcode tally in a
+  once per run or burst and keeps its per-PC opcode tally in a
   local that is ``None`` when the profiler is off, so a disabled
   profiler costs one ``is not None`` test per instruction in the same
   loop that runs profiled — there is no separate profiled copy.
@@ -20,8 +19,8 @@ that routes through the module-level *active profiler*, mirroring the
   prove outcomes, fault statistics and RNG positions stay
   bit-identical.
 * **Sampling-free.**  Every committed instruction is tallied (in plain
-  engine locals, published once per run/burst/service), so opcode
-  mixes, PC histograms and lane histograms are exact, not estimates.
+  engine locals, published once per run or burst), so opcode mixes and
+  PC histograms are exact, not estimates.
 
 Because the numbers land in the ordinary metrics registry, profiler
 output inherits everything metrics already do: picklable snapshots,
@@ -30,10 +29,10 @@ through the result store's campaign-task rows.
 
 What the instruments mean:
 
-* ``profile.fast_path.*`` — instructions/cycles committed by a burst
-  (fast lane) or vector commit (SIMD).
+* ``profile.fast_path.*`` — instructions/cycles committed by fast-lane
+  bursts.
 * ``profile.slow_path.*`` — instructions/cycles executed by the
-  faithful reference interpreter: fast-lane/SIMD slow steps, and the
+  faithful reference interpreter: fast-lane slow steps, and the
   whole run when the scalar engine is selected.
 * ``profile.opcode`` / ``profile.pc`` — exact opcode mix and per-PC
   execution counts (labels ``0x0000``-style) of scalar-engine runs plus
@@ -44,10 +43,6 @@ What the instruments mean:
   ``profile.settlement.*`` — bursts, their length histogram and the
   instructions they ran inside compiled blocks, encoded write-back
   and fault-settlement costs.
-* ``profile.simd.*`` — per-service-round lane telemetry: occupancy of
-  the min-PC group, mask density (occupancy / active lanes, decile
-  buckets), divergence (distinct PCs) and reconvergence depth
-  (``max(pc) - min(pc)``, power-of-two buckets).
 """
 
 from __future__ import annotations
@@ -61,7 +56,6 @@ from repro.obs.metrics import active_metrics
 #: Engine-kind labels for the ``profile.engine`` histogram.
 ENGINE_SCALAR = "scalar"
 ENGINE_FAST_LANE = "fastlane"
-ENGINE_SIMD = "simd"
 
 
 def pow2_bucket(n: int) -> str:
@@ -69,7 +63,7 @@ def pow2_bucket(n: int) -> str:
 
     ``0`` and ``1`` get their own buckets; larger values land in
     ``"2-3"``, ``"4-7"``, ``"8-15"``, ... so histograms over widely
-    varying counts (burst lengths, reconvergence depths) stay readable.
+    varying counts (burst lengths) stay readable.
     """
     if n <= 1:
         return "0" if n <= 0 else "1"
@@ -77,19 +71,11 @@ def pow2_bucket(n: int) -> str:
     return f"{low}-{2 * low - 1}"
 
 
-def ratio_bucket(part: int, whole: int) -> str:
-    """Decile bucket label for ``part / whole`` (mask density)."""
-    if whole <= 0:
-        return "0-10%"
-    decile = min(9, (10 * part) // whole)
-    return f"{10 * decile}-{10 * (decile + 1)}%"
-
-
 class EngineProfiler:
     """Records engine-level cost breakdowns into the active metrics.
 
-    All methods are *rare-path*: engines call them once per run, burst,
-    settlement or service — never per instruction — with tallies they
+    All methods are *rare-path*: engines call them once per run, burst
+    or settlement — never per instruction — with tallies they
     accumulated in plain locals.
     """
 
@@ -153,45 +139,11 @@ class EngineProfiler:
             metrics.counter(names.PROFILE_SETTLED_WRITES).inc(writes)
 
     def record_writeback(self, words: int, batched: bool) -> None:
-        """One encoded write-back of dirty burst/vector stores."""
+        """One encoded write-back of dirty burst stores."""
         metrics = active_metrics()
         metrics.counter(names.PROFILE_WRITEBACK_WORDS).inc(words)
         if batched:
             metrics.counter(names.PROFILE_WRITEBACK_BATCHES).inc()
-
-    def record_simd_service(
-        self,
-        rounds: int,
-        vector_instructions: int,
-        occupancy: Mapping[str, int],
-        density: Mapping[str, int],
-        divergence: Mapping[str, int],
-        depth: Mapping[str, int],
-        vector_cycles: int = 0,
-    ) -> None:
-        """One SIMD service's accumulated per-round lane telemetry.
-
-        ``vector_cycles`` counts the base cycles of vector-committed
-        instructions; taken-branch bubble cycles land in the lanes'
-        architectural counters but not here.
-        """
-        metrics = active_metrics()
-        metrics.counter(names.PROFILE_SIMD_ROUNDS).inc(rounds)
-        if vector_instructions:
-            metrics.counter(names.PROFILE_FAST_INSTRUCTIONS).inc(
-                vector_instructions
-            )
-        if vector_cycles:
-            metrics.counter(names.PROFILE_FAST_CYCLES).inc(vector_cycles)
-        for table_name, table in (
-            (names.PROFILE_LANE_OCCUPANCY, occupancy),
-            (names.PROFILE_MASK_DENSITY, density),
-            (names.PROFILE_DIVERGENCE, divergence),
-            (names.PROFILE_RECONVERGENCE_DEPTH, depth),
-        ):
-            histogram = metrics.histogram(table_name)
-            for bucket, count in table.items():
-                histogram.add(bucket, count)
 
 
 class NullEngineProfiler:
@@ -220,18 +172,6 @@ class NullEngineProfiler:
         pass
 
     def record_writeback(self, words: int, batched: bool) -> None:
-        pass
-
-    def record_simd_service(
-        self,
-        rounds: int,
-        vector_instructions: int,
-        occupancy: Mapping[str, int],
-        density: Mapping[str, int],
-        divergence: Mapping[str, int],
-        depth: Mapping[str, int],
-        vector_cycles: int = 0,
-    ) -> None:
         pass
 
 
@@ -285,7 +225,6 @@ def scoped_profiling(
 __all__ = [
     "ENGINE_FAST_LANE",
     "ENGINE_SCALAR",
-    "ENGINE_SIMD",
     "EngineProfiler",
     "NULL_PROFILER",
     "NullEngineProfiler",
@@ -293,6 +232,5 @@ __all__ = [
     "disable_profiling",
     "enable_profiling",
     "pow2_bucket",
-    "ratio_bucket",
     "scoped_profiling",
 ]

@@ -8,8 +8,8 @@ Three consumers of the raw telemetry the rest of the package emits:
   points that fired inside each span.
 * :func:`render_profile` renders the engine profiler's metrics
   snapshot (:mod:`repro.obs.profile`) as a terminal report: engine
-  residency, opcode mix, fast/slow-path cycle split, write-back and
-  settlement costs, and the SIMD lane histograms.
+  residency, opcode mix, fast/slow-path cycle split, burst lengths,
+  write-back and settlement costs.
 * :class:`CampaignProgress` is a live progress reporter for
   ``run_campaign``: tasks done/total, an ETA derived from completed
   task durations, an optional NDJSON heartbeat sink (one flushed line
@@ -206,7 +206,7 @@ def render_profile(snapshot: MetricsSnapshot) -> str:
     """Render the engine profiler's instruments from a snapshot.
 
     Sections with no data are omitted, so a scalar-only run prints no
-    SIMD histograms and an unprofiled snapshot collapses to a note.
+    fast-lane lines and an unprofiled snapshot collapses to a note.
     """
     counters = snapshot.counters
     histograms = snapshot.histograms
@@ -251,9 +251,6 @@ def render_profile(snapshot: MetricsSnapshot) -> str:
             f"({counters.get('profile.settlement.reads', 0)} reads, "
             f"{counters.get('profile.settlement.writes', 0)} writes)"
         )
-    rounds = counters.get("profile.simd.rounds", 0)
-    if rounds:
-        lines.append(f"simd: {rounds} scheduling rounds")
 
     lines.extend(
         _bar_section(
@@ -265,30 +262,6 @@ def render_profile(snapshot: MetricsSnapshot) -> str:
         _bar_section(
             "burst length (instructions)",
             histograms.get("profile.fastlane.burst_length", {}),
-        )
-    )
-    lines.extend(
-        _bar_section(
-            "SIMD lane occupancy (rounds)",
-            histograms.get("profile.simd.lane_occupancy", {}),
-        )
-    )
-    lines.extend(
-        _bar_section(
-            "SIMD mask density (rounds)",
-            histograms.get("profile.simd.mask_density", {}),
-        )
-    )
-    lines.extend(
-        _bar_section(
-            "SIMD divergence: distinct PCs (rounds)",
-            histograms.get("profile.simd.divergence", {}),
-        )
-    )
-    lines.extend(
-        _bar_section(
-            "SIMD reconvergence depth: max-min PC (rounds)",
-            histograms.get("profile.simd.reconvergence_depth", {}),
         )
     )
     if len(lines) == 1:

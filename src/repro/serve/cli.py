@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.mitigation import SCHEME_RUNNERS
 from repro.serve.client import JobFailedError, ServeClient
-from repro.serve.server import CampaignJobServer
+from repro.serve.server import CampaignJobServer, normalize_spec
 from repro.store import ResultStore
 
 
@@ -232,9 +232,13 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         "fft": args.fft,
     }
     if args.vdds is not None:
-        spec["vdds"] = [float(v) for v in args.vdds.split(",") if v]
+        spec["vdds"] = [v for v in args.vdds.split(",") if v]
     else:
         spec["vdd"] = args.vdd
+    try:
+        spec = normalize_spec(spec)
+    except ValueError as error:
+        raise SystemExit(f"repro submit: {error}") from None
     client = ServeClient(args.url, max_retries=args.max_retries)
     submitted = client.submit(spec)
     if args.no_wait:

@@ -33,8 +33,10 @@ import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Optional, Tuple
+from urllib.parse import quote
 
 from repro.obs import active_metrics, names
+from repro.serve.durability import _PROVENANCE_FIELDS
 from repro.serve.server import normalize_spec, spec_fingerprint
 
 
@@ -278,15 +280,18 @@ class ServeClient:
         )
 
     def curve(self, **spec: Any) -> Tuple[int, Dict[str, Any]]:
-        """Query ``/curve`` (all-warm fast path or 202 job submit)."""
+        """Query ``/curve`` (all-warm fast path or 202 job submit).
+
+        The query carries every provenance field of the normalized
+        spec, so the server answers the campaign that was asked for.
+        """
         normalized = normalize_spec(dict(spec))
-        query = (
-            f"/curve?scheme={normalized['scheme']}"
-            f"&vdds={','.join(repr(v) for v in normalized['vdds'])}"
-            f"&runs={normalized['runs']}&seed={normalized['seed']}"
-            f"&lanes={normalized['lanes']}&fft={normalized['fft']}"
+        normalized["vdds"] = ",".join(map(repr, normalized["vdds"]))
+        query = "&".join(
+            f"{name}={quote(str(normalized[name]), safe=',')}"
+            for name in _PROVENANCE_FIELDS
         )
-        return self._request(query)
+        return self._request("/curve?" + query)
 
 
 __all__ = [

@@ -66,6 +66,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from operator import index
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -119,26 +120,59 @@ class _JobCancelled(Exception):
     """Raised inside a worker when its job was cancelled externally."""
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int: an integer, or one spelled in a query string."""
+    if not isinstance(value, bool):
+        try:
+            return int(value) if isinstance(value, str) else index(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(name: str, value: Any) -> float:
+    """``value`` as a float: a real number, or one spelled in a query
+    string."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _text(name: str, value: Any) -> str:
+    """``value`` if it is a string."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be a string, got {value!r}")
+
+
 def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and canonicalize a job spec.
 
     Accepts either ``vdd`` (one point) or ``vdds`` (a grid); fills the
     CLI campaign exhibit's defaults so a spec and its equivalent CLI
     invocation share provenance.  Every field a job would fail on is
-    refused here, before a job exists.  Fields it does not know (such
-    as ``processes``: a served grid runs serially in its worker
-    thread) are dropped.
+    refused here with :class:`ValueError`, before a job exists: a
+    value of the wrong type (a count that is not an integer, a vdd or
+    frequency that is not a number), or out of range.  Strings that
+    spell a value are accepted, since ``/curve`` reads its fields from
+    a query string.  Fields it does not know (such as ``processes``: a
+    served grid runs serially in its worker thread) are dropped.
     """
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
-    scheme = spec.get("scheme", "secded")
+    scheme = _text("scheme", spec.get("scheme", "secded"))
     if scheme not in SCHEME_RUNNERS:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of "
             f"{tuple(SCHEME_RUNNERS)}"
         )
     if "vdds" in spec:
-        vdds = list(spec["vdds"])
+        vdds = spec["vdds"]
+        if not isinstance(vdds, (list, tuple)):
+            raise ValueError(f"vdds must be a list, got {vdds!r}")
     elif "vdd" in spec:
         vdds = [spec["vdd"]]
     else:
@@ -147,14 +181,16 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError("'vdds' must not be empty")
     normalized = {
         "scheme": scheme,
-        "vdds": [validate_vdd(vdd, "spec vdds") for vdd in vdds],
-        "runs": int(spec.get("runs", 20)),
-        "seed": int(spec.get("seed", 100)),
-        "lanes": int(spec.get("lanes", 1)),
-        "fft": int(spec.get("fft", 64)),
-        "frequency": float(spec.get("frequency", 290e3)),
+        "vdds": [
+            validate_vdd(_number("vdd", vdd), "spec vdds") for vdd in vdds
+        ],
+        "runs": _integer("runs", spec.get("runs", 20)),
+        "seed": _integer("seed", spec.get("seed", 100)),
+        "lanes": _integer("lanes", spec.get("lanes", 1)),
+        "fft": _integer("fft", spec.get("fft", 64)),
+        "frequency": _number("frequency", spec.get("frequency", 290e3)),
         "macro_style": check_macro_style(
-            str(spec.get("macro_style", "cell-based"))
+            _text("macro_style", spec.get("macro_style", "cell-based"))
         ),
     }
     if normalized["runs"] <= 0:
@@ -743,18 +779,15 @@ class CampaignJobServer:
     def _curve(
         self, query: Dict[str, List[str]]
     ) -> Tuple[Any, ...]:
-        spec: Dict[str, Any] = {}
-        if "scheme" in query:
-            spec["scheme"] = query["scheme"][0]
-        if "vdds" in query:
-            spec["vdds"] = [
-                float(v) for v in query["vdds"][0].split(",") if v
-            ]
-        elif "vdd" in query:
-            spec["vdd"] = float(query["vdd"][0])
-        for name in ("runs", "seed", "lanes", "fft"):
-            if name in query:
-                spec[name] = int(query[name][0])
+        """The spec's fields from the query string, as ``/submit`` reads
+        them from a JSON body (``vdds`` comma-separated)."""
+        spec: Dict[str, Any] = {
+            name: query[name][0]
+            for name in ("vdd", *_PROVENANCE_FIELDS)
+            if name in query
+        }
+        if "vdds" in spec:
+            spec["vdds"] = [v for v in spec["vdds"].split(",") if v]
         spec = normalize_spec(spec)
         warm = self._probe_all(spec)
         if warm is not None:

@@ -57,8 +57,7 @@ Bit-exactness contract (checked by the differential fuzzer in
 
 Cache invalidation keys off :attr:`FaultyMemory.version`, which bumps
 on every content mutation (stores, destructive read upsets, scrubs,
-back-door pokes/loads/restores, DMA).  Two rules, shared with the
-lockstep :class:`~repro.soc.simd.LaneBlock`:
+back-door pokes/loads/restores, DMA).  Two rules:
 
 * **Slow steps re-derive only what they touched.**  A faithful step
   (:func:`slow_step`) mutates at most one word per memory: the fetched
@@ -318,11 +317,9 @@ def cached_block(start: int, entries: tuple) -> Block:
 
 
 def lane_capable(platform) -> bool:
-    """Whether a platform's ports support clean-view execution.
+    """Whether a platform's ports support the fast lane's clean views.
 
-    The one applicability check of both clean-view engines — the fast
-    lane and the lockstep :class:`~repro.soc.simd.LaneBlock`.  Only
-    the stock port types with a 32-bit data side qualify, so the
+    Only the stock port types with a 32-bit data side qualify, so the
     plain-word views are faithful; any other port (custom
     instrumentation) observes per-access traffic that a burst would
     hide, and execution stays on the reference interpreter.
@@ -357,9 +354,7 @@ def im_entry(memory, codec, address):
 
     Peeks the word, decodes it through ``codec`` (if any) and
     predecodes it; returns :data:`BLOCKED` when the word does not
-    decode CLEAN or is not a legal instruction.  Identical clean words
-    resolve to the *same* entry tuple (the predecode cache is keyed by
-    word value), which lets the lane block group lanes by identity.
+    decode CLEAN or is not a legal instruction.
     """
     raw = memory.peek(address)
     if codec is not None:
@@ -404,7 +399,7 @@ class FastLaneEngine:
     """Clean-burst executor bound to one :class:`Platform`.
 
     The platform builds one whenever its ports are
-    :func:`lane_capable` and no other engine is bound.
+    :func:`lane_capable` and no engine is bound.
     """
 
     def __init__(self, platform) -> None:

@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs import active_metrics, active_tracer, names
-from repro.obs.profile import (
-    ENGINE_FAST_LANE,
-    ENGINE_SCALAR,
-    ENGINE_SIMD,
-    active_profiler,
-)
+from repro.obs.profile import ENGINE_FAST_LANE, ENGINE_SCALAR, active_profiler
 from repro.soc.cpu import Cpu, CpuState, ExecutionLimitExceeded, StopReason
 from repro.soc.fastlane import FastLaneEngine, lane_capable
 from repro.soc.isa import IllegalInstruction
@@ -94,12 +89,11 @@ class Platform:
         Optional protected buffer (OCEAN).
 
     The platform picks its engine from what it can observe (see
-    :meth:`_runner`): an engine bound through :meth:`bind_engine` (the
-    SIMD lane block), else the clean-burst fast lane
-    (:mod:`repro.soc.fastlane`, bit-exact with the reference
-    interpreter but an order of magnitude faster) whenever the ports
-    are :func:`~repro.soc.fastlane.lane_capable`, else the scalar
-    ``Cpu.run``.  Pin the scalar oracle with
+    :meth:`_runner`): an engine bound through :meth:`bind_engine`, else
+    the clean-burst fast lane (:mod:`repro.soc.fastlane`, bit-exact
+    with the reference interpreter but an order of magnitude faster)
+    whenever the ports are :func:`~repro.soc.fastlane.lane_capable`,
+    else the scalar ``Cpu.run``.  Pin the scalar oracle with
     ``platform.bind_engine(platform.cpu.run)``.
     """
 
@@ -172,7 +166,9 @@ class Platform:
         runner = self._runner()
         profiler = active_profiler()
         if profiler.enabled:
-            profiler.record_engine(self._engine_kind(runner))
+            profiler.record_engine(
+                ENGINE_SCALAR if runner == self.cpu.run else ENGINE_FAST_LANE
+            )
         try:
             return runner(max_instructions)
         except IllegalInstruction as exc:
@@ -200,12 +196,11 @@ class Platform:
     def _runner(self):
         """Pick the execution entry point for this run.
 
-        An externally bound engine (the lockstep SIMD lane block, or
-        ``cpu.run`` pinning the scalar oracle) takes precedence.
-        Otherwise the fast-lane engine runs whenever the ports are
-        lane-capable: it is built lazily and kept across runs (its
-        predecoded views survive YIELD boundaries), and rebuilt if the
-        port wiring changed.  Any other wiring runs on ``Cpu.run``.
+        A bound engine (``cpu.run`` pinning the scalar oracle) takes
+        precedence.  Otherwise the fast-lane engine runs whenever the
+        ports are lane-capable: it is built lazily and kept across runs
+        (its predecoded views survive YIELD boundaries), and rebuilt if
+        the port wiring changed.  Any other wiring runs on ``Cpu.run``.
         """
         if self._engine_run is not None:
             return self._engine_run
@@ -217,24 +212,15 @@ class Platform:
             return self.cpu.run
         return engine.run
 
-    def _engine_kind(self, runner) -> str:
-        """Profiler label for the entry point :meth:`_runner` picked."""
-        if runner == self.cpu.run:
-            return ENGINE_SCALAR
-        if runner is self._engine_run:
-            return ENGINE_SIMD
-        return ENGINE_FAST_LANE
-
     def bind_engine(self, run) -> None:
         """Route execution through an external engine.
 
         ``run`` has the :meth:`Cpu.run` signature
-        (``max_instructions -> StopReason``).  The SIMD lane block
-        binds each member platform here so ``run_until_stop`` — and
-        with it every controller built on top — transparently executes
-        through the lockstep interpreter; binding ``self.cpu.run`` pins
-        the scalar reference interpreter (the oracle differential tests
-        and benchmarks compare against).  Pass ``None`` to unbind.
+        (``max_instructions -> StopReason``); ``run_until_stop``, and
+        with it every controller built on top, executes through it.
+        Binding ``self.cpu.run`` pins the scalar reference interpreter
+        (the oracle differential tests and benchmarks compare against).
+        Pass ``None`` to unbind.
         """
         self._engine_run = run
 

@@ -9,7 +9,7 @@ def publish(codec: str) -> None:
 
 
 def publish_profile() -> None:
-    active_metrics().histogram(names.PROFILE_LANE_OCCUPANCY).add("4-7")
+    active_metrics().histogram(names.PROFILE_BURST_LENGTH).add("4-7")
     active_metrics().counter("profile.fast_path.instructions").inc()
 
 

@@ -182,3 +182,16 @@ class TestCampaignLanes:
         assert laned == scalar
         assert scalar_metrics["counters"]["platform.runs"] == 5
         assert laned_metrics == scalar_metrics
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("runs", 0, "runs must be positive"),
+        ("seed_base", -1, "seed_base must be non-negative"),
+        ("lanes", 0, "lanes must be positive"),
+    ])
+    def test_refuses_invalid_counts_up_front(self, field, value, message):
+        """A negative first seed is refused before any task runs, as
+        zero runs or lanes are (numpy would refuse it in every task,
+        and each run would be quarantined)."""
+        kwargs = {**self._kwargs(runs=2), field: value}
+        with pytest.raises(ValueError, match=message):
+            run_campaign(SecdedRunner, **kwargs)

@@ -50,6 +50,32 @@ class TestRun:
         with pytest.raises(SystemExit, match="power of two"):
             run(["fig8", "--fft", "100"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-5"], "seed must be non-negative"),
+        (["--vdd", "-0.1"], "supply voltage must be finite and non-negative"),
+        (["--runs", "0"], "runs must be positive"),
+        (["--lanes", "0"], "lanes must be positive"),
+        (["--max-retries", "-1"], "--max-retries must be >= 0, got -1"),
+        (["--task-timeout", "0"], "--task-timeout must be positive"),
+    ], ids=["seed", "vdd", "runs", "lanes", "max-retries", "task-timeout"])
+    def test_campaign_refuses_invalid_flags_before_running(
+        self, flags, message, monkeypatch
+    ):
+        """Each refusal is one ``repro campaign:`` line (a non-zero
+        exit), from the validator ``repro serve`` applies to a spec, not
+        a traceback or a campaign of quarantined runs."""
+        import repro.analysis.campaign as campaign
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(campaign, "run_campaign", no_campaign)
+        with pytest.raises(SystemExit) as refused:
+            run(["campaign", "--fft", "16", "--no-store", *flags])
+        assert str(refused.value).startswith("repro campaign: ")
+        assert message in str(refused.value)
+        assert "\n" not in str(refused.value)
+
     @pytest.mark.parametrize("argv, largest", [
         (["campaign", "--fft", "2048"], 1024),
         (["campaign", "--scheme", "ocean", "--fft", "1024"], 512),

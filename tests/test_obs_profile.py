@@ -24,7 +24,6 @@ from repro.obs.profile import (
     disable_profiling,
     enable_profiling,
     pow2_bucket,
-    ratio_bucket,
     scoped_profiling,
 )
 from repro.obs.report import (
@@ -80,28 +79,6 @@ class TestBuckets:
             low = high = int(bucket)
         assert low <= n <= high
 
-    @pytest.mark.parametrize(
-        "part, whole, bucket",
-        [
-            (0, 4, "0-10%"),
-            (1, 2, "50-60%"),
-            (4, 4, "90-100%"),
-            (3, 4, "70-80%"),
-            (0, 0, "0-10%"),  # degenerate whole
-        ],
-    )
-    def test_ratio_bucket(self, part, whole, bucket):
-        assert ratio_bucket(part, whole) == bucket
-
-    @given(
-        part=st.integers(min_value=0, max_value=64),
-        whole=st.integers(min_value=1, max_value=64),
-    )
-    def test_ratio_bucket_is_a_valid_decile(self, part, whole):
-        bucket = ratio_bucket(min(part, whole), whole)
-        low = int(bucket.split("-")[0])
-        assert 0 <= low <= 90 and low % 10 == 0
-
 
 # ----------------------------------------------------------------------
 # Active-profiler plumbing
@@ -112,7 +89,6 @@ class TestActiveProfiler:
         assert not active_profiler().enabled
         # Null recording is safe with no registry enabled.
         NULL_PROFILER.record_burst(3, 5)
-        NULL_PROFILER.record_simd_service(1, 1, {}, {}, {}, {})
 
     def test_enable_disable_cycle(self):
         profiler = enable_profiling()
@@ -166,10 +142,9 @@ class TestProfilerRecording:
 
     def test_engines_tally_identical_opcode_and_pc_mix(self):
         """A fault-free FFT tallies the same ``profile.opcode`` and
-        ``profile.pc`` histograms on all three engines."""
+        ``profile.pc`` histograms on both engines."""
         from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
         from repro.mitigation import SecdedRunner
-        from repro.soc.simd import run_lane_block
         from repro.workloads.fft import build_fft_program
         from tests.test_soc_fuzz import _scalar_runner
 
@@ -195,15 +170,9 @@ class TestProfilerRecording:
         fast = tallies(
             lambda: SecdedRunner(model, seed=1).run(workload, 0.7, 25e6)
         )
-        simd = tallies(
-            lambda: run_lane_block(
-                [SecdedRunner(model, seed=1)], workload, 0.7, 25e6
-            )[0]
-        )
         assert sum(scalar[1].values()) == scalar[2] > 0
-        assert fast[2] == simd[2] == 0  # fault-free: no slow steps
+        assert fast[2] == 0  # fault-free: no slow steps
         assert fast[:2] == scalar[:2]
-        assert simd[:2] == scalar[:2]
 
     def test_empty_slow_path_record_is_skipped(self):
         snap = self._record(lambda p: p.record_slow_path(0, 0))
@@ -223,30 +192,6 @@ class TestProfilerRecording:
         assert snap.counters[names.PROFILE_WRITEBACK_WORDS] == 9
         assert snap.counters[names.PROFILE_WRITEBACK_BATCHES] == 1
 
-    def test_simd_service_folds_lane_histograms(self):
-        def record(p):
-            p.record_simd_service(
-                rounds=2,
-                vector_instructions=6,
-                occupancy={"2-3": 1, "4-7": 1},
-                density={"90-100%": 2},
-                divergence={"1": 2},
-                depth={"0": 2},
-                vector_cycles=7,
-            )
-
-        snap = self._record(record)
-        assert snap.counters[names.PROFILE_SIMD_ROUNDS] == 2
-        assert snap.counters[names.PROFILE_FAST_INSTRUCTIONS] == 6
-        assert snap.counters[names.PROFILE_FAST_CYCLES] == 7
-        assert snap.histograms[names.PROFILE_LANE_OCCUPANCY] == {
-            "2-3": 1,
-            "4-7": 1,
-        }
-        assert snap.histograms[names.PROFILE_MASK_DENSITY] == {
-            "90-100%": 2
-        }
-
 
 # ----------------------------------------------------------------------
 # Shard-merge property: K worker shards merge == one process
@@ -264,15 +209,6 @@ def _profiler_events():
     writeback = st.tuples(
         st.just("writeback"), st.integers(0, 32), st.booleans()
     )
-    # (occupied, active) per service round.
-    simd = st.tuples(
-        st.just("simd"),
-        st.lists(
-            st.tuples(st.integers(0, 8), st.integers(1, 8)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
     opcodes = st.tuples(
         st.just("opcodes"),
         st.dictionaries(
@@ -281,7 +217,7 @@ def _profiler_events():
             max_size=4,
         ),
     )
-    return st.one_of(burst, slow, settle, writeback, simd, opcodes)
+    return st.one_of(burst, slow, settle, writeback, opcodes)
 
 
 def _replay(profiler, event):
@@ -294,30 +230,8 @@ def _replay(profiler, event):
         profiler.record_settlement(event[1], event[2])
     elif kind == "writeback":
         profiler.record_writeback(event[1], event[2])
-    elif kind == "opcodes":
-        profiler.record_opcodes(event[1])
     else:
-        occupancy, density, divergence, depth = {}, {}, {}, {}
-        vector_instructions = 0
-        for occupied, active in event[1]:
-            occupied = min(occupied, active)
-            for table, bucket in (
-                (occupancy, pow2_bucket(occupied)),
-                (density, ratio_bucket(occupied, active)),
-                (divergence, pow2_bucket(active - occupied + 1)),
-                (depth, pow2_bucket(4 * (active - occupied))),
-            ):
-                table[bucket] = table.get(bucket, 0) + 1
-            vector_instructions += occupied
-        profiler.record_simd_service(
-            len(event[1]),
-            vector_instructions,
-            occupancy,
-            density,
-            divergence,
-            depth,
-            vector_cycles=vector_instructions,
-        )
+        profiler.record_opcodes(event[1])
 
 
 class TestShardMergeProperty:
@@ -329,7 +243,7 @@ class TestShardMergeProperty:
     def test_merged_shards_match_single_process(self, events, shard_of):
         """Partitioning profiler events across K worker registries and
         merging their snapshots yields exactly the single-process
-        registry — including the SIMD lane-occupancy histograms."""
+        registry — including the burst-length and opcode histograms."""
         profiler = EngineProfiler()
         single = MetricsRegistry()
         with scoped_metrics(single):

@@ -2,7 +2,7 @@
 
 The harness itself runs in CI's perf smoke, outside tier-1.  These
 tests pin its ``checks`` table: they feed ``gate_checks`` a synthetic
-results dict and assert the 31 gate names and the edge of every
+results dict and assert the 30 gate names and the edge of every
 threshold.  Removing or renaming a gate has to change this file.  They
 also pin the harness's exit code, which is what fails CI when a gate
 fails.
@@ -36,9 +36,8 @@ GATES = [
     "secded_decode_20x",
     "bch_decode_40x",
     "fig5_campaign_5x",
-    "simd_bit_exact",
-    "simd_256_10x",
-    "simd_faults_observed",
+    "engines_bit_exact",
+    "engines_faults_observed",
     "platform_bit_exact",
     "platform_rng_identical",
     "platform_output_correct",
@@ -111,14 +110,10 @@ def _results(quick):
             "fast_instructions": 1, "bursts": 1,
             "scalar_slow_instructions": 1, "scalar_pc_counts": 1,
         },
-        "simd": {
-            "configs": [
-                {"lanes": lanes, "bit_exact": True, "speedup_vs_scalar": 10.0}
-                for lanes in (1, 16, 64, 256)
-            ],
+        "engines": {
             "cpu_run_bit_exact": True,
             "fast_lane_bit_exact": True,
-            "scalar_injected_bits": 1,
+            "injected_bits": 1,
         },
         "resilience": {
             "chaos_bit_identical": True, "chaos_retries": 1,
@@ -153,12 +148,9 @@ FAILURES = [
     ("secded_decode_20x", ("secded", "decode_speedup"), _below(20.0)),
     ("bch_decode_40x", ("bch", "decode_speedup"), _below(40.0)),
     ("fig5_campaign_5x", ("fig5_campaign", "speedup"), _below(5.0)),
-    ("simd_bit_exact", ("simd", "configs", 2, "bit_exact"), False),
-    ("simd_bit_exact", ("simd", "cpu_run_bit_exact"), False),
-    ("simd_bit_exact", ("simd", "fast_lane_bit_exact"), False),
-    ("simd_256_10x", ("simd", "configs", 3, "speedup_vs_scalar"),
-     _below(10.0)),
-    ("simd_faults_observed", ("simd", "scalar_injected_bits"), 0),
+    ("engines_bit_exact", ("engines", "cpu_run_bit_exact"), False),
+    ("engines_bit_exact", ("engines", "fast_lane_bit_exact"), False),
+    ("engines_faults_observed", ("engines", "injected_bits"), 0),
     ("platform_bit_exact", ("platform", "schemes", "OCEAN", "bit_exact"),
      False),
     ("platform_rng_identical",
@@ -200,7 +192,7 @@ def test_gate_names_and_all_pass_at_the_edges(gate_checks, quick):
     checks = gate_checks(_results(quick))
     names = [name.format(target=_target(quick)) for name in GATES]
     assert list(checks) == names
-    assert len(names) == 31
+    assert len(names) == 30
     assert all(value is True for value in checks.values())
 
 
@@ -241,8 +233,8 @@ def test_main_exits_1_when_a_gate_fails(
 ):
     """``run_perf.py --quick`` exits 0 only if every gate passes."""
     sections = (
-        "faults", "fig5_campaign", "store", "platform", "profile", "simd",
-        "resilience", "serve",
+        "faults", "fig5_campaign", "store", "platform", "profile",
+        "engines", "resilience", "serve",
     )
     for name in sections:
         monkeypatch.setattr(

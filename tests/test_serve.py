@@ -33,6 +33,7 @@ from repro.serve import (
     spec_fingerprint,
 )
 from repro.serve.cli import submit_main
+from repro.serve.client import ServeClient
 from repro.serve.server import CampaignJobServer
 from repro.store import (
     ResultStore,
@@ -144,6 +145,21 @@ class TestSpec:
         ("frequency", float("inf"), "frequency must be finite"),
         ("frequency", float("nan"), "frequency must be finite"),
         ("macro_style", "foo", "unknown macro_style"),
+        # A field of the wrong type is a ValueError (400), never a
+        # TypeError (500) or a silent truncation.
+        ("runs", None, "runs must be an integer"),
+        ("runs", 2.7, "runs must be an integer"),
+        ("runs", True, "runs must be an integer"),
+        ("seed", 1.0, "seed must be an integer"),
+        ("lanes", "two", "lanes must be an integer"),
+        ("fft", [64], "fft must be an integer"),
+        ("frequency", None, "frequency must be a number"),
+        ("vdds", 5, "vdds must be a list"),
+        ("vdds", "0.44", "vdds must be a list"),
+        ("vdd", None, "vdd must be a number"),
+        ("vdd", True, "vdd must be a number"),
+        ("scheme", ["secded"], "scheme must be a string"),
+        ("macro_style", None, "macro_style must be a string"),
     ])
     def test_normalize_rejects_fields_a_job_would_fail_on(
         self, field, value, message
@@ -153,6 +169,19 @@ class TestSpec:
             del spec["vdds"]
         with pytest.raises(ValueError, match=message):
             normalize_spec(spec)
+
+    def test_normalize_reads_query_string_spellings(self):
+        """``/curve`` hands over its fields as strings: each parses to
+        the value, and the fingerprint, its JSON form has."""
+        spelled = normalize_spec({
+            "scheme": "secded", "vdds": ["0.44", "0.46"], "runs": "2",
+            "seed": "100", "lanes": "1", "fft": "64",
+            "frequency": "290000.0", "macro_style": "cell-based",
+        })
+        assert spelled == normalize_spec(dict(SPEC))
+        assert spec_fingerprint(spelled) == spec_fingerprint(
+            normalize_spec(dict(SPEC))
+        )
 
     def test_normalize_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -247,6 +276,50 @@ class TestEndpoints:
             assert body["warm"] is False
             done = _wait(handle.url, body["job"])
             assert done["state"] == "done"
+
+    def test_curve_answers_the_campaign_asked_for(self, tmp_path):
+        """``/curve`` reads every provenance field, and the client sends
+        them all: a non-default frequency or macro style is a campaign
+        of its own, not the default one's warm answer."""
+        spec = {"scheme": "secded", "vdd": 0.44, "runs": 2, "fft": 16}
+        asked = {"frequency": 1.96e6, "macro_style": "commercial"}
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            client = ServeClient(handle.url)
+            status, body = client.curve(**spec)
+            assert status == 202
+            assert _wait(handle.url, body["job"])["state"] == "done"
+            status, body = client.curve(**spec, **asked)
+            assert (status, body["warm"]) == (202, False)
+            assert {name: body["spec"][name] for name in asked} == asked
+            assert _wait(handle.url, body["job"])["state"] == "done"
+            status, body = _request(
+                handle.url + "/curve?scheme=secded&vdd=0.44&runs=2&fft=16"
+                "&frequency=1960000&macro_style=commercial"
+            )
+            assert (status, body["warm"]) == (200, True)
+            assert {name: body["spec"][name] for name in asked} == asked
+
+    def test_malformed_spec_fields_are_400(self, tmp_path):
+        """A field of the wrong type is the client's error (400), at
+        ``/submit`` and at ``/curve``, not a server error (500)."""
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            for payload in (
+                {"vdd": 0.44, "runs": None},
+                {"vdds": 5},
+                {"vdd": 0.44, "frequency": None},
+                {"vdd": 0.44, "runs": 2.7},
+            ):
+                status, body = _request(
+                    handle.url + "/submit", payload=payload
+                )
+                assert status == 400, (payload, body)
+            for query in (
+                "vdd=0.44&runs=2.7", "vdd=0.44&frequency=fast", "vdd=low",
+            ):
+                status, body = _request(f"{handle.url}/curve?{query}")
+                assert status == 400, (query, body)
+            status, stats = _request(handle.url + "/stats")
+            assert stats["jobs"] == {}
 
     def test_golden_output_is_computed_once_per_fft(
         self, tmp_path, monkeypatch
@@ -369,17 +442,9 @@ class TestEndpoints:
                 handle.url + "/submit", payload={"scheme": "bogus"}
             )[0] == 400
 
-    def test_lanes16_grid_runs_without_a_lane_block(
-        self, tmp_path, monkeypatch
-    ):
-        """``lanes`` only sizes tasks: a ``lanes=16`` grid never builds
-        the lockstep engine and answers byte-identically to ``lanes=1``."""
-        from repro.soc.simd import LaneBlock
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a served grid built a LaneBlock")
-
-        monkeypatch.setattr(LaneBlock, "__init__", refuse)
+    def test_lanes16_grid_runs_without_a_lane_block(self, tmp_path):
+        """``lanes`` only sizes tasks: a ``lanes=16`` grid answers
+        byte-identically to ``lanes=1``."""
         spec = {**SPEC, "runs": 5}
         with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
             status, submitted = _request(
@@ -515,6 +580,20 @@ class TestSettle:
         assert json.dumps(result["results"], sort_keys=True) == json.dumps(
             _reference_results(tmp_path), sort_keys=True
         )
+
+
+class TestSubmitCli:
+    @pytest.mark.parametrize("flags, message", [
+        (["--vdd", "0.44", "--seed", "-1"], "seed must be non-negative"),
+        (["--vdds", "0.44,low"], "vdd must be a number, got 'low'"),
+        (["--vdd", "0.44", "--runs", "0"], "runs must be positive"),
+    ], ids=["seed", "vdds", "runs"])
+    def test_invalid_spec_is_refused_before_sending(self, flags, message):
+        """One ``repro submit:`` line and a non-zero exit, from the
+        same validator the server applies, before any request."""
+        with pytest.raises(SystemExit) as refused:
+            submit_main(["--url", "http://127.0.0.1:9", *flags])
+        assert str(refused.value) == f"repro submit: {message}"
 
 
 class TestHardening:

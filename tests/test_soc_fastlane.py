@@ -21,7 +21,12 @@ import pytest
 
 from repro.core.access import ACCESS_CELL_BASED_40NM, ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import SecdedCodec
-from repro.mitigation import DectedRunner, NoMitigationRunner, SecdedRunner
+from repro.mitigation import (
+    SCHEME_RUNNERS,
+    DectedRunner,
+    NoMitigationRunner,
+    SecdedRunner,
+)
 from repro.obs import MetricsRegistry, names, scoped_metrics
 from repro.obs.profile import scoped_profiling
 from repro.soc import fastlane
@@ -39,7 +44,6 @@ from repro.soc.faults import VoltageFaultModel
 from repro.soc.memory import FaultyMemory
 from repro.soc.platform import Platform, SystemFailure
 from repro.soc.ports import CodecPort, RawPort
-from repro.soc.simd import LaneBlock
 from repro.workloads.fft import build_fft_program
 
 from tests.test_soc_fuzz import _scalar_runner
@@ -273,6 +277,13 @@ def test_latent_corruption_takes_slow_path(auto_scrub):
     assert fast.result().corrected_words >= 2
 
 
+def test_lane_platforms_are_lane_capable():
+    """Every scheme's stock platform runs on the fast lane."""
+    for runner_cls in SCHEME_RUNNERS.values():
+        runner = runner_cls(ACCESS_CELL_BASED_40NM, seed=1)
+        assert lane_capable(runner.build_platform(0.5)), runner_cls.name
+
+
 def test_profiling_port_falls_back_to_interpreter():
     """Unsupported wiring: the engine declines, Cpu.run takes over."""
     platform = _build(counting_im=True, scalar=False)
@@ -366,8 +377,8 @@ def test_dected_runner_runs_fast_lane_bit_exact():
 # ---------------------------------------------------------------------------
 class _CountingSecded(SecdedCodec):
     """SECDED that records every codeword it decodes.  ``lane_capable``
-    checks the port type, not the codec type, so both clean-view
-    engines still run over it."""
+    checks the port type, not the codec type, so the fast lane still
+    runs over it."""
 
     def __init__(self):
         super().__init__()
@@ -470,43 +481,8 @@ def test_slow_step_re_derives_only_the_upset_sp_word():
     _assert_same(reference, fast)
 
 
-def _lane_round(block, platforms):
-    block.demand(range(len(platforms)))
-    for platform in platforms:
-        assert platform.run_until_stop() is StopReason.YIELD
-
-
-@pytest.mark.parametrize("memory", ["im", "sp"])
-@pytest.mark.parametrize("lane", [0, 1, 2])
-def test_lane_slow_step_re_derives_only_the_upset_word(memory, lane):
-    """The same rule per lane of a lane block: one forced upset in one
-    lane re-decodes that lane's one word, and no other lane's view
-    moves.  (View fills decode through the first lane's codec, slow
-    steps through each lane's own port codec: the count is over all.)"""
-    built = [_counting_platform() for _ in range(3)]
-    platforms = [platform for platform, _, _ in built]
-    codecs = [im if memory == "im" else sp for _, im, sp in built]
-    block = LaneBlock(platforms, program_words=list(_READ_LOOP))
-    try:
-        for _ in range(2):
-            _lane_round(block, platforms)
-        for codec in codecs:
-            codec.decoded.clear()
-        target = getattr(platforms[lane], memory)
-        address = 6 if memory == "im" else 8
-        corrupted = _upset(
-            target, address, 1 << 3,
-            lambda: _lane_round(block, platforms),
-        )
-        _lane_round(block, platforms)
-    finally:
-        block.close()
-    decoded = sorted(word for codec in codecs for word in codec.decoded)
-    assert decoded == sorted([corrupted, target.peek(address)])
-
-
 # A loop whose body after the yield is a straight-line ALU run
-# (addresses 2-4), which the lane block commits as one batch.
+# (addresses 2-6), which the fast lane compiles as one block.
 _RUN_LOOP = assemble("""
     addi r2, r0, 9
 loop:
@@ -539,64 +515,47 @@ def _raw_platform(scalar=False):
     return platform
 
 
-def _rounds(platforms, block, count=None):
+def _rounds(platforms, count=None):
     """Run every platform to its next stop, ``count`` times or until
-    all have halted (a lane block advances its lanes together)."""
-    pending = list(range(len(platforms)))
+    all have halted."""
+    pending = list(platforms)
     done = 0
     while pending and (count is None or done < count):
-        if block is not None:
-            block.demand(pending)
         pending = [
-            lane for lane in pending
-            if platforms[lane].run_until_stop() is StopReason.YIELD
+            platform for platform in pending
+            if platform.run_until_stop() is StopReason.YIELD
         ]
         done += 1
 
 
-@pytest.mark.parametrize("lane", [None, 0, 1, 2])
-def test_raw_im_upset_inside_a_cached_run_executes_the_new_word(lane):
+def test_raw_im_upset_inside_a_cached_run_executes_the_new_word():
     """On a RawPort a fetch upset rewrites the stored instruction, so
-    the engine must re-derive that cell — and, in a lane block, the
-    lane's straight-line run memo over it — or it keeps executing the
-    old word.  ``lane=None`` runs the fast lane with the loop body
-    (addresses 2-6) compiled: the upset drops that block, and the
-    variant it creates is seen once, so it runs uncompiled."""
-    if lane is None:
-        _rounds([_raw_platform()], None)  # first sighting of each block
-        platforms, block, target = [_raw_platform()], None, 0
-    else:
-        platforms = [_raw_platform() for _ in range(3)]
-        block = LaneBlock(platforms, program_words=list(_RUN_LOOP))
-        target = lane
+    the engine must re-derive that cell or it keeps executing the old
+    word.  The fast lane runs with the loop body (addresses 2-6)
+    compiled: the upset drops that block, and the variant it creates is
+    seen once, so it runs uncompiled."""
+    _rounds([_raw_platform()])  # first sighting of each block
+    fast = _raw_platform()
     upset, clean = _raw_platform(scalar=True), _raw_platform(scalar=True)
-    try:
-        _rounds(platforms, block, count=2)  # warm views and run memos
-        if lane is None:
-            body = platforms[0]._fast_engine._blocks[2]
-            assert (body.n, body.run is not None) == (5, True)
-            calls = _spy(body)
-        _rounds(platforms, block, count=1)
-        if lane is None:
-            assert len(calls) == 1  # the compiled body ran
-        _rounds([upset, clean], None, count=3)
-        for platform in (upset, platforms[target]):
-            # Address 2 fetches clean (a forced no-op), 3 is upset.
-            platform.im.faults.force_next(0)
-            platform.im.faults.force_next(_RUN_UPSET)
-        _rounds(platforms, block)
-        _rounds([upset, clean], None)
-    finally:
-        if block is not None:
-            block.close()
+    _rounds([fast], count=2)  # warm views
+    body = fast._fast_engine._blocks[2]
+    assert (body.n, body.run is not None) == (5, True)
+    calls = _spy(body)
+    _rounds([fast], count=1)
+    assert len(calls) == 1  # the compiled body ran
+    _rounds([upset, clean], count=3)
+    for platform in (upset, fast):
+        # Address 2 fetches clean (a forced no-op), 3 is upset.
+        platform.im.faults.force_next(0)
+        platform.im.faults.force_next(_RUN_UPSET)
+    _rounds([fast])
+    _rounds([upset, clean])
     assert upset.cpu.state.registers != clean.cpu.state.registers
-    for index, platform in enumerate(platforms):
-        _assert_same(upset if index == target else clean, platform)
-    if lane is None:
-        variant = platforms[0]._fast_engine._blocks[2]
-        assert variant.entries[1] == predecode(upset.im.peek(3))
-        assert variant.run is None
-        assert len(calls) == 1  # the old body never ran after the upset
+    _assert_same(upset, fast)
+    variant = fast._fast_engine._blocks[2]
+    assert variant.entries[1] == predecode(upset.im.peek(3))
+    assert variant.run is None
+    assert len(calls) == 1  # the old body never ran after the upset
 
 
 # ---------------------------------------------------------------------------

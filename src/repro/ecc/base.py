@@ -144,15 +144,22 @@ _TABLES_LOCK = threading.RLock()
 def byte_tables(fn: Callable[[int], int], width: int) -> list[list[int]]:
     """Byte-sliced tables of a GF(2)-linear map over ``width``-bit words.
 
-    Entry ``[k][v]`` is ``fn`` of byte value ``v`` placed at byte ``k``,
-    so XORing the entries of every byte of a word gives ``fn`` of the
-    whole word (:meth:`Codec._fold_bytes`, :meth:`Codec._lut_gather`).
+    Entry ``[k][v]`` is ``fn`` of byte value ``v`` placed at byte ``k``
+    (bits past ``width`` dropped), so XORing the entries of every byte
+    of a word gives ``fn`` of the whole word
+    (:meth:`Codec._fold_bytes`, :meth:`Codec._lut_gather`).  Linearity
+    also builds each byte's table from the images of its single bits:
+    ``fn`` runs once per bit instead of 256 times per byte.
     """
-    mask = (1 << width) - 1
-    return [
-        [fn((v << (8 * k)) & mask) for v in range(256)]
-        for k in range((width + 7) // 8)
-    ]
+    tables = []
+    for k in range((width + 7) // 8):
+        table = [0]
+        for bit in range(8 * k, min(8 * k + 8, width)):
+            image = fn(1 << bit)
+            table += [entry ^ image for entry in table]
+        # A byte cut short by ``width`` repeats over its dropped bits.
+        tables.append(table * (256 // len(table)))
+    return tables
 
 
 class Codec(abc.ABC):

@@ -10,7 +10,11 @@ before exiting.
 ``repro submit`` is the matching client exhibit: it submits a grid
 spec through :class:`~repro.serve.client.ServeClient` (deterministic
 capped backoff, idempotent resubmission by provenance fingerprint),
-waits for completion, and prints the result JSON.
+waits for completion, and prints the result JSON.  A bad flag, a
+server that stays unreachable through the retry budget, a refused
+submit or an elapsed ``--deadline`` ends in one ``repro submit: …``
+line and exit 1; a job that settles failed prints its status JSON and
+exits 1.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import signal
 from typing import List, Optional
 
 from repro.mitigation import SCHEME_RUNNERS
-from repro.serve.client import JobFailedError, ServeClient
+from repro.serve.client import JobFailedError, ServeClient, ServeClientError
 from repro.serve.server import CampaignJobServer, normalize_spec
 from repro.store import ResultStore
 
@@ -237,20 +241,26 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         spec["vdd"] = args.vdd
     try:
         spec = normalize_spec(spec)
+        if args.deadline is not None and not args.deadline > 0:
+            raise ValueError(
+                f"deadline must be positive, got {args.deadline:g}"
+            )
+        client = ServeClient(args.url, max_retries=args.max_retries)
     except ValueError as error:
         raise SystemExit(f"repro submit: {error}") from None
-    client = ServeClient(args.url, max_retries=args.max_retries)
-    submitted = client.submit(spec)
-    if args.no_wait:
-        print(json.dumps(submitted, indent=2))
-        return 0
     try:
+        submitted = client.submit(spec)
+        if args.no_wait:
+            print(json.dumps(submitted, indent=2))
+            return 0
         result = client.wait(
             submitted["job"], deadline_s=args.deadline
         )
     except JobFailedError as error:
         print(json.dumps(error.status, indent=2))
         return 1
+    except ServeClientError as error:
+        raise SystemExit(f"repro submit: {error}") from None
     print(json.dumps(result, indent=2))
     return 0
 

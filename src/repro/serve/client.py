@@ -62,7 +62,9 @@ class JobFailedError(ServeClientError):
 class ServeClient:
     """HTTP client with deterministic retries and idempotent submits.
 
-    ``sleep`` and ``transport`` are injectable for tests: ``transport``
+    Each request makes one attempt plus up to ``max_retries`` retries
+    (a negative budget raises ``ValueError``).  ``sleep`` and
+    ``transport`` are injectable for tests: ``transport``
     takes ``(url, data_bytes_or_None, timeout_s)`` and returns
     ``(http_status, response_bytes, headers_dict)``, raising
     ``urllib.error.URLError`` (or ``OSError``) on transport failure.
@@ -83,6 +85,10 @@ class ServeClient:
             ]
         ] = None,
     ) -> None:
+        if max_retries < 0:
+            raise ValueError(
+                f"max_retries must be non-negative, got {max_retries}"
+            )
         self.base_url = base_url.rstrip("/")
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s

@@ -78,11 +78,17 @@ back-door pokes/loads/restores, DMA).  Two rules:
 
 Blocks are looked up only at *leaders*: the pc a run starts at, and
 every pc reached by a control transfer or a completed block — never
-the pc after a slow step, which is usually mid-run.  Their compiled
-functions live in one bounded process-wide cache keyed by start pc and
-predecoded entries (:func:`cached_block`), compiled the second time a
-block is derived anywhere in the process, so a variant that a fault
-created and that is never seen again costs no compile.
+the pc after a slow step, which is usually mid-run.  They live in one
+bounded process-wide cache keyed by start pc and predecoded entries
+(:func:`cached_block`) and compile when hot.  A block derived while the
+IM still holds its program as loaded (no per-access write or upset
+yet: ``mutated_address is None``) is a *program block*: each leader
+visit of it while uncompiled counts one run, summed over every engine
+in the process, and its :data:`COMPILE_AT_RUN`-th run compiles it, so
+a loop body compiles within a process's first run of its program.  A
+block derived after an IM word changed is a fault variant and never
+compiles: it lives as long as its platform, and its compile would cost
+more than the runs it would save.
 """
 
 from __future__ import annotations
@@ -258,12 +264,18 @@ class Block:
 
     It ends at its first branch or jump (included), or before the first
     HALT, YIELD or :data:`BLOCKED` cell.  ``run`` is the compiled
-    function (:func:`compile_block`), ``None`` until the block is seen
-    a second time; ``n``, ``cycles``, ``loads`` and ``stores`` are what
-    one complete run commits.
+    function (:func:`compile_block`), ``None`` until the block compiles;
+    ``program`` says whether an engine derived it from an IM holding
+    its program as loaded, and ``runs`` counts a program block's leader
+    visits while uncompiled (see the module docstring).  ``n``,
+    ``cycles``, ``loads`` and ``stores`` are what one complete run
+    commits.
     """
 
-    __slots__ = ("start", "entries", "n", "cycles", "loads", "stores", "run")
+    __slots__ = (
+        "start", "entries", "n", "cycles", "loads", "stores", "run",
+        "program", "runs",
+    )
 
     def __init__(self, start: int, entries: tuple) -> None:
         self.start = start
@@ -271,6 +283,8 @@ class Block:
         self.n = len(entries)
         self.cycles, self.loads, self.stores = self.prefix(self.n)
         self.run = None
+        self.program = False
+        self.runs = 0
 
     def prefix(self, count: int) -> tuple:
         """``(cycles, loads, stores)`` of the first ``count`` entries."""
@@ -285,11 +299,22 @@ class Block:
 #: Leader cell that starts no block (HALT, YIELD or BLOCKED).
 _NO_BLOCK = Block(-1, ())
 
+#: The run of a program block that compiles it.  A compile costs about
+#: 50-60 interpreted runs of the block (FFT-256's blocks average 31
+#: instructions: 0.6-1.1 ms to compile against 12-16 us per
+#: interpreted run on a 2-CPU x86_64 host).  Runs add up over the
+#: whole process, so a block that runs once per program run (set-up
+#: code) compiles only at the program's 32nd run, while a loop body
+#: (FFT-256's run 63 to 1,792 times per FFT) compiles early in the
+#: first.
+COMPILE_AT_RUN = 32
+
 #: Process-wide blocks, least recently derived first, keyed by
 #: ``(start, entries)``.  Bounded: faults and fuzzing create variants
 #: that are seen once.  The lock makes each lookup-insert-evict step
-#: atomic across the server's job threads; compiling happens outside
-#: it, so two threads may at worst compile the same block twice.
+#: atomic across the server's job threads.  Run counts and compiles
+#: happen outside it: a lost count only delays a compile, and two
+#: threads may at worst compile the same block twice.
 _BLOCK_CACHE: dict = {}
 _BLOCK_CACHE_LIMIT = 512
 _BLOCK_CACHE_LOCK = threading.Lock()
@@ -298,21 +323,18 @@ _BLOCK_CACHE_LOCK = threading.Lock()
 def cached_block(start: int, entries: tuple) -> Block:
     """The shared :class:`Block` for ``entries`` at ``start``.
 
-    Each call is one sighting.  The first creates the block without
-    compiling it; a later one, from any engine, compiles it, and every
-    engine holding the block runs the compiled function from then on.
+    Looks the block up, creating (uncompiled) and inserting it when the
+    cache lacks it; every engine holding the block runs its compiled
+    function once any engine's visits have compiled it.
     """
     key = (start, entries)
     with _BLOCK_CACHE_LOCK:
         block = _BLOCK_CACHE.pop(key, None)
-        seen = block is not None
-        if not seen:
+        if block is None:
             block = Block(start, entries)
             if len(_BLOCK_CACHE) >= _BLOCK_CACHE_LIMIT:
                 del _BLOCK_CACHE[next(iter(_BLOCK_CACHE))]
         _BLOCK_CACHE[key] = block
-    if seen and block.run is None:
-        block.run = compile_block(start, entries)
     return block
 
 
@@ -490,9 +512,11 @@ class FastLaneEngine:
         is settled before returning or raising, so every observer
         (slow path, controller code between YIELDs, result collection)
         sees the exact per-access state.  ``leader`` says whether the
-        entry pc is a leader.  At each leader whose compiled block the
-        budgets cover, the block runs in place of the per-instruction
-        loop.  With a ``profiler``, committed instructions are tallied
+        entry pc is a leader.  Each leader visit of an uncompiled
+        program block counts one run, and the :data:`COMPILE_AT_RUN`-th
+        compiles it.  At each leader whose compiled block the budgets
+        cover, the block runs in place of the per-instruction loop.
+        With a ``profiler``, committed instructions are tallied
         per pc in a local dict (block runs per start and length, expanded
         at the end) and published (with their opcodes) after settlement,
         together with the burst's length and its compiled share.
@@ -557,6 +581,10 @@ class FastLaneEngine:
                 if block is None:
                     block = self._block_at(pc)
                 run = block.run
+                if run is None and block.program:
+                    block.runs += 1
+                    if block.runs >= COMPILE_AT_RUN:
+                        run = block.run = compile_block(pc, block.entries)
                 if run is not None:
                     n = block.n
                     loads = block.loads
@@ -704,7 +732,8 @@ class FastLaneEngine:
         (resolution peeks and decodes, which observes nothing), and
         records the end of the cells the block's extent depends on:
         through its closing branch or jump, or through the cell that
-        cut it short.
+        cut it short.  While the IM holds its program as loaded, the
+        shared block is marked a program block.
         """
         im_entries = self._im_entries
         words = self._im.words
@@ -725,7 +754,12 @@ class FastLaneEngine:
             if entry[6] >= 48:  # BEQ (0x30) .. JALR (0x35)
                 end = address
                 break
-        block = cached_block(start, tuple(entries)) if entries else _NO_BLOCK
+        if entries:
+            block = cached_block(start, tuple(entries))
+            if self._im.mutated_address is None:
+                block.program = True
+        else:
+            block = _NO_BLOCK
         self._blocks[start] = block
         self._spans[start] = end
         return block

@@ -9,12 +9,14 @@ worker threads at once.
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.ecc import BchCodec, SecdedCodec
-from repro.ecc.base import Codec
+from repro.ecc import BchCodec, SecdedCodec, bch, hamming
+from repro.ecc.base import Codec, byte_tables
+from repro.ecc.gf2m import get_field
 
 
 @pytest.mark.parametrize(
@@ -109,3 +111,44 @@ def test_concurrent_construction_builds_one_set_per_key(monkeypatch):
     assert len(tables_by_code) == 3
     assert all(len(ids) == 1 for ids in tables_by_code.values())
     assert len(Codec._table_memo) == 3
+
+
+def _per_value_tables(fn, width):
+    """The per-value construction: ``fn`` of every byte value at every
+    byte position, 256 calls per byte."""
+    mask = (1 << width) - 1
+    return [
+        [fn((v << (8 * k)) & mask) for v in range(256)]
+        for k in range((width + 7) // 8)
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, calls",
+    [(hamming._build_tables, 3)] + [
+        (partial(bch._build_tables, get_field(6), t, 32), 2)
+        for t in (1, 2, 3, 4)
+    ],
+    ids=["secded", "bch-t1", "bch-t2", "bch-t3", "bch-t4"],
+)
+def test_basis_built_byte_tables_equal_the_per_value_construction(
+    build, calls, monkeypatch
+):
+    """Every byte-table set a codec builds (SECDED's encode, extract
+    and decision-index tables; each BCH strength's encode and syndrome
+    tables, DECTED's t=2 included) equals, entry by entry, the
+    per-value construction over the same map."""
+    built = []
+
+    def recording(fn, width):
+        tables = byte_tables(fn, width)
+        built.append((tables, _per_value_tables(fn, width)))
+        return tables
+
+    for module in (hamming, bch):
+        monkeypatch.setattr(module, "byte_tables", recording)
+    build()
+    assert len(built) == calls
+    for tables, oracle in built:
+        assert [len(table) for table in tables] == [256] * len(oracle)
+        assert tables == oracle

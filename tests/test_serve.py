@@ -595,6 +595,73 @@ class TestSubmitCli:
             submit_main(["--url", "http://127.0.0.1:9", *flags])
         assert str(refused.value) == f"repro submit: {message}"
 
+    @staticmethod
+    def _transport(monkeypatch, answer):
+        """Route the client's requests to ``answer(url, data)``; returns
+        the list of requested URLs."""
+        requested = []
+
+        def transport(url, data, timeout_s):
+            requested.append(url)
+            return answer(url, data)
+
+        monkeypatch.setattr(
+            ServeClient, "_urllib_transport", staticmethod(transport)
+        )
+        return requested
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-retries", "-1"], "max_retries must be non-negative, got -1"),
+        (["--deadline", "0"], "deadline must be positive, got 0"),
+        (["--deadline", "-2"], "deadline must be positive, got -2"),
+        (["--deadline", "nan"], "deadline must be positive, got nan"),
+    ], ids=["retries", "deadline-zero", "deadline-negative", "deadline-nan"])
+    def test_bad_retry_budget_or_deadline_is_refused_before_any_request(
+        self, flags, message, monkeypatch
+    ):
+        requested = self._transport(monkeypatch, answer=None)
+        with pytest.raises(SystemExit) as refused:
+            submit_main(["--url", "http://127.0.0.1:9", "--vdd", "0.44",
+                         *flags])
+        assert str(refused.value) == f"repro submit: {message}"
+        assert requested == []
+
+    def test_client_rejects_a_negative_retry_budget(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            ServeClient("http://127.0.0.1:9", max_retries=-1)
+
+    @pytest.mark.parametrize("wait", [True, False], ids=["wait", "no-wait"])
+    def test_unreachable_server_is_one_line_exit(self, wait, monkeypatch):
+        """Every attempt of the budget is made, then one ``repro
+        submit:`` line and exit 1 — no traceback."""
+        def refuse(url, data):
+            raise urllib.error.URLError("connection refused")
+
+        requested = self._transport(monkeypatch, refuse)
+        flags = [] if wait else ["--no-wait"]
+        with pytest.raises(SystemExit) as refused:
+            submit_main(["--url", "http://127.0.0.1:9", "--vdd", "0.44",
+                         "--max-retries", "1", *flags])
+        assert str(refused.value) == (
+            "repro submit: http://127.0.0.1:9/submit unreachable after "
+            "2 attempts"
+        )
+        assert requested == ["http://127.0.0.1:9/submit"] * 2
+
+    def test_elapsed_deadline_is_one_line_exit(self, monkeypatch):
+        def answer(url, data):
+            if url.endswith("/submit"):
+                return 202, b'{"job": "j1", "state": "queued"}', {}
+            return 200, b'{"job": "j1", "state": "running"}', {}
+
+        self._transport(monkeypatch, answer)
+        with pytest.raises(SystemExit) as refused:
+            submit_main(["--url", "http://127.0.0.1:9", "--vdd", "0.44",
+                         "--deadline", "0.05"])
+        assert str(refused.value) == (
+            "repro submit: job j1 still 'running' after 0.05s"
+        )
+
 
 class TestHardening:
     """Malformed-HTTP requests get specific 4xx answers, never a hang."""

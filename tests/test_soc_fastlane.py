@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import fig8_power_breakdown
 from repro.core.access import ACCESS_CELL_BASED_40NM, ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import SecdedCodec
 from repro.mitigation import (
@@ -36,7 +37,6 @@ from repro.soc.fastlane import (
     EARLY_EXIT,
     TEMPLATES,
     FastLaneEngine,
-    cached_block,
     lane_capable,
 )
 from repro.soc.isa import Opcode
@@ -533,8 +533,8 @@ def test_raw_im_upset_inside_a_cached_run_executes_the_new_word():
     the engine must re-derive that cell or it keeps executing the old
     word.  The fast lane runs with the loop body (addresses 2-6)
     compiled: the upset drops that block, and the variant it creates is
-    seen once, so it runs uncompiled."""
-    _rounds([_raw_platform()])  # first sighting of each block
+    a fault variant, so it runs uncompiled."""
+    _see_blocks(_raw_platform)
     fast = _raw_platform()
     upset, clean = _raw_platform(scalar=True), _raw_platform(scalar=True)
     _rounds([fast], count=2)  # warm views
@@ -577,14 +577,16 @@ def _spy(block):
 
 
 def _see_blocks(make):
-    """Drain a throwaway platform from ``make()``: each block its run
-    derives has then been seen once, and the next engine that derives
-    it compiles it."""
-    platform = make()
-    try:
-        _drain(platform)
-    except SystemFailure:
-        pass
+    """Drain :data:`~repro.soc.fastlane.COMPILE_AT_RUN` throwaway
+    platforms from ``make()``: each program block a drain reaches has
+    then run that often and compiled, so every engine that derives it
+    runs it compiled from its first visit."""
+    for _ in range(fastlane.COMPILE_AT_RUN):
+        platform = make()
+        try:
+            _drain(platform)
+        except SystemFailure:
+            pass
 
 
 def _set_gap(memory, accesses):
@@ -808,7 +810,7 @@ def test_profiling_with_compiled_blocks_is_bit_exact():
         return outcome, rng, registry.snapshot()
 
     for model, vdd in ((_MODEL, 0.7), (ACCESS_CELL_BASED_40NM, 0.44)):
-        run(SecdedRunner, model, vdd, profiled=False)  # blocks seen once
+        run(SecdedRunner, model, vdd, profiled=False)  # blocks warm up
         off = run(SecdedRunner, model, vdd, profiled=False)
         on = run(SecdedRunner, model, vdd, profiled=True)
         assert on[:2] == off[:2]
@@ -829,17 +831,84 @@ def test_every_handler_opcode_has_a_template():
     assert set(TEMPLATES) == compilable
 
 
-def test_blocks_compile_on_their_second_sighting():
-    """The first derivation of a block only records it; the second,
-    from any engine, compiles it, and both hold the same block."""
-    entries = tuple(
-        predecode(word)
-        for word in assemble("addi r1, r1, 1\nbne r1, r0, -1")
+# A hot loop that yields once per iteration, so a test can queue IM
+# upsets between iterations.  Every iteration starts the 4-instruction
+# block at address 2.
+_HOT_LOOP = """
+    addi r2, r0, {count}
+loop:
+    yield
+    addi r2, r2, -1
+    add  r4, r4, r2
+    xor  r5, r4, r2
+    bne  r2, r0, loop
+    halt
+"""
+
+
+def test_a_loop_body_compiles_at_its_kth_run_within_the_first_run():
+    """With no block seen before, a loop body runs interpreted for its
+    first ``COMPILE_AT_RUN - 1`` visits and compiled from the
+    ``COMPILE_AT_RUN``-th on, within the process's first run of its
+    program, bit-exact with the interpreter."""
+    count = 3 * fastlane.COMPILE_AT_RUN
+    words = assemble(_HOT_LOOP.format(count=count))
+    reference = _build(vdd=0.6, scalar=True)
+    fast = _build(vdd=0.6)
+    registry = MetricsRegistry()
+    for platform in (reference, fast):
+        _load(platform, words)
+    with scoped_metrics(registry), scoped_profiling():
+        for platform in (reference, fast):
+            assert _drain(platform, max_yields=count + 1) is StopReason.HALT
+    _assert_same(reference, fast)
+    body = fast._fast_engine._blocks[2]
+    counters = registry.snapshot().counters
+    compiled = counters.get(names.PROFILE_BLOCK_INSTRUCTIONS, 0)
+    assert compiled == (count - fastlane.COMPILE_AT_RUN + 1) * body.n
+    assert body.run is not None
+    assert (body.n, body.program, body.runs) == (
+        4, True, fastlane.COMPILE_AT_RUN
     )
-    first = cached_block(7, entries)
+
+
+def test_a_fault_variant_never_compiles():
+    """A RawPort fetch upset rewrites an instruction of a hot loop: the
+    block derived over it afterwards is a fault variant, which never
+    compiles, however often it runs — here ``3 * COMPILE_AT_RUN - 1``
+    times in each of two engines that share it."""
+    count = 3 * fastlane.COMPILE_AT_RUN
+    words = assemble(_HOT_LOOP.format(count=count))
+    #: ``add r4, r4, r2`` at address 3 becomes ``add r4, r4, r3``.
+    upset = words[3] ^ assemble("add r4, r4, r3")[0]
+    reference = _build(vdd=0.6, scalar=True)
+    fast = [_build(vdd=0.6), _build(vdd=0.6)]
+    for platform in fast + [reference]:
+        _load(platform, words)
+        assert platform.run_until_stop() is StopReason.YIELD
+        platform.im.faults.force_next(0)  # address 2 fetches clean
+        platform.im.faults.force_next(upset)  # address 3 is upset
+        assert _drain(platform, max_yields=count + 1) is StopReason.HALT
+    first, second = (platform._fast_engine._blocks[2] for platform in fast)
+    assert second is first  # one shared block, derived by both engines
+    assert first.entries[1] == predecode(reference.im.peek(3))
     assert first.run is None
-    assert cached_block(7, entries) is first
-    assert first.run is not None
+    assert (first.program, first.runs) == (False, 0)
+    for platform in fast:
+        _assert_same(reference, platform)
+
+
+def test_a_cold_fig8_study_runs_mostly_compiled():
+    """With no block seen before, one Figure 8 study at its paper size
+    (FFT-256 under three schemes) runs at least 85 % of its fast-lane
+    instructions in compiled blocks: its loop bodies compile during the
+    first scheme's run."""
+    registry = MetricsRegistry()
+    with scoped_metrics(registry), scoped_profiling():
+        fig8_power_breakdown(256)
+    counters = registry.snapshot().counters
+    compiled = counters[names.PROFILE_BLOCK_INSTRUCTIONS]
+    assert compiled >= 0.85 * counters[names.PROFILE_FAST_INSTRUCTIONS] > 0
 
 
 def test_shared_block_cache_under_threads(monkeypatch):

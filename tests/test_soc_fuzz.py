@@ -8,12 +8,15 @@ the FFT's correctness proofs honest: if the CPU and the golden model
 ever disagree, one of them misreads the spec.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import SecdedCodec
+from repro.soc import fastlane
 from repro.soc.assembler import assemble
 from repro.soc.cpu import Cpu, StopReason
 from repro.soc.faults import VoltageFaultModel
@@ -214,8 +217,10 @@ def test_opcode_enum_is_stable():
 # (ALU, loads/stores, branches, jumps, yields) and random supply
 # voltages; the same platform is built with identically seeded fault
 # engines, run once per engine, and fingerprinted.  The fast lane runs
-# twice on fresh platforms: the first run sees each straight-line block
-# for the first time, and the second runs the blocks compiled.
+# twice on fresh platforms with blocks compiling at their second run:
+# the first run meets each straight-line block interpreted and compiles
+# it mid-run if it comes back, and the second runs the program's blocks
+# compiled (a block a fault rewrote stays interpreted).
 
 _IM_WORDS = 64
 _SP_WORDS = 64
@@ -412,13 +417,21 @@ def soc_scenarios(draw):
     return program, vdd, scheme, seed, limit
 
 
+#: The fuzzers' compile threshold: generated programs are short, so
+#: under the stock one most of their blocks would never compile.
+_FUZZ_COMPILE_AT_RUN = 2
+
+
 def _fast_runs(scheme, vdd, seed, program, limit):
-    """Run the fast lane twice on fresh platforms: block first
-    sightings, then compiled blocks.  Returns both (outcome, platform)."""
+    """Run the fast lane twice on fresh platforms, program blocks
+    compiling at their second run: the first run meets each block
+    interpreted and compiles those it revisits, the second runs them
+    compiled from their first visit.  Returns both (outcome, platform)."""
     runs = []
-    for _ in range(2):
-        fast = _build_soc(scheme, vdd, seed, scalar=False)
-        runs.append((_run_soc(fast, *program, limit), fast))
+    with mock.patch.object(fastlane, "COMPILE_AT_RUN", _FUZZ_COMPILE_AT_RUN):
+        for _ in range(2):
+            fast = _build_soc(scheme, vdd, seed, scalar=False)
+            runs.append((_run_soc(fast, *program, limit), fast))
     return runs
 
 

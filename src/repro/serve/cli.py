@@ -248,19 +248,20 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         client = ServeClient(args.url, max_retries=args.max_retries)
     except ValueError as error:
         raise SystemExit(f"repro submit: {error}") from None
-    try:
-        submitted = client.submit(spec)
-        if args.no_wait:
-            print(json.dumps(submitted, indent=2))
-            return 0
-        result = client.wait(
-            submitted["job"], deadline_s=args.deadline
-        )
-    except JobFailedError as error:
-        print(json.dumps(error.status, indent=2))
-        return 1
-    except ServeClientError as error:
-        raise SystemExit(f"repro submit: {error}") from None
+    with client:
+        try:
+            submitted = client.submit(spec)
+            if args.no_wait:
+                print(json.dumps(submitted, indent=2))
+                return 0
+            result = client.wait(
+                submitted["job"], deadline_s=args.deadline
+            )
+        except JobFailedError as error:
+            print(json.dumps(error.status, indent=2))
+            return 1
+        except ServeClientError as error:
+            raise SystemExit(f"repro submit: {error}") from None
     print(json.dumps(result, indent=2))
     return 0
 

@@ -1,14 +1,17 @@
 """Retrying HTTP client for the campaign job server.
 
 :class:`ServeClient` is the supported way to talk to ``repro serve``
-from scripts and the ``repro submit`` CLI.  It layers three behaviors
-over plain ``urllib`` that every caller would otherwise reimplement:
+from scripts and the ``repro submit`` CLI.  It holds one persistent
+HTTP/1.1 connection to the server (a warm ``/curve`` answer or a
+``/status`` poll is one request on it) and layers three behaviors over
+it that every caller would otherwise reimplement:
 
 * **Deterministic capped exponential backoff** — transient transport
   failures (connection refused mid-restart, a dropped socket, a 5xx)
   retry with ``backoff_base_s * 2**attempt`` capped at
-  ``backoff_cap_s``.  No jitter: the schedule is reproducible, which
-  keeps client behavior out of the nondeterminism budget.
+  ``backoff_cap_s``, sleeping only between attempts.  No jitter: the
+  schedule is reproducible, which keeps client behavior out of the
+  nondeterminism budget.
 * **Load-shedding cooperation** — a 429 sleeps for the server's
   ``Retry-After`` hint (capped the same way) instead of the
   exponential schedule, then retries.
@@ -28,16 +31,21 @@ over plain ``urllib`` that every caller would otherwise reimplement:
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Callable, Dict, Optional, Tuple
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 from repro.obs import active_metrics, names
 from repro.serve.durability import _PROVENANCE_FIELDS
 from repro.serve.server import normalize_spec, spec_fingerprint
+
+#: How a kept-alive connection the server has closed fails its next
+#: request (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_CLOSED_BY_PEER = (ConnectionResetError, BrokenPipeError)
 
 
 class ServeClientError(RuntimeError):
@@ -62,12 +70,23 @@ class JobFailedError(ServeClientError):
 class ServeClient:
     """HTTP client with deterministic retries and idempotent submits.
 
+    The client holds one ``http.client`` connection to ``base_url``,
+    opened by the first request and kept open across requests; a lock
+    lets threads share the client, one request at a time.  It connects
+    directly, with no HTTP proxy.  ``close()``, leaving a ``with``
+    block, or dropping the client closes the connection; a request
+    after ``close()`` opens a new one.  When the server has closed a
+    connection the client reused, the request is sent once more, at
+    once, on a fresh connection (every endpoint is idempotent); that
+    costs no retry and no sleep.
+
     Each request makes one attempt plus up to ``max_retries`` retries
     (a negative budget raises ``ValueError``).  ``sleep`` and
     ``transport`` are injectable for tests: ``transport``
     takes ``(url, data_bytes_or_None, timeout_s)`` and returns
     ``(http_status, response_bytes, headers_dict)``, raising
-    ``urllib.error.URLError`` (or ``OSError``) on transport failure.
+    ``OSError`` (such as ``urllib.error.URLError``) or
+    ``http.client.HTTPException`` on transport failure.
     """
 
     def __init__(
@@ -95,38 +114,74 @@ class ServeClient:
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
         self._sleep = sleep
-        self._transport = transport or self._urllib_transport
+        self._transport = transport or self._http_transport
+        split = urlsplit(self.base_url)
+        connection_class = (
+            http.client.HTTPSConnection
+            if split.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._connection = connection_class(
+            split.hostname or "", split.port, timeout=timeout_s
+        )
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._connection.close)
+
+    def close(self) -> None:
+        """Close the held connection (idempotent)."""
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport + retry core
     # ------------------------------------------------------------------
-    @staticmethod
-    def _urllib_transport(
-        url: str, data: Optional[bytes], timeout_s: float
+    def _http_transport(
+        self, url: str, data: Optional[bytes], timeout_s: float
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        request = urllib.request.Request(url, data=data)
+        """``url`` on the held connection, which was opened with the
+        client's ``timeout_s``."""
+        split = urlsplit(url)
+        target = f"{split.path}?{split.query}" if split.query else split.path
+        with self._lock:
+            reused = self._connection.sock is not None
+            try:
+                return self._exchange(target, data)
+            except _CLOSED_BY_PEER:
+                if not reused:
+                    raise
+            # The server closed the connection while it sat idle (say,
+            # it restarted): send the request once more on a fresh one.
+            return self._exchange(target, data)
+
+    def _exchange(
+        self, target: str, data: Optional[bytes]
+    ) -> Tuple[int, bytes, Dict[str, str]]:
+        """One request and its response; a failure closes the
+        connection, so the next request opens a fresh one."""
+        connection = self._connection
         try:
-            with urllib.request.urlopen(
-                request, timeout=timeout_s
-            ) as response:
-                return (
-                    response.status,
-                    response.read(),
-                    {
-                        key.lower(): value
-                        for key, value in response.headers.items()
-                    },
+            if data is None:
+                connection.request("GET", target)
+            else:
+                connection.request(
+                    "POST", target, body=data,
+                    headers={"Content-Type": "application/json"},
                 )
-        except urllib.error.HTTPError as error:
-            body = error.read()
-            return (
-                error.code,
-                body,
-                {
-                    key.lower(): value
-                    for key, value in error.headers.items()
-                },
-            )
+            response = connection.getresponse()
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        headers = {
+            name.lower(): value for name, value in response.getheaders()
+        }
+        return response.status, body, headers
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic capped exponential schedule (attempt >= 0)."""
@@ -140,9 +195,9 @@ class ServeClient:
         """One logical request with the full retry budget applied.
 
         Retries transport failures and 5xx responses on the backoff
-        schedule and 429 on the server's ``Retry-After`` hint; 4xx
-        responses other than 429 are the caller's problem and return
-        immediately.
+        schedule and 429 on the server's ``Retry-After`` hint, sleeping
+        only before a retry; 4xx responses other than 429 are the
+        caller's problem and return immediately.
         """
         url = self.base_url + path
         data = (
@@ -151,28 +206,30 @@ class ServeClient:
             else None
         )
         last_error: Optional[BaseException] = None
+        delay = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
                 active_metrics().counter(
                     names.SERVE_CLIENT_RETRIES
                 ).inc()
+                self._sleep(delay)
             try:
                 status, body, headers = self._transport(
                     url, data, self.timeout_s
                 )
-            except (urllib.error.URLError, OSError) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
-                self._sleep(self.backoff_s(attempt))
+                delay = self.backoff_s(attempt)
                 continue
             if status == 429:
                 retry_after = headers.get("retry-after")
                 try:
-                    delay = float(retry_after) if retry_after else None
+                    hint = float(retry_after) if retry_after else None
                 except ValueError:
-                    delay = None
-                if delay is None:
-                    delay = self.backoff_s(attempt)
-                self._sleep(min(delay, self.backoff_cap_s))
+                    hint = None
+                if hint is None:
+                    hint = self.backoff_s(attempt)
+                delay = min(hint, self.backoff_cap_s)
                 last_error = ServerUnavailableError(
                     f"{url} kept shedding load (429)"
                 )
@@ -184,7 +241,7 @@ class ServeClient:
                 last_error = ServerUnavailableError(
                     f"{url} answered {status}"
                 )
-                self._sleep(self.backoff_s(attempt))
+                delay = self.backoff_s(attempt)
                 continue
             try:
                 decoded = json.loads(body) if body else {}

@@ -38,11 +38,15 @@ The server survives the same fault class it simulates:
   (the journal knows, so the next start recovers).
 
 The HTTP layer is deliberately tiny: ``asyncio.start_server`` plus a
-hand-rolled request-line/header parser — no third-party dependencies,
-one JSON response per connection (``Connection: close``).  Blocking
-campaign work never runs on the event loop; jobs execute on a
-``ThreadPoolExecutor`` and publish progress through the PR 7
-:class:`~repro.obs.report.CampaignProgress` hooks, so ``/status``
+hand-rolled request-line/header parser — no third-party dependencies.
+HTTP/1.1 connections persist: each answers its requests in order, one
+compact JSON response per request, until the client sends
+``Connection: close``, speaks HTTP/1.0, or sends a request the parser
+refuses (400/413: its framing can no longer be trusted), or until the
+server stops, which closes every connection waiting for its next
+request.  Blocking campaign work never runs on the event loop; jobs
+execute on a ``ThreadPoolExecutor`` and publish progress through the
+PR 7 :class:`~repro.obs.report.CampaignProgress` hooks, so ``/status``
 streams done/total per point while a grid is running.
 
 Endpoints
@@ -60,6 +64,7 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import threading
@@ -67,7 +72,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from operator import index
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import validate_vdd
@@ -287,6 +292,11 @@ class CampaignJobServer:
             max_workers=workers, thread_name_prefix="repro-serve"
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        # Connections waiting for their next request, which stop()
+        # closes; once it has begun (``_closing``), every connection
+        # closes after its current answer.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
         self._journal: Optional[JobJournal] = None
         self._claims: Optional[JobClaims] = None
         self._recovered_jobs = 0
@@ -369,14 +379,23 @@ class CampaignJobServer:
             )
 
     async def stop(self, drain: bool = True) -> Dict[str, Any]:
-        """Close the listener, drain in-flight jobs, flush, shut down.
+        """Close the listener and idle connections, drain in-flight
+        jobs, flush, shut down.
 
         Returns a drain summary (``clean`` is False when the bounded
         drain deadline expired with jobs still in flight — those jobs
         stay incomplete in the journal and recover on the next start).
         """
         if self._server is not None:
+            # From Python 3.12, wait_closed() also waits for every open
+            # connection: close the idle ones; a busy one closes after
+            # its answer.
+            self._closing = True
             self._server.close()
+            with self._lock:
+                idle = list(self._idle)
+            for writer in idle:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         if self._stopped:
@@ -544,8 +563,10 @@ class CampaignJobServer:
     # ------------------------------------------------------------------
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one request; None on an empty connection.
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """Parse one request: method, target, body, and whether the
+        connection may stay open after it.  None on a connection the
+        client closed.
 
         Raises :class:`RequestError` (not a generic 500) on malformed
         request lines (400), unbounded or oversized bodies (413), and
@@ -608,38 +629,80 @@ class CampaignJobServer:
             body = await reader.readexactly(length) if length else b""
         except asyncio.IncompleteReadError:
             raise RequestError(400, "truncated request body") from None
-        return method, target, body
+        connection = headers.get("connection", "").lower().split(",")
+        keep_alive = parts[2] == "HTTP/1.1" and "close" not in (
+            token.strip() for token in connection
+        )
+        return method, target, body, keep_alive
 
     async def _handle(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        status, payload = 500, {"error": "internal error"}
-        headers: Dict[str, str] = {}
+        """Answer one connection's requests in order until it closes."""
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                writer.close()
-                return
-            method, target, body = request
-            active_metrics().counter(names.SERVE_REQUESTS).inc()
+            keep_alive = True
+            while keep_alive and not self._closing:
+                with self._lock:
+                    self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    with self._lock:
+                        self._idle.discard(writer)
+                if request is None:
+                    return
+                method, target, body, keep_alive = request
+                status, payload, headers = await self._answer(
+                    method, target, body
+                )
+                keep_alive = keep_alive and not self._closing
+                await self._respond(
+                    writer, status, payload, headers, keep_alive
+                )
+        except RequestError as exc:
+            # The parser refused the request, so the connection's framing
+            # can no longer be trusted: this answer is its last.
+            active_metrics().counter(names.SERVE_REJECTED_REQUESTS).inc()
+            with contextlib.suppress(ConnectionError):
+                await self._respond(
+                    writer, exc.status, {"error": exc.message}, {}, False
+                )
+        except ConnectionError:
+            pass  # the client went away
+        finally:
+            writer.close()
+
+    async def _answer(
+        self, method: str, target: str, body: bytes
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        """Route one parsed request: status, payload, extra headers."""
+        active_metrics().counter(names.SERVE_REQUESTS).inc()
+        try:
             result = await self._route(method, target, body)
-            if len(result) == 3:
-                status, payload, headers = result  # type: ignore[misc]
-            else:
-                status, payload = result  # type: ignore[misc]
         except RequestError as exc:
             active_metrics().counter(names.SERVE_REJECTED_REQUESTS).inc()
-            status, payload = exc.status, {"error": exc.message}
+            return exc.status, {"error": exc.message}, {}
         except ValueError as exc:
-            status, payload = 400, {"error": str(exc)}
+            return 400, {"error": str(exc)}, {}
         except Exception as exc:  # pragma: no cover - defensive surface
             active_metrics().counter(names.SERVE_ERRORS).inc()
-            status, payload = 500, {
-                "error": f"{type(exc).__name__}: {exc}"
-            }
-        data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+        if len(result) == 3:
+            return result  # type: ignore[return-value]
+        status, payload = result
+        return status, payload, {}
+
+    @staticmethod
+    async def _respond(
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Any,
+        headers: Dict[str, str],
+        keep_alive: bool,
+    ) -> None:
+        data = (json.dumps(payload) + "\n").encode("utf-8")
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in headers.items()
         )
@@ -648,13 +711,10 @@ class CampaignJobServer:
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(data)}\r\n"
             f"{extra}"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
-        try:
-            writer.write(head.encode("latin-1") + data)
-            await writer.drain()
-        finally:
-            writer.close()
+        writer.write(head.encode("latin-1") + data)
+        await writer.drain()
 
     async def _route(
         self, method: str, target: str, body: bytes
@@ -1010,9 +1070,10 @@ class ServerThread:
     Keyword arguments other than the three below go to
     :class:`CampaignJobServer`.  ``startup_timeout_s`` /
     ``shutdown_timeout_s`` bound how long entering and leaving the
-    context may take; a startup that blows the budget raises a
-    descriptive error instead of a bare ``TimeoutError``.  Exit
-    performs a graceful drain unless ``drain`` is false.
+    context may take; a start that overruns its budget is cancelled
+    and raises a descriptive error instead of a bare ``TimeoutError``.
+    Exit performs a graceful drain unless ``drain`` is false.  The
+    event loop is closed on exit and after a failed start.
     """
 
     def __init__(
@@ -1039,24 +1100,24 @@ class ServerThread:
             daemon=True,
         )
         self._thread.start()
+        # ``wait_for`` cancels a start that overruns and lets it unwind,
+        # so no task is left pending when the loop stops.
         future = asyncio.run_coroutine_threadsafe(
-            self.server.start(), self._loop
+            asyncio.wait_for(self.server.start(), self.startup_timeout_s),
+            self._loop,
         )
         try:
-            future.result(timeout=self.startup_timeout_s)
+            future.result()
         except FutureTimeoutError:
-            future.cancel()
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
+            self._halt(5.0)
             raise RuntimeError(
                 f"repro serve: server did not start within "
                 f"{self.startup_timeout_s:g}s (host={self.server.host}, "
                 f"port={self.server.port}); raise startup_timeout_s or "
                 f"check that the address is bindable"
             ) from None
-        except Exception:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
+        except BaseException:
+            self._halt(5.0)
             raise
         return self
 
@@ -1074,8 +1135,14 @@ class ServerThread:
                 f"did not drain"
             ) from None
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=self.shutdown_timeout_s)
+            self._halt(self.shutdown_timeout_s)
+
+    def _halt(self, timeout_s: float) -> None:
+        """Stop the loop, join its thread, then close the loop."""
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=timeout_s)
+        if not self._thread.is_alive():
+            self._loop.close()
 
     @property
     def url(self) -> str:

@@ -10,12 +10,18 @@ executing only the remainder, bit-identically to a fresh cold run.
 PR 9 additions: malformed-HTTP hardening (400/413), admission control
 (429 + Retry-After), watchdog deadlines (timed-out + fingerprint
 eviction), graceful drain on exit, and configurable ServerThread
-startup/shutdown budgets.
+startup/shutdown budgets.  Persistent connections are checked on raw
+sockets (in-order answers, which requests close, prompt exit with an
+idle connection open) and through :class:`ServeClient` (re-sending on
+a connection the server closed, one client shared by threads).
 """
 
 import asyncio
+import gc
 import json
+import logging
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -25,6 +31,7 @@ import pytest
 
 import repro.analysis.campaign as campaign
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
+from repro import obs
 from repro.mitigation import SecdedRunner
 from repro.serve import (
     ServerThread,
@@ -84,6 +91,29 @@ def _raw_request(handle, data):
     head, _, body = response.partition(b"\r\n\r\n")
     status = int(head.split(b"\r\n")[0].split()[1])
     return status, json.loads(body)
+
+
+def _connect(handle):
+    """A raw socket to the server, with a 10 s read timeout."""
+    address = (handle.server.host, handle.server.port)
+    return socket.create_connection(address, timeout=10)
+
+
+def _read_response(stream):
+    """One response from a raw socket's ``makefile("rb")``: (status,
+    lower-cased headers, body dict), or None at EOF."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, json.loads(body)
 
 
 def _wait(base_url, job_id, states=("done",)):
@@ -606,7 +636,7 @@ class TestSubmitCli:
             return answer(url, data)
 
         monkeypatch.setattr(
-            ServeClient, "_urllib_transport", staticmethod(transport)
+            ServeClient, "_http_transport", staticmethod(transport)
         )
         return requested
 
@@ -835,6 +865,11 @@ class TestDrain:
         ]
         assert lingering == []
 
+    def test_exit_closes_the_event_loop(self, tmp_path):
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            assert not handle._loop.is_closed()
+        assert handle._loop.is_closed()
+
 
 class TestServerThreadTimeouts:
     def test_startup_timeout_is_configurable_and_descriptive(
@@ -847,3 +882,162 @@ class TestServerThreadTimeouts:
         store = ResultStore(tmp_path / "s.sqlite")
         with pytest.raises(RuntimeError, match="did not start within 0.2s"):
             ServerThread(store, startup_timeout_s=0.2).__enter__()
+
+    def test_a_timed_out_start_leaves_no_pending_task_or_open_loop(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        async def hang(self):
+            await asyncio.sleep(60)
+
+        monkeypatch.setattr(CampaignJobServer, "start", hang)
+        handle = ServerThread(
+            ResultStore(tmp_path / "s.sqlite"), startup_timeout_s=0.2
+        )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(RuntimeError, match="did not start"):
+                handle.__enter__()
+            assert handle._loop.is_closed()
+            del handle
+            gc.collect()
+        assert [record.getMessage() for record in caplog.records] == []
+
+
+class TestKeepAlive:
+    """HTTP/1.1 connections persist across requests."""
+
+    def test_twenty_requests_on_one_socket_answer_in_order(self, tmp_path):
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            with _connect(handle) as sock, sock.makefile("rb") as stream:
+                sock.sendall(b"".join(
+                    f"GET /status/job-{index} HTTP/1.1\r\n\r\n".encode()
+                    for index in range(20)
+                ))
+                for index in range(20):
+                    status, headers, body = _read_response(stream)
+                    assert (status, headers["connection"]) == (
+                        404, "keep-alive"
+                    )
+                    assert body["error"] == f"no such job: job-{index}"
+
+    @pytest.mark.parametrize("version, header, answers", [
+        ("HTTP/1.1", "", 2),
+        ("HTTP/1.1", "Connection: close\r\n", 1),
+        ("HTTP/1.1", "Connection: keep-alive, Close\r\n", 1),
+        ("HTTP/1.0", "", 1),
+    ], ids=["http11", "connection-close", "close-token", "http10"])
+    def test_which_requests_close_their_connection(
+        self, tmp_path, version, header, answers
+    ):
+        """Two pipelined requests: both are answered on a persistent
+        connection; otherwise the first is the connection's last."""
+        request = f"GET /healthz {version}\r\n{header}\r\n".encode()
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            with _connect(handle) as sock, sock.makefile("rb") as stream:
+                sock.sendall(request * 2)
+                for _ in range(answers):
+                    status, headers, _ = _read_response(stream)
+                    assert status == 200
+                assert headers["connection"] == (
+                    "keep-alive" if answers == 2 else "close"
+                )
+                if answers == 1:
+                    assert _read_response(stream) is None
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"\x01garbage\r\n", 400),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n", 413),
+    ], ids=["garbage-400", "oversized-413"])
+    def test_a_refused_request_closes_its_connection(
+        self, tmp_path, request_bytes, status
+    ):
+        """The connection closes after the refusal (its framing can no
+        longer be trusted), and the next connection is served."""
+        with ServerThread(
+            ResultStore(tmp_path / "s.sqlite"), max_body_bytes=64
+        ) as handle:
+            with _connect(handle) as sock, sock.makefile("rb") as stream:
+                sock.sendall(request_bytes)
+                answer, headers, _ = _read_response(stream)
+                assert (answer, headers["connection"]) == (status, "close")
+                assert _read_response(stream) is None
+            assert _request(handle.url + "/healthz")[0] == 200
+
+    def test_exit_is_prompt_while_a_connection_is_idle(self, tmp_path):
+        with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+            sock = _connect(handle)
+            stream = sock.makefile("rb")
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(stream)[1]["connection"] == "keep-alive"
+            started = time.monotonic()
+        elapsed = time.monotonic() - started
+        with sock, stream:
+            # stop() closed the idle connection.
+            assert _read_response(stream) is None
+        assert elapsed < 5.0
+        assert handle._loop.is_closed()
+
+    def test_a_reused_connection_the_server_closed_is_resent_once(
+        self, tmp_path
+    ):
+        """A restarted server on the same port: the client's kept-alive
+        connection is gone, so the request goes out once more on a
+        fresh one, with no sleep and no retry counted."""
+        store = ResultStore(tmp_path / "s.sqlite")
+        sleeps, closed = [], []
+        registry = obs.enable_metrics()
+        try:
+            with ServerThread(store) as first:
+                client = ServeClient(first.url, sleep=sleeps.append)
+                assert client.healthz()["ok"] is True
+            exchange = client._exchange
+
+            def observed(*args):
+                try:
+                    return exchange(*args)
+                except Exception as exc:
+                    closed.append(type(exc))
+                    raise
+
+            client._exchange = observed
+            with ServerThread(store, port=first.server.port), client:
+                assert client.healthz()["ok"] is True
+        finally:
+            obs.disable_metrics()
+        assert len(closed) == 1
+        assert issubclass(closed[0], (ConnectionResetError, BrokenPipeError))
+        assert sleeps == []
+        assert "serve.client_retries" not in registry.snapshot().counters
+
+    def test_threads_share_one_client(self, tmp_path):
+        """Eight threads, 50 requests each, on one client: every thread
+        gets the answer to its own request."""
+        answered = []
+
+        def poll(client, name):
+            for index in range(50):
+                job = f"{name}-{index}"
+                status, body = client.result(job)
+                answered.append((status, body["error"], job))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+                with ServeClient(handle.url) as client:
+                    threads = [
+                        threading.Thread(
+                            target=poll, args=(client, f"thread{number}")
+                        )
+                        for number in range(8)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answered) == 400
+        assert [
+            (status, error) for status, error, _ in answered
+        ] == [(404, f"no such job: {job}") for _, _, job in answered]

@@ -144,6 +144,7 @@ class TestServeChaos:
         finally:
             proc.kill()  # SIGKILL: no drain, no journal close, no flush
             proc.wait(timeout=30)
+            proc.stdout.close()
         assert proc.returncode == -signal.SIGKILL
 
         # Phase 2: a restarted server replays the journal and resumes
@@ -206,3 +207,24 @@ class TestServeChaos:
             output, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert "drained (clean=True, abandoned=0)" in output
+
+    def test_sigterm_drains_promptly_while_a_client_connection_is_idle(
+        self, tmp_path
+    ):
+        """The client keeps its connection open after ``/healthz``;
+        the drain closes it instead of waiting for it."""
+        proc, url, _ = _spawn_server(
+            tmp_path / "s.sqlite", tmp_path / "jobs.ndjson"
+        )
+        with ServeClient(url) as client:
+            try:
+                assert client.healthz()["ok"] is True
+                assert client._connection.sock is not None  # kept alive
+            finally:
+                started = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                output, _ = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - started
+        assert proc.returncode == 0
+        assert "drained (clean=True, abandoned=0)" in output
+        assert elapsed < 10.0

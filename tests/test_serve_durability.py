@@ -10,6 +10,7 @@ transport.  The full subprocess ``kill -9`` exercise lives in
 ``tests/test_serve_chaos.py``.
 """
 
+import http.client
 import json
 import subprocess
 import sys
@@ -546,8 +547,42 @@ class TestServeClient:
         ]
         with pytest.raises(ServerUnavailableError):
             client.healthz()
-        assert sleeps == [0.1, 0.2, 0.4, 0.4, 0.4]
+        # Five attempts, four sleeps: none after the last attempt.
+        assert sleeps == [0.1, 0.2, 0.4, 0.4]
         assert len(transport.calls) == 5
+
+    @pytest.mark.parametrize("answer, expected_sleeps", [
+        ((429, {"error": "at capacity"}, {"retry-after": "0.05"}),
+         [0.05, 0.05]),
+        ((503, {"error": "restarting"}, {}), [0.1, 0.2]),
+    ], ids=["429", "5xx"])
+    def test_no_sleep_after_the_last_submit_attempt(
+        self, answer, expected_sleeps
+    ):
+        sleeps = []
+        transport = _ScriptedTransport([answer] * 3)
+        client = ServeClient(
+            "http://test", max_retries=2, sleep=sleeps.append,
+            transport=transport,
+        )
+        with pytest.raises(ServerUnavailableError, match="after 3 attempts"):
+            client.submit(SPEC)
+        assert len(transport.calls) == 3
+        assert sleeps == expected_sleeps
+
+    def test_http_protocol_errors_are_retried_like_transport_failures(self):
+        sleeps = []
+        transport = _ScriptedTransport(
+            [
+                http.client.BadStatusLine("garbage"),
+                (200, {"ok": True, "jobs": 0}, {}),
+            ]
+        )
+        client = ServeClient(
+            "http://test", sleep=sleeps.append, transport=transport
+        )
+        assert client.healthz()["ok"] is True
+        assert sleeps == [0.1]
 
     def test_transient_failure_then_success(self):
         sleeps = []
